@@ -17,7 +17,11 @@ The ML threshold is where the two densities cross. threshold_paper evaluates
 the closed form obtained by pulling the Bessel kernel's exponentials apart
 (which is what makes it solvable, at the cost of an approximation);
 threshold_exact finds the true crossing by bisection on the log-density
-difference.
+difference. The bisection runs on an array of gammas at once, with the
+densities evaluated elementwise (log I_r via scipy's ive), so a batch of
+per-trial thresholds costs one array solve: threshold_for takes a scalar
+gamma or an array of them. Only the scalar path is cached, in a small
+bounded LRU.
 """
 
 from __future__ import annotations
@@ -26,6 +30,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
+
+import numpy as np
 
 from .numerics import (
     log_chi2_pdf,
@@ -37,6 +43,10 @@ from .phy import ChannelSet, SystemConfig
 from .receiver import DetectionStatistic
 
 _LN2 = math.log(2.0)
+_XTOL = 1e-10  # bisection tolerance of the exact-root threshold
+# scalar thresholds are asked for once per sweep point, or once per frame by
+# run_trial; a small LRU serves the repeats without growing per trial
+_SCALAR_CACHE_SIZE = 128
 
 
 class ThresholdBracketError(RuntimeError):
@@ -84,44 +94,52 @@ def detection_snr(channels: ChannelSet, config: SystemConfig) -> SnrBreakdown:
     return SnrBreakdown(gamma=gamma, Px=px, Pf=pf, Pw=pw)
 
 
-def log_pdf_h0(x: float, params: DetectorParams) -> float:
-    if params.dof_convention == "paper":
-        return log_chi2_pdf(x, params.W)
-    return _LN2 + log_chi2_pdf(2.0 * x, 2 * params.W)
+def _log_f0(x, W: int, dof_convention: str):
+    if dof_convention == "paper":
+        return log_chi2_pdf(x, W)
+    return _LN2 + log_chi2_pdf(2.0 * x, 2 * W)
 
 
-def log_pdf_h1(x: float, params: DetectorParams) -> float:
-    if params.dof_convention == "paper":
-        return log_noncentral_chi2_pdf(x, params.W, params.lam)
-    return _LN2 + log_noncentral_chi2_pdf(2.0 * x, 2 * params.W, 2.0 * params.lam)
+def _log_f1(x, W: int, lam, dof_convention: str):
+    if dof_convention == "paper":
+        return log_noncentral_chi2_pdf(x, W, lam)
+    return _LN2 + log_noncentral_chi2_pdf(2.0 * x, 2 * W, 2.0 * lam)
+
+
+def log_pdf_h0(x, params: DetectorParams):
+    return _log_f0(x, params.W, params.dof_convention)
+
+
+def log_pdf_h1(x, params: DetectorParams):
+    return _log_f1(x, params.W, params.lam, params.dof_convention)
 
 
 def pdf_h0(x: float, params: DetectorParams) -> float:
     """Density of the statistic under H0 (bit 0); zero for x <= 0."""
-    lv = log_pdf_h0(x, params)
-    return 0.0 if lv == -math.inf else math.exp(lv)
+    return math.exp(log_pdf_h0(x, params))
 
 
 def pdf_h1(x: float, params: DetectorParams) -> float:
     """Density of the statistic under H1 (bit 1); zero for x <= 0."""
-    lv = log_pdf_h1(x, params)
-    return 0.0 if lv == -math.inf else math.exp(lv)
+    return math.exp(log_pdf_h1(x, params))
 
 
-@lru_cache(maxsize=None)
-def threshold_paper(W: int, gamma: float) -> float:
+def threshold_paper(W: int, gamma):
     """Closed-form detection threshold (separable-kernel approximation).
 
     T_h = (ln( sqrt(pi) Gamma(W/2 - 1/2)
                / (e^{-W gamma/2} Gamma(W/2) integral) ))^2 / (W gamma)
 
-    with integral = sin_power_integral(W). The log argument is assembled in
-    the log domain so large W*gamma cannot overflow.
+    with integral = sin_power_integral(W). gamma may be a scalar or an
+    array (elementwise). The log argument is assembled in the log domain so
+    large W*gamma cannot overflow.
     """
     if W < 2:
         raise ValueError(f"closed form requires W >= 2, got {W}")
-    if gamma <= 0:
-        raise ValueError(f"closed form requires gamma > 0, got {gamma}")
+    if np.ndim(gamma):
+        gamma = np.asarray(gamma, dtype=np.float64)
+    if np.any(gamma <= 0):
+        raise ValueError(f"closed form requires gamma > 0, got {np.min(gamma)}")
     log_arg = (
         0.5 * math.log(math.pi)
         + log_gamma(W / 2.0 - 0.5)
@@ -132,68 +150,99 @@ def threshold_paper(W: int, gamma: float) -> float:
     return log_arg ** 2 / (W * gamma)
 
 
-def _h0_mode(params: DetectorParams) -> float:
-    if params.dof_convention == "paper":
-        return max(params.W - 2.0, 0.0)
-    return max(params.W - 1.0, 0.0)
+def _h0_mode(W: int, dof_convention: str) -> float:
+    if dof_convention == "paper":
+        return max(W - 2.0, 0.0)
+    return max(W - 1.0, 0.0)
 
 
-@lru_cache(maxsize=None)
-def _threshold_exact_cached(W: int, gamma: float, dof_convention: str,
-                            xtol: float) -> float:
-    params = DetectorParams(W=W, gamma=gamma, dof_convention=dof_convention)
+def _solve_crossing(W: int, gamma: np.ndarray, dof_convention: str,
+                    xtol: float) -> np.ndarray:
+    """Density crossing for each gamma (all > 0), bisected as one array.
 
-    def diff(x: float) -> float:
-        return log_pdf_h0(x, params) - log_pdf_h1(x, params)
+    Every element follows the scalar algorithm: the same starting bracket,
+    the same expansion and bisection caps, the same stopping rule; only
+    elements still in play are evaluated.
+    """
+    lam = W * gamma
+
+    def h0_wins(x, idx):
+        return _log_f0(x, W, dof_convention) - _log_f1(x, W, lam[idx], dof_convention) > 0
 
     # f0 dominates below the crossing, f1 above; expand each end until the
     # sign change is bracketed
-    lo = max(_h0_mode(params), 1e-8)
+    lo = np.full(gamma.shape, max(_h0_mode(W, dof_convention), 1e-8))
     hi = W * (1.0 + gamma)
+    idx = np.arange(gamma.size)
     for _ in range(200):
-        if diff(lo) > 0:
+        idx = idx[~h0_wins(lo[idx], idx)]
+        if idx.size == 0:
             break
-        lo *= 0.5
+        lo[idx] *= 0.5
     else:
-        raise ThresholdBracketError(f"no H0-dominant region found (W={W}, gamma={gamma})")
+        raise ThresholdBracketError(
+            f"no H0-dominant region found (W={W}, gamma={gamma[idx[0]]})")
+    idx = np.arange(gamma.size)
     for _ in range(200):
-        if diff(hi) < 0:
+        idx = idx[h0_wins(hi[idx], idx)]
+        if idx.size == 0:
             break
-        hi *= 2.0
+        hi[idx] *= 2.0
     else:
-        raise ThresholdBracketError(f"no H1-dominant region found (W={W}, gamma={gamma})")
+        raise ThresholdBracketError(
+            f"no H1-dominant region found (W={W}, gamma={gamma[idx[0]]})")
     # capped iterations: at large x one float64 ulp can exceed xtol
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if hi - lo <= xtol or mid <= lo or mid >= hi:
+        idx = np.flatnonzero((hi - lo > xtol) & (mid > lo) & (mid < hi))
+        if idx.size == 0:
             break
-        if diff(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
+        up = h0_wins(mid[idx], idx)
+        lo[idx[up]] = mid[idx[up]]
+        hi[idx[~up]] = mid[idx[~up]]
     return 0.5 * (lo + hi)
 
 
-def threshold_exact(params: DetectorParams, xtol: float = 1e-10) -> float:
+@lru_cache(maxsize=_SCALAR_CACHE_SIZE)
+def _threshold_exact_cached(W: int, gamma: float, dof_convention: str,
+                            xtol: float) -> float:
+    return float(_solve_crossing(W, np.array([gamma]), dof_convention, xtol)[0])
+
+
+def threshold_exact(params: DetectorParams, xtol: float = _XTOL) -> float:
     """ML threshold as the true crossing of the H0/H1 densities (bisection)."""
     if params.gamma <= 0:
         raise ValueError(f"threshold requires gamma > 0, got {params.gamma}")
     return _threshold_exact_cached(params.W, params.gamma, params.dof_convention, xtol)
 
 
-def threshold_for(config: SystemConfig, W: int, gamma: float) -> float:
+def threshold_for(config: SystemConfig, W: int, gamma):
     """Threshold per the configured mode; gamma == 0 degenerates to W.
 
-    With gamma == 0 the two hypotheses coincide and any positive threshold
-    yields chance-level decisions; the H0 mean keeps the detector runnable.
+    gamma is a scalar (one threshold, a float) or an array of per-trial
+    SNRs (one threshold each, solved together). With gamma == 0 the two
+    hypotheses coincide and any positive threshold yields chance-level
+    decisions; the H0 mean keeps the detector runnable.
     """
-    if gamma == 0:
-        return float(W)
-    if config.threshold_mode == "closed-form":
-        return threshold_paper(W, gamma)
-    return threshold_exact(
-        DetectorParams(W=W, gamma=gamma, dof_convention=config.dof_convention)
-    )
+    if np.ndim(gamma) == 0:
+        if gamma == 0:
+            return float(W)
+        if config.threshold_mode == "closed-form":
+            return threshold_paper(W, gamma)
+        return threshold_exact(
+            DetectorParams(W=W, gamma=gamma, dof_convention=config.dof_convention)
+        )
+    gamma = np.asarray(gamma, dtype=np.float64)
+    if np.any(gamma < 0):
+        raise ValueError(f"gamma must be >= 0, got {np.min(gamma)}")
+    out = np.full(gamma.shape, float(W))
+    pos = gamma > 0
+    if np.any(pos):
+        if config.threshold_mode == "closed-form":
+            out[pos] = threshold_paper(W, gamma[pos])
+        else:
+            out[pos] = _solve_crossing(W, gamma[pos], config.dof_convention, _XTOL)
+    return out
 
 
 def decide(statistic, threshold: float) -> int:

@@ -34,6 +34,8 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis
+# threshold_exact is no longer called here, but perfbench/spans.py traces the
+# exact-root threshold through this namespace, so the name stays importable
 from .detector import (
     DetectorParams,
     detection_snr,
@@ -82,6 +84,12 @@ class ExperimentSpec:
         for w in self.W_list:
             if w < 1 or w > self.base.R + 1:
                 raise ValueError(f"W={w} outside [1, R+1={self.base.R + 1}]")
+            if w < 2 and self.base.threshold_mode == "closed-form":
+                raise ValueError(f"W={w}: the closed-form threshold needs W >= 2")
+        # with no noise the statistic is 0/0 and the BER would be noise, not
+        # a measurement; SystemConfig itself allows Nw=0 for noiseless frames
+        if self.base.Nw == 0:
+            raise ValueError("a sweep needs noise power Nw > 0")
 
 
 @dataclass
@@ -159,25 +167,6 @@ def run_trial(config: SystemConfig, rng):
     return bit, decide(stat, threshold)
 
 
-def _vector_threshold_paper(W: int, gammas: np.ndarray) -> np.ndarray:
-    from .detector import threshold_paper
-    from .numerics import log_gamma, sin_power_integral
-
-    out = np.full(gammas.shape, float(W))
-    pos = gammas > 0
-    if np.any(pos):
-        g = gammas[pos]
-        log_arg = (
-            0.5 * math.log(math.pi)
-            + log_gamma(W / 2.0 - 0.5)
-            + W * g / 2.0
-            - log_gamma(W / 2.0)
-            - math.log(sin_power_integral(W))
-        )
-        out[pos] = log_arg ** 2 / (W * g)
-    return out
-
-
 def _run_chunk(config: SystemConfig, W: int, gamma_target: float | None,
                threshold: float | None, point_index: int, start: int,
                count: int, collect: bool = False, force_bit: int | None = None):
@@ -185,8 +174,9 @@ def _run_chunk(config: SystemConfig, W: int, gamma_target: float | None,
 
     gamma_target is the pinned detection SNR (direct-gamma mode) or None
     (from-Ps). threshold is the scalar detection threshold, or None to
-    derive it per trial from the genie SNR. Returns the error count, or
-    (bits, statistics) arrays when collect is set.
+    derive one per trial from the genie SNR, all in one array solve.
+    Returns the error count, or (bits, statistics) arrays when collect is
+    set.
     """
     m1, k1 = config.M + 1, config.K + 1
     c, q, t, r, k = config.C, config.Q, config.T, config.R, config.K
@@ -271,19 +261,7 @@ def _run_chunk(config: SystemConfig, W: int, gamma_target: float | None,
     if collect:
         return bits, stats
 
-    if threshold is not None:
-        thr = threshold
-    elif config.threshold_mode == "closed-form":
-        thr = _vector_threshold_paper(W, gamma_trial)
-    else:
-        thr = np.array(
-            [
-                threshold_exact(DetectorParams(W=W, gamma=gm, dof_convention=config.dof_convention))
-                if gm > 0
-                else float(W)
-                for gm in gamma_trial
-            ]
-        )
+    thr = threshold if threshold is not None else threshold_for(config, W, gamma_trial)
     decisions = (stats >= thr).astype(np.int64)
     return int(np.sum(decisions != bits))
 

@@ -7,9 +7,12 @@ public functions return finite results on their documented domains.
 
 Numerical conventions:
   * the DFT is the unnormalized matrix form, F[p, q] = exp(-2j*pi*p*q/n);
-  * densities with large noncentrality are evaluated in the log domain
-    (log-gamma plus a log-domain Bessel series) so nothing overflows for
-    noncentralities up to ~1e4;
+  * the chi-square log densities and log I_r(u) work elementwise on
+    arrays, so a detector can evaluate one density per trial in one call;
+  * densities with large noncentrality are evaluated in the log domain:
+    log I_r(u) = log(ive(r, u)) + u with scipy's exponentially scaled
+    Bessel function, and a log-domain power series where ive underflows,
+    so nothing overflows for noncentralities up to ~1e4 and beyond;
   * random streams are Philox4x64 counter-based generators keyed by
     (seed, stream) pairs, which makes every draw sequence a pure function
     of those two integers on any platform and worker count.
@@ -19,18 +22,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln, ive, logsumexp
 
 _U64 = 1 << 64
 _LN2 = math.log(2.0)
 
-# series/asymptotic switch for the modified Bessel function; the series is
-# exact-to-roundoff but needs ~u/2 terms, so very large arguments (far beyond
-# any tested operating point) fall back to the large-argument expansion
-_BESSEL_SERIES_MAX_U = 20_000.0
+# below this, scipy's ive is at (or next to) its underflow to zero and the
+# log-domain series takes over; the series needs few terms there
+_IVE_SERIES_BELOW = 1e-280
+# sin_power_integral is cached per W, and W <= R+1 (246 by default)
+_SIN_POWER_CACHE_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -119,60 +124,62 @@ def gaussian_q(x: float) -> float:
     return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
-def log_bessel_i(r: float, u: float) -> float:
+def log_bessel_i(r, u):
     """log of the modified Bessel function of the first kind, I_r(u).
 
-    Power series evaluated in the log domain (stable for large u where the
-    linear-domain value overflows). Returns -inf for u == 0 with r > 0.
+    Elementwise over arrays (a scalar in gives a float out), for orders
+    r >= -1/2 (the 1-dof noncentral chi-square needs -1/2) and u >= 0.
+    Evaluated as log(ive(r, u)) + u with scipy's exponentially scaled
+    Bessel function, so large u never overflows. Where ive underflows
+    (large order, small argument: r = 245 at u = 1) the power series is
+    summed in the log domain instead. At u == 0 the result is 0 for r == 0,
+    -inf for r > 0 and +inf for r < 0.
     """
-    if r < 0:
-        raise ValueError(f"order must be >= 0, got {r}")
-    if u < 0:
+    r_arr = np.asarray(r, dtype=np.float64)
+    u_arr = np.asarray(u, dtype=np.float64)
+    if (r_arr < -0.5).any():
+        raise ValueError(f"order must be >= -1/2, got {r}")
+    if (u_arr < 0).any():
         raise ValueError(f"argument must be >= 0, got {u}")
-    if u == 0.0:
-        return 0.0 if r == 0.0 else -math.inf
-    if u > _BESSEL_SERIES_MAX_U:
-        return _log_bessel_i_asymptotic(r, u)
-    half_u = u / 2.0
-    log_half_u = math.log(half_u)
-    # term ratio reaches 1 near k*; extend until the tail is negligible
-    k_star = 0.5 * (-(r + 2.0) + math.sqrt(r * r + 4.0 * half_u * half_u))
-    k_max = int(max(k_star, 0.0)) + 32
+    scaled = ive(r_arr, u_arr)
+    with np.errstate(divide="ignore"):
+        out = np.log(scaled) + u_arr
+    # ive underflowed, or is 0 or nan at u == 0
+    redo = ~(scaled >= _IVE_SERIES_BELOW)
+    if redo.any():
+        out = np.array(out, dtype=np.float64)
+        r_b = np.broadcast_to(r_arr, out.shape)[redo]
+        u_b = np.broadcast_to(u_arr, out.shape)[redo]
+        vals = np.where(r_b > 0, -np.inf, np.inf)  # the u == 0 limits
+        series = u_b > 0
+        if series.any():
+            vals[series] = _log_bessel_i_series(r_b[series], u_b[series])
+        out[redo] = vals
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def _log_bessel_i_series(r: np.ndarray, u: np.ndarray) -> np.ndarray:
+    # sum_k (u/2)^(2k+r) / (k! Gamma(k+r+1)) in the log domain, one row per
+    # element; the term ratio reaches 1 near k*, so extend past it until
+    # every row's tail is negligible
+    r = r[:, None]
+    log_half_u = np.log(0.5 * u)[:, None]
+    k_star = 0.5 * (-(r + 2.0) + np.sqrt(r * r + u[:, None] ** 2))
+    k_max = int(max(k_star.max(), 0.0)) + 32
     while True:
         k = np.arange(k_max + 1, dtype=np.float64)
         log_terms = (2.0 * k + r) * log_half_u - gammaln(k + 1.0) - gammaln(k + r + 1.0)
-        if log_terms[-1] < log_terms.max() - 40.0:
-            break
+        if np.all(log_terms[:, -1] < log_terms.max(axis=1) - 40.0):
+            return logsumexp(log_terms, axis=1)
         k_max *= 2
-    return float(logsumexp(log_terms))
-
-
-def _log_bessel_i_asymptotic(r: float, u: float) -> float:
-    # I_r(u) ~ e^u / sqrt(2 pi u) * sum_j (-1)^j a_j(r) / u^j, truncated at
-    # the smallest term; accurate to ~1e-10 relative for u >> r^2
-    mu = 4.0 * r * r
-    term = 1.0
-    total = 1.0
-    for j in range(1, 12):
-        factor = -(mu - (2 * j - 1) ** 2) / (8.0 * j * u)
-        nxt = term * factor
-        if abs(nxt) >= abs(term):
-            break
-        term = nxt
-        total += term
-        if abs(term) < 1e-17 * abs(total):
-            break
-    return u - 0.5 * math.log(2.0 * math.pi * u) + math.log(total)
 
 
 def bessel_i(r: float, u: float) -> float:
-    """Modified Bessel function of the first kind, I_r(u), r >= 0, u >= 0."""
-    lv = log_bessel_i(r, u)
-    if lv == -math.inf:
-        return 0.0
-    return float(np.exp(lv))
+    """Modified Bessel function of the first kind, I_r(u), r >= -1/2, u >= 0."""
+    return float(np.exp(log_bessel_i(r, u)))
 
 
+@lru_cache(maxsize=_SIN_POWER_CACHE_SIZE)
 def sin_power_integral(w: int) -> float:
     """Integral of exp(cos(theta)) * sin(theta)^(w-2) over [0, pi].
 
@@ -198,44 +205,50 @@ def _check_dof(n: int) -> None:
         raise ValueError(f"degrees of freedom must be an integer >= 1, got {n}")
 
 
-def log_chi2_pdf(x: float, n: int) -> float:
-    """Log density of the central chi-square with n degrees of freedom."""
+def log_chi2_pdf(x, n: int):
+    """Log density of the central chi-square with n degrees of freedom.
+
+    Elementwise over x; -inf for x <= 0.
+    """
     _check_dof(n)
-    if x <= 0:
-        return -math.inf
+    x = np.asarray(x, dtype=np.float64)
     hn = 0.5 * n
-    return -0.5 * x + (hn - 1.0) * math.log(x) - hn * _LN2 - math.lgamma(hn)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = -0.5 * x + (hn - 1.0) * np.log(x) - hn * _LN2 - math.lgamma(hn)
+    out = np.where(x > 0, out, -np.inf)
+    return float(out) if out.ndim == 0 else out
 
 
 def chi2_pdf(x: float, n: int) -> float:
     """Central chi-square density; zero for x <= 0."""
-    lv = log_chi2_pdf(x, n)
-    return 0.0 if lv == -math.inf else math.exp(lv)
+    return math.exp(log_chi2_pdf(x, n))
 
 
-def log_noncentral_chi2_pdf(x: float, n: int, lam: float) -> float:
+def log_noncentral_chi2_pdf(x, n: int, lam):
     """Log density of the noncentral chi-square (n dof, noncentrality lam).
 
-    Evaluated as log-gamma / log-Bessel combinations so large lam (up to
-    ~1e4 and beyond) neither overflows nor underflows prematurely.
+    Elementwise over x and lam (broadcast); -inf for x <= 0, and the central
+    density where lam == 0. Evaluated as log-gamma / log-Bessel combinations
+    so large lam (up to ~1e4 and beyond) neither overflows nor underflows
+    prematurely.
     """
     _check_dof(n)
-    if lam < 0:
-        raise ValueError(f"noncentrality must be >= 0, got {lam}")
-    if x <= 0:
-        return -math.inf
-    if lam == 0.0:
-        return log_chi2_pdf(x, n)
-    r = 0.5 * n - 1.0
-    return (
-        -_LN2
-        + 0.25 * (n - 2.0) * (math.log(x) - math.log(lam))
-        - 0.5 * (x + lam)
-        + log_bessel_i(r, math.sqrt(lam * x))
-    )
+    x = np.asarray(x, dtype=np.float64)
+    lam = np.asarray(lam, dtype=np.float64)
+    if (lam < 0).any():
+        raise ValueError(f"noncentrality must be >= 0, got {np.min(lam)}")
+    nc = (x > 0) & (lam > 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = (
+            -_LN2
+            + 0.25 * (n - 2.0) * (np.log(x) - np.log(lam))
+            - 0.5 * (x + lam)
+            + log_bessel_i(0.5 * n - 1.0, np.sqrt(np.where(nc, lam * x, 0.0)))
+        )
+    out = np.where(nc, out, log_chi2_pdf(x, n))
+    return float(out) if out.ndim == 0 else out
 
 
 def noncentral_chi2_pdf(x: float, n: int, lam: float) -> float:
     """Noncentral chi-square density; zero for x <= 0, continuous at lam -> 0."""
-    lv = log_noncentral_chi2_pdf(x, n, lam)
-    return 0.0 if lv == -math.inf else float(np.exp(lv))
+    return float(np.exp(log_noncentral_chi2_pdf(x, n, lam)))

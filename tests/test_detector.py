@@ -12,6 +12,8 @@ from cpscatter.detector import (
     DetectorParams,
     decide,
     detection_snr,
+    log_pdf_h0,
+    log_pdf_h1,
     pdf_h0,
     pdf_h1,
     threshold_exact,
@@ -188,6 +190,92 @@ def test_threshold_for_modes():
         threshold_exact(DetectorParams(W=3, gamma=2.0, dof_convention="complex"))
     )
     assert threshold_for(cfg_cf, 7, 0.0) == 7.0  # degenerate SNR fallback
+
+
+def _reference_bisection(W, gamma, conv, xtol=1e-10):
+    # the per-threshold scalar loop the array solve replaced: same bracket,
+    # caps and stopping rule, one scalar density difference per step
+    p = DetectorParams(W=W, gamma=gamma, dof_convention=conv)
+
+    def diff(x):
+        return log_pdf_h0(x, p) - log_pdf_h1(x, p)
+
+    lo = max(W - (2.0 if conv == "paper" else 1.0), 0.0, 1e-8)
+    hi = W * (1.0 + gamma)
+    for _ in range(200):
+        if diff(lo) > 0:
+            break
+        lo *= 0.5
+    for _ in range(200):
+        if diff(hi) < 0:
+            break
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= xtol or mid <= lo or mid >= hi:
+            break
+        if diff(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("conv", ["paper", "complex"])
+@pytest.mark.parametrize("w", [1, 2, 3, 12, 246])
+def test_threshold_array_solve_matches_scalar(conv, w):
+    gammas = np.array([0.0, 1e-3, 0.36, 4.4, 17.5, 1e3])
+    cfg = SystemConfig(threshold_mode="exact-root", dof_convention=conv)
+    got = threshold_for(cfg, w, gammas)
+    assert got.shape == gammas.shape
+    assert got[0] == float(w)  # gamma == 0 maps to W elementwise
+    for g, th in zip(gammas[1:], got[1:]):
+        scalar = threshold_exact(DetectorParams(W=w, gamma=float(g), dof_convention=conv))
+        assert th == pytest.approx(scalar, abs=1e-10, rel=1e-15)
+        assert th == pytest.approx(_reference_bisection(w, float(g), conv),
+                                   abs=1e-10, rel=1e-15)
+
+
+def test_threshold_for_array_closed_form_matches_scalar():
+    cfg = SystemConfig(threshold_mode="closed-form")
+    gammas = np.array([0.0, 1e-3, 0.36, 4.4, 17.5, 1e3])
+    got = threshold_for(cfg, 12, gammas)
+    assert got[0] == 12.0
+    assert got[1:] == pytest.approx([threshold_paper(12, float(g)) for g in gammas[1:]],
+                                    rel=1e-15)
+    with pytest.raises(ValueError):
+        threshold_for(cfg, 12, np.array([1.0, -1.0]))
+
+
+def test_caches_stay_bounded_over_distinct_gammas():
+    from cpscatter import detector, numerics
+
+    caches = [obj for mod in (detector, numerics) for obj in vars(mod).values()
+              if hasattr(obj, "cache_info")]
+    assert caches and all(c.cache_info().maxsize is not None for c in caches)
+    gammas = np.linspace(0.01, 50.0, 10_000)
+    cf = SystemConfig(threshold_mode="closed-form")
+    ex = SystemConfig(threshold_mode="exact-root", dof_convention="complex")
+    threshold_for(ex, 3, gammas)
+    threshold_for(cf, 3, gammas)
+    for g in gammas:
+        threshold_for(cf, 3, float(g))
+    # scalar exact solves cost milliseconds: overflow the LRU a few times over
+    for g in gammas[:: len(gammas) // 400]:
+        threshold_for(ex, 3, float(g))
+    for c in caches:
+        info = c.cache_info()
+        assert info.currsize <= info.maxsize
+
+
+def test_threshold_exact_paper_convention_w1():
+    # 1 dof puts the noncentral density's Bessel order at -1/2
+    for gamma in (0.36, 4.4, 17.5):
+        p = DetectorParams(W=1, gamma=gamma, dof_convention="paper")
+        th = threshold_exact(p)
+        assert th == pytest.approx(_reference_bisection(1, gamma, "paper"), abs=1e-10)
+        assert abs(pdf_h0(th, p) - pdf_h1(th, p)) < 1e-9 * pdf_h0(th, p)
+        assert pdf_h1(th, p) == pytest.approx(stats.ncx2.pdf(th, 1, gamma), rel=1e-10)
 
 
 # --- decision rule -----------------------------------------------------------------

@@ -23,7 +23,7 @@ from cpscatter.harness import (
     trial_stream,
     write_pdf_csv,
 )
-from cpscatter.detector import DetectorParams, threshold_exact
+from cpscatter.detector import DetectorParams, threshold_exact, threshold_for
 from cpscatter.phy import SystemConfig
 
 
@@ -141,6 +141,31 @@ def test_kernel_agrees_with_run_trial_statistically():
     assert abs(p1 - p2) < 4 * sigma
 
 
+def test_from_ps_chunk_matches_scalar_threshold_loop(monkeypatch):
+    # the per-trial thresholds of a from-Ps chunk come from one array solve;
+    # per-trial scalar solves must decide every trial the same way
+    from cpscatter import harness
+
+    cfg = SystemConfig(snr_mode="from-Ps", dof_convention="complex",
+                       threshold_mode="exact-root", seed=14)
+    seen = []
+
+    def spy(config, w, gamma):
+        seen.append(np.array(gamma))
+        return threshold_for(config, w, gamma)
+
+    monkeypatch.setattr(harness, "threshold_for", spy)
+    errors = _run_chunk(cfg, 12, None, None, 0, 0, 1024)
+    (gammas,) = seen
+    bits, stats = collect_statistics(cfg, 12, 1024)
+    ref = np.array([
+        threshold_exact(DetectorParams(W=12, gamma=float(g), dof_convention="complex"))
+        for g in gammas
+    ])
+    assert errors == int(np.sum((stats >= ref) != bits))
+    assert 0 < errors < 1024
+
+
 def test_collect_statistics_forced_bit():
     cfg = SystemConfig(W=3, seed=41)
     bits, stats = collect_statistics(cfg, 3, 3000, gamma_target=4.0, force_bit=0)
@@ -229,6 +254,32 @@ def test_spec_validation():
         ExperimentSpec(emit="nope")
     with pytest.raises(ValueError):
         ExperimentSpec(W_list=(500,))
+
+
+@pytest.mark.parametrize("cfg_text", [
+    "Nw = 0\n",  # 0/0 statistics would give a chance-level ber_sim
+    "threshold_mode = closed-form\nW_list = 3 1\n",  # W=1 only fails at its point
+])
+def test_degenerate_sweeps_fail_before_any_chunk(monkeypatch, tmp_path, cfg_text):
+    from cpscatter import harness
+
+    calls = []
+    monkeypatch.setattr(harness, "_run_chunk", lambda *a, **k: calls.append(a))
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(cfg_text)
+    with pytest.raises(ValueError):
+        build_spec(load_config_file(cfg))
+    out = tmp_path / "r.csv"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out), "--workers", "1"]) == 1
+    assert calls == [] and not out.exists()
+
+
+def test_paper_convention_exact_root_at_w1():
+    base = SystemConfig(threshold_mode="exact-root", snr_mode="from-Ps", seed=15)
+    (res,) = run_experiment(ExperimentSpec(base=base, W_list=(1,),
+                                           trials_per_point=256, workers=1))
+    assert res.W == 1 and res.threshold_used > 0
+    assert 0.0 <= res.ber_theory_exact <= 0.5
 
 
 # --- CSV contract -------------------------------------------------------------------

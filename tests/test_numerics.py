@@ -17,7 +17,9 @@ from cpscatter.numerics import (
     gamma_fn,
     gaussian_q,
     log_bessel_i,
+    log_chi2_pdf,
     log_gamma,
+    log_noncentral_chi2_pdf,
     noncentral_chi2_pdf,
     sin_power_integral,
 )
@@ -204,6 +206,22 @@ def test_log_bessel_large_argument():
         assert log_bessel_i(r, u) == pytest.approx(want, rel=1e-10)
 
 
+def test_log_bessel_elementwise():
+    r = np.array([0.0, 0.5, 11.0, 245.0, -0.5])
+    u = np.array([3.0, 0.0, 40.0, 1.0, 2.0])
+    got = log_bessel_i(r, u)
+    assert got.shape == (5,)
+    for rv, uv, g in zip(r, u, got):
+        assert g == log_bessel_i(float(rv), float(uv))
+    assert got[1] == -math.inf
+    assert log_bessel_i(-0.5, 0.0) == math.inf
+    # ive(245, 1) underflows to 0; the log-domain series takes over
+    want = float(mpmath.log(mpmath.besseli(245, 1)))
+    assert got[3] == pytest.approx(want, rel=1e-12)
+    assert got[4] == pytest.approx(math.log(math.sqrt(2 / (math.pi * 2.0)) * math.cosh(2.0)),
+                                   rel=1e-13)
+
+
 def test_bessel_domain_errors():
     with pytest.raises(ValueError):
         bessel_i(0, -1.0)
@@ -314,3 +332,46 @@ def test_noncentral_large_lambda_no_overflow():
                  * mpmath.exp(-5000)
                  * mpmath.besseli(11, 5000))
     assert v == pytest.approx(want, rel=1e-9)
+
+
+def _mp_log_ncx2_pdf(x, n, lam):
+    x, lam = mpmath.mpf(x), mpmath.mpf(lam)
+    return float(mpmath.log(mpmath.mpf(0.5) * mpmath.exp(-(x + lam) / 2)
+                            * (x / lam) ** (mpmath.mpf(n - 2) / 4)
+                            * mpmath.besseli(mpmath.mpf(n) / 2 - 1, mpmath.sqrt(lam * x))))
+
+
+def test_noncentral_where_ive_underflows():
+    # complex convention at W = 246: 492 dof, Bessel order 245; at small
+    # gamma*x the scaled Bessel function underflows to zero
+    n = 492
+    x = np.array([0.5, 2.0, 20.0, 300.0])
+    lam = np.array([0.4, 1.0, 5.0, 2.0])
+    got = log_noncentral_chi2_pdf(x, n, lam)
+    for xv, lv, g in zip(x, lam, got):
+        assert np.isfinite(g)
+        assert g == pytest.approx(_mp_log_ncx2_pdf(xv, n, lv), rel=1e-12)
+
+
+def test_noncentral_one_dof_vs_scipy():
+    # n = 1 needs the Bessel order -1/2
+    x = np.array([1e-6, 0.3, 2.0, 15.0, 80.0])
+    for lam in (0.01, 0.36, 4.4, 50.0):
+        got = log_noncentral_chi2_pdf(x, 1, lam)
+        np.testing.assert_allclose(got, stats.ncx2.logpdf(x, 1, lam), rtol=1e-10)
+        assert got[2] == pytest.approx(_mp_log_ncx2_pdf(2.0, 1, lam), rel=1e-13)
+
+
+def test_log_densities_elementwise():
+    x = np.array([-1.0, 0.0, 0.5, 7.0, 40.0])
+    lam = np.array([3.0, 3.0, 0.0, 3.0, 200.0])
+    c = log_chi2_pdf(x, 6)
+    nc = log_noncentral_chi2_pdf(x, 6, lam)
+    assert c.shape == nc.shape == x.shape
+    assert c[0] == c[1] == nc[0] == nc[1] == -math.inf
+    assert nc[2] == c[2]  # lam == 0 is the central density
+    for i in (2, 3, 4):
+        assert c[i] == pytest.approx(stats.chi2.logpdf(x[i], 6), rel=1e-13)
+        assert nc[i] == pytest.approx(math.log(noncentral_chi2_pdf(float(x[i]), 6, float(lam[i]))),
+                                      rel=1e-13)
+    assert isinstance(log_noncentral_chi2_pdf(7.0, 6, 3.0), float)

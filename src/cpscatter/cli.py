@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 
 from .harness import (
     build_spec,
@@ -41,6 +42,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--workers", type=int, help="worker processes (0 = all CPUs)")
     run.add_argument("--print-config", action="store_true",
                      help="print the effective configuration and exit")
+    run.add_argument("--debug", action="store_true",
+                     help="print the full traceback of an error")
     return parser
 
 
@@ -80,6 +83,8 @@ def main(argv=None) -> int:
         print(f"wrote {len(results)} rows to {spec.output_path}")
         return 0
     except Exception as exc:  # CLI boundary: report and signal failure
+        if args.debug:
+            traceback.print_exc()
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

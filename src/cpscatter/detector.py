@@ -40,7 +40,7 @@ from .numerics import (
     sin_power_integral,
 )
 from .phy import ChannelSet, SystemConfig
-from .receiver import DetectionStatistic
+from .receiver import DetectionStatistic, noise_power
 
 _LN2 = math.log(2.0)
 _XTOL = 1e-10  # bisection tolerance of the exact-root threshold
@@ -83,15 +83,29 @@ class DetectorParams:
         return self.W * self.gamma
 
 
+def detection_gamma(config: SystemConfig, ps, sum_g2, sum_f2):
+    """gamma = (R+1) |eta|^2 Ps sum|g|^2 sum|f|^2 / P_w, the one SNR formula.
+
+    ps, sum_g2 and sum_f2 may be scalars or per-trial arrays. The ensemble
+    SNR passes the mean tap energies M+1 and K+1; the direct-gamma source
+    rescale is the target SNR over this formula at ps = 1.
+    """
+    return (
+        (config.R + 1) * abs(config.eta) ** 2 * ps * sum_g2 * sum_f2
+        / noise_power(config)
+    )
+
+
 def detection_snr(channels: ChannelSet, config: SystemConfig) -> SnrBreakdown:
     """Detection SNR gamma and the powers Px, Pf, Pw it is built from."""
     if config.Nw == 0:
         raise ValueError("detection SNR undefined for zero noise power")
-    pw = 2.0 * (config.T + 1) * config.Nw
-    px = (config.R + 1) * config.Ps * channels.sum_g2
-    pf = channels.sum_f2
-    gamma = (abs(config.eta) ** 2) * px * pf / pw
-    return SnrBreakdown(gamma=gamma, Px=px, Pf=pf, Pw=pw)
+    return SnrBreakdown(
+        gamma=detection_gamma(config, config.Ps, channels.sum_g2, channels.sum_f2),
+        Px=(config.R + 1) * config.Ps * channels.sum_g2,
+        Pf=channels.sum_f2,
+        Pw=noise_power(config),
+    )
 
 
 def _log_f0(x, W: int, dof_convention: str):

@@ -11,12 +11,20 @@ Two execution paths exist:
     N+C frame (full-length source symbol, full-frame noise, all three
     channels) and pushes it through the receiver and detector.
   * the batch kernel used by run_experiment: per trial it draws only what
-    can influence the decision: the g/f taps, the C source samples the two
-    receiver windows depend on (everything the windows see lives in the CP
-    block by the cyclic-prefix identity), the window noise, and the bit.
-    The direct source->reader path is omitted because the Phase 2/4
-    subtraction removes it exactly (an invariant the test suite checks to
-    1e-10); this is what makes 1e5-trial sweep points affordable.
+    the statistic depends on and forms the W DFT bins directly. With
+    d = w1 - w2 the cancelled noise (T+1 samples of CN(0, 2Nw)) and
+    omega = exp(-2 pi j / (R+1)), the folded bins p < W are
+        Z_p = eta sqrt(Ps) F_p U_p,   F_p = sum_k f_k omega^(p k),
+        N_p = sqrt(2 Nw) (sqrt(R+1) a_p + sum_{i<K} b_i omega^(p i)),
+    where U = DFT of the tag signal u on the gated window [Q, C-K) (a tag
+    FIR over the first C-K source samples; the circular convolution with f
+    is exactly what the fold produces), a are W and b are K complex
+    normals CN(0, 1). The DFT of the first R+1 noise samples is i.i.d.
+    across bins, and the fold adds the last K samples with fixed phases, so
+    N_p has the law of the full chain's noise bins: exact in law, with no
+    covariance factor. The direct source->reader path is omitted because
+    the Phase 2/4 subtraction removes it exactly (an invariant the test
+    suite checks to 1e-10).
 
 The two paths consume streams differently, so they are not bit-identical
 trial for trial; the suite checks they agree statistically.
@@ -28,7 +36,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +46,7 @@ from . import analysis
 # exact-root threshold through this namespace, so the name stays importable
 from .detector import (
     DetectorParams,
+    detection_gamma,
     detection_snr,
     threshold_exact,
     threshold_for,
@@ -122,14 +131,20 @@ def _gamma_target(config: SystemConfig) -> float:
 
 def _ensemble_gamma(config: SystemConfig) -> float:
     # channel-averaged tap energies: E[sum|g|^2] = M+1, E[sum|f|^2] = K+1
-    return (
-        (config.R + 1)
-        * abs(config.eta) ** 2
-        * config.Ps
-        * (config.M + 1)
-        * (config.K + 1)
-        / noise_power(config)
-    )
+    return detection_gamma(config, config.Ps, config.M + 1, config.K + 1)
+
+
+def _source_power(config: SystemConfig, sum_g2, sum_f2, gamma_target):
+    """Source power per channel draw (scalars or per-trial arrays).
+
+    gamma_target None keeps Ps (from-Ps); otherwise the power is rescaled so
+    that the realized detection SNR equals gamma_target (direct-gamma).
+    """
+    if gamma_target is None:
+        return config.Ps
+    if config.eta == 0:
+        raise ValueError("direct-gamma mode needs eta != 0")
+    return gamma_target / detection_gamma(config, 1.0, sum_g2, sum_f2)
 
 
 def run_trial(config: SystemConfig, rng):
@@ -143,16 +158,9 @@ def run_trial(config: SystemConfig, rng):
     gen = as_generator(rng)
     channels = draw_channels(config, gen)
     if config.snr_mode == "direct-gamma":
-        if config.eta == 0:
-            raise ValueError("direct-gamma mode needs eta != 0")
-        target = _gamma_target(config)
-        ps_eff = (
-            target
-            * noise_power(config)
-            / ((config.R + 1) * abs(config.eta) ** 2 * channels.sum_g2 * channels.sum_f2)
-        )
-        cfg = replace(config, Ps=ps_eff)
-        gamma_det = target
+        gamma_det = _gamma_target(config)
+        cfg = replace(config, Ps=_source_power(
+            config, channels.sum_g2, channels.sum_f2, gamma_det))
     else:
         cfg = config
         if config.gamma_knowledge == "genie":
@@ -177,12 +185,17 @@ def _run_chunk(config: SystemConfig, W: int, gamma_target: float | None,
     derive one per trial from the genie SNR, all in one array solve.
     Returns the error count, or (bits, statistics) arrays when collect is
     set.
+
+    Per trial the stream yields, as (re, im) pairs of standard normals,
+    the complex blocks g (M+1), f (K+1), s (C-K source samples), b (K) and
+    a (W), then one normal for the bit. Only a and the bit sit at offsets
+    that depend on W, and the bins of a smaller W are a prefix of those of
+    a larger one; the bit comes last so one complex view covers every block.
     """
-    m1, k1 = config.M + 1, config.K + 1
-    c, q, t, r, k = config.C, config.Q, config.T, config.R, config.K
-    pw = noise_power(config)
-    nwin = t + 1
-    dim = 2 * m1 + 2 * k1 + 2 * c + 1 + 4 * nwin
+    m1, k1, k, q = config.M + 1, config.K + 1, config.K, config.Q
+    nb = config.R + 1  # folded block length, = the gated window length
+    n_src = config.C - k  # source samples the gated window reads
+    dim = 2 * (m1 + k1 + n_src + k + W) + 1
 
     v = np.empty((count, dim))
     seed = config.seed % _U64
@@ -201,68 +214,43 @@ def _run_chunk(config: SystemConfig, W: int, gamma_target: float | None,
         st["has_uint32"] = 0
         st["uinteger"] = 0
         bitgen.state = st
-        v[j] = gen.standard_normal(dim)
+        gen.standard_normal(out=v[j])
 
-    ofs = 0
+    # each complex entry is re + j*im of two standard normals: CN(0, 2);
+    # the 1/sqrt(2) factors are applied to the W-bin results below
+    cv = v[:, :-1].view(np.complex128)
+    g, f, s, b, a = np.split(cv, np.cumsum([m1, k1, n_src, k]), axis=1)
+    sum_g2 = 0.5 * np.sum(v[:, : 2 * m1] ** 2, axis=1)
+    sum_f2 = 0.5 * np.sum(v[:, 2 * m1 : 2 * (m1 + k1)] ** 2, axis=1)
+    ps = _source_power(config, sum_g2, sum_f2, gamma_target)
 
-    def block(n):
-        nonlocal ofs
-        b = v[:, ofs : ofs + n]
-        ofs += n
-        return b
-
-    def to_complex(b, var):
-        return (b[:, 0::2] + 1j * b[:, 1::2]) * math.sqrt(var / 2.0)
-
-    g = to_complex(block(2 * m1), 1.0)
-    f = to_complex(block(2 * k1), 1.0)
-    s_unit = to_complex(block(2 * c), 1.0)
-    bit_draw = block(1)[:, 0]
-    w1 = to_complex(block(2 * nwin), config.Nw)
-    w2 = to_complex(block(2 * nwin), config.Nw)
-
-    sum_g2 = np.sum(np.abs(g) ** 2, axis=1)
-    sum_f2 = np.sum(np.abs(f) ** 2, axis=1)
-    if gamma_target is not None:
-        if config.eta == 0:
-            raise ValueError("direct-gamma mode needs eta != 0")
-        ps_eff = gamma_target * pw / ((r + 1) * abs(config.eta) ** 2 * sum_g2 * sum_f2)
-        gamma_trial = np.full(count, gamma_target)
-    else:
-        ps_eff = np.full(count, config.Ps)
-        gamma_trial = (r + 1) * abs(config.eta) ** 2 * config.Ps * sum_g2 * sum_f2 / pw
-
-    s = s_unit * np.sqrt(ps_eff)[:, None]
-
-    # tag signal on the CP block (history-free: Q >= M keeps indices causal)
-    x = np.zeros((count, c), dtype=np.complex128)
-    for m in range(m1):
-        x[:, m:] += g[:, m : m + 1] * s[:, : c - m]
-    u = x[:, q : c - k] if k else x[:, q:]
-
-    # backscatter part of the cancelled window, eta * conv(f, gated x)
-    bs = np.zeros((count, nwin), dtype=np.complex128)
-    for kk in range(k1):
-        bs[:, kk : kk + r + 1] += f[:, kk : kk + 1] * u
-    bs *= config.eta
+    # tag signal on the gated window only (Q >= M keeps indices in range)
+    u = g[:, :1] * s[:, q : q + nb]
+    for m in range(1, m1):
+        u += g[:, m : m + 1] * s[:, q - m : q - m + nb]
+    u_bins = np.fft.fft(u, axis=1)[:, :W]
+    # omega^(p i) for bins p < W and tap / fold offsets i <= K
+    phase = np.exp(-2j * np.pi / nb * np.outer(np.arange(W), np.arange(k1)))
+    f_bins = np.sum(f[:, None, :] * phase, axis=2)
+    noise = math.sqrt(nb) * a + np.sum(b[:, None, :] * phase[:, :k], axis=2)
 
     if force_bit is None:
-        bits = (bit_draw > 0).astype(np.int64)
+        bits = (v[:, -1] > 0).astype(np.int64)
     else:
         bits = np.full(count, int(force_bit), dtype=np.int64)
 
-    z = bits[:, None] * bs + (w1 - w2)
-    zf = z[:, : r + 1].copy()
-    if k:
-        zf[:, :k] += z[:, r + 1 :]
-    zt = np.fft.fft(zf, axis=1)
-    stats = np.sum(np.abs(zt[:, :W]) ** 2, axis=1) / pw
+    # back to CN(0, 1) scales: f, a and b each carry a factor sqrt(2), and
+    # the product of g and s a factor 2
+    amp = bits * config.eta * np.sqrt(ps / 2.0) / 2.0
+    bins = amp[:, None] * f_bins * u_bins + math.sqrt(config.Nw) * noise
+    stats = np.sum(bins.real ** 2 + bins.imag ** 2, axis=1) / noise_power(config)
 
     if collect:
         return bits, stats
 
-    thr = threshold if threshold is not None else threshold_for(config, W, gamma_trial)
-    decisions = (stats >= thr).astype(np.int64)
+    if threshold is None:
+        threshold = threshold_for(config, W, detection_gamma(config, ps, sum_g2, sum_f2))
+    decisions = (stats >= threshold).astype(np.int64)
     return int(np.sum(decisions != bits))
 
 
@@ -418,12 +406,8 @@ def write_pdf_csv(table: np.ndarray, path) -> None:
 
 # --- flat key=value configuration files -----------------------------------
 
-_CONFIG_FIELDS = {
-    "N": int, "C": int, "L": int, "M": int, "K": int,
-    "eta": complex, "Ps": float, "Nw": float, "W": int,
-    "trials": int, "seed": int, "snr_mode": str, "gamma_db": float,
-    "dof_convention": str, "threshold_mode": str, "gamma_knowledge": str,
-}
+# every SystemConfig field, parsed with the type of its default
+_CONFIG_FIELDS = {f.name: type(f.default) for f in fields(SystemConfig)}
 _SPEC_FIELDS = {
     "snr_db_list": lambda s: tuple(float(v) for v in s.replace(",", " ").split()),
     "W_list": lambda s: tuple(int(v) for v in s.replace(",", " ").split()),

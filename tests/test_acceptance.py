@@ -21,6 +21,8 @@ from cpscatter.receiver import cancel, extract_windows, fold, noise_power, proce
 
 from conftest import ACCEPTANCE_BASE
 
+pytestmark = pytest.mark.slow
+
 
 def record(report, num, ok, detail):
     line = f"[{'PASS' if ok else 'FAIL'}] criterion {num}: {detail}"

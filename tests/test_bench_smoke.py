@@ -9,7 +9,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
+
+pytestmark = pytest.mark.slow
 
 
 def test_benchmark_smoke_passes():

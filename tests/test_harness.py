@@ -1,6 +1,8 @@
 """Monte Carlo driver: determinism, trends, CSV contract, config handling, CLI."""
 
 import math
+from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -81,6 +83,34 @@ def test_small_w_error_floor_under_fading():
     assert 0.10 < errs / 5000 < 0.25
 
 
+# (sent, decided) of 256 run_trial frames, bit i of each 256-bit hex word
+# being frame i; recorded before the detection-SNR formula and the
+# direct-gamma rescale were shared with the batch kernel
+RUN_TRIAL_GOLDEN = [
+    # (gamma_db or None for from-Ps, W, point_index, sent, decided)
+    (6.0, 3, 0,
+     "968c29f791edcb2fec0cdfb4659b5e1099c963ee411e48947527793624edee1e",
+     "8288204100cdcb206c044230601106189109436c401208c436206820006d063e"),
+    (16.0, 12, 7,
+     "e7f0a89d1475193afc3f634cfc2152e9f7ab6b3e92397aa9483c91663c95158d",
+     "8560a0851431182258272204ec2052e9f6ab681292195aa0481091600c14058d"),
+    (None, 12, 1,
+     "97a8612ba230a0318a6a6b6b5b46e2a873fc6821d883991c5d05d0ad2d8225a0",
+     "9188612b8020a030082820285806a22811ac68218803801c4505500d2d022420"),
+]
+
+
+@pytest.mark.parametrize("gamma_db,w,point,sent,decided", RUN_TRIAL_GOLDEN)
+def test_run_trial_golden_sequence(gamma_db, w, point, sent, decided):
+    cfg = SystemConfig(dof_convention="complex", threshold_mode="exact-root",
+                       W=w, seed=1)
+    cfg = replace(cfg, snr_mode="from-Ps") if gamma_db is None else replace(cfg, gamma_db=gamma_db)
+    seq = [run_trial(cfg, trial_stream(1, point, i)) for i in range(256)]
+    as_hex = lambda bits: format(int("".join(map(str, bits)), 2), "064x")
+    assert as_hex([b for b, _ in seq]) == sent
+    assert as_hex([d for _, d in seq]) == decided
+
+
 def test_run_trial_direct_gamma_requires_eta():
     cfg = SystemConfig(eta=0.0)
     with pytest.raises(ValueError):
@@ -100,32 +130,77 @@ def test_kernel_reproducible_and_chunk_invariant():
 
 
 def test_kernel_streams_match_fresh_philox():
-    # the kernel rekeys one Philox through its state dict; the draws must be
-    # bit-identical to constructing Philox(key=[seed, stream]) per trial
+    # the kernel rekeys one Philox through its state dict; its statistics must
+    # equal those rebuilt from Philox(key=[seed, stream]) constructed fresh
+    # per trial, read in the layout [g | f | s | b | a | bit] and pushed
+    # through a time-domain tag FIR, a linear convolution with f, the fold
+    # and an explicit W-bin DFT sum
     from cpscatter.receiver import fold as fold_op, noise_power
 
-    cfg = SystemConfig(seed=12, eta=1.0, snr_mode="from-Ps")
-    _, stats = collect_statistics(cfg, 3, 4, gamma_target=None, force_bit=1,
+    cfg = SystemConfig(seed=12, eta=1.0, snr_mode="from-Ps", Nw=1.5)
+    w = 3
+    _, stats = collect_statistics(cfg, w, 4, gamma_target=None, force_bit=1,
                                   point_index=3)
-    m1, k1, c, t, nwin = cfg.M + 1, cfg.K + 1, cfg.C, cfg.T, cfg.T + 1
-    dim = 2 * m1 + 2 * k1 + 2 * c + 1 + 4 * nwin
+    m1, k1, k, q, nb = cfg.M + 1, cfg.K + 1, cfg.K, cfg.Q, cfg.R + 1
+    n_src = cfg.C - k
+    sizes = [m1, k1, n_src, k, w]
+    omega = np.exp(-2j * np.pi / nb)
     for i in range(4):
         fresh = np.random.Generator(
             np.random.Philox(key=[12, (3 << 40) | i])
-        ).standard_normal(dim)
-        seg = np.split(fresh, np.cumsum([2 * m1, 2 * k1, 2 * c, 1, 2 * nwin]))
-        cplx = lambda a, var: (a[0::2] + 1j * a[1::2]) * np.sqrt(var / 2)
-        g, f = cplx(seg[0], 1.0), cplx(seg[1], 1.0)
-        s = cplx(seg[2], cfg.Ps)
-        w1, w2 = cplx(seg[4], cfg.Nw), cplx(seg[5], cfg.Nw)
-        x = np.zeros(c, dtype=complex)
-        for m in range(m1):
-            x[m:] += g[m] * s[: c - m]
-        u = x[cfg.Q : c - cfg.K]
-        z = np.convolve(f, u) + (w1 - w2)  # eta = 1, bit = 1
-        zt = np.fft.fft(fold_op(z, cfg))
-        want = float(np.sum(np.abs(zt[:3]) ** 2)) / noise_power(cfg)
-        assert stats[i] == pytest.approx(want, rel=1e-12)
+        ).standard_normal(2 * sum(sizes) + 1)
+        cn = (fresh[0:-1:2] + 1j * fresh[1:-1:2]) / np.sqrt(2.0)  # CN(0, 1)
+        g, f, s, b, a = np.split(cn, np.cumsum(sizes[:-1]))
+        x = np.zeros(n_src, dtype=complex)
+        for n in range(q, n_src):
+            x[n] = sum(g[mm] * s[n - mm] for mm in range(m1))
+        zf = fold_op(np.convolve(f, x[q:]), cfg)  # eta = 1, Ps = 1, bit = 1
+        want = 0.0
+        for p in range(w):
+            signal = sum(zf[n] * omega ** (p * n) for n in range(nb))
+            noise = np.sqrt(2.0 * cfg.Nw) * (
+                np.sqrt(nb) * a[p] + sum(b[j] * omega ** (p * j) for j in range(k)))
+            want += abs(signal + noise) ** 2
+        assert stats[i] == pytest.approx(want / noise_power(cfg), rel=1e-12)
+
+
+_LAW_GAMMA = 10 ** 1.3
+_LAW_WS = (1, 3, 12, 246)
+
+
+@lru_cache(maxsize=None)
+def _full_frame_statistics(bit, n=2000):
+    # the full-frame chain (draw_channels -> simulate_frame -> process ->
+    # test_statistic) with run_trial's direct-gamma source rescale; one
+    # frame gives the statistic at every W
+    from cpscatter.harness import _source_power
+    from cpscatter.phy import draw_channels, simulate_frame
+    from cpscatter.receiver import noise_power, process, test_statistic
+
+    cfg = SystemConfig(seed=7002)
+    out = {w: np.empty(n) for w in _LAW_WS}
+    for i in range(n):
+        gen = trial_stream(cfg.seed, bit, i).generator()
+        ch = draw_channels(cfg, gen)
+        cfg_t = replace(cfg, Ps=_source_power(cfg, ch.sum_g2, ch.sum_f2, _LAW_GAMMA))
+        zt = process(simulate_frame(cfg_t, ch, bit, gen).y, cfg_t).z_tilde
+        for w in _LAW_WS:
+            out[w][i] = test_statistic(zt, w, noise_power(cfg_t)).gamma_t
+    return out
+
+
+@pytest.mark.parametrize("w", _LAW_WS)
+@pytest.mark.parametrize("bit", [0, 1])
+def test_kernel_statistic_law_matches_full_frames(w, bit):
+    # two-sample KS of forced-bit statistics, lean kernel against full
+    # frames; the two sides use different seeds so no Philox key is shared
+    from scipy import stats as sps
+
+    frames = _full_frame_statistics(bit)[w]
+    _, lean = collect_statistics(SystemConfig(W=w, seed=7001), w, len(frames),
+                                 gamma_target=_LAW_GAMMA, force_bit=bit,
+                                 point_index=bit)
+    assert sps.ks_2samp(lean, frames).pvalue > 1e-3
 
 
 def test_kernel_agrees_with_run_trial_statistically():
@@ -411,6 +486,46 @@ def test_cli_print_config(tmp_path, capsys):
     assert "seed=123" in text and "C=256" in text
 
 
+# `sim run --print-config` output, recorded while _CONFIG_FIELDS was a
+# hand-written table; deriving it from the dataclass must not change a byte
+PRINT_CONFIG_DEFAULT = """N=2048
+C=256
+L=5
+M=5
+K=5
+eta=(0.5+0j)
+Ps=1.0
+Nw=1.0
+W=12
+trials=100000
+seed=1
+snr_mode=direct-gamma
+gamma_db=13.0
+dof_convention=paper
+threshold_mode=closed-form
+gamma_knowledge=genie
+snr_db_list=6.0,9.0,13.0,16.0
+W_list=3,12
+trials_per_point=100000
+output_path=results.csv
+emit=ber_vs_snr
+workers=0
+"""
+
+
+def test_cli_print_config_is_unchanged(tmp_path, capsys):
+    assert cli.main(["run", "--print-config"]) == 0
+    assert capsys.readouterr().out == PRINT_CONFIG_DEFAULT
+    cfg = tmp_path / "pc.cfg"
+    cfg.write_text("eta = 0.4+0.1j\nNw = 2.5\nsnr_mode = from-Ps\nW_list = 2 4\n")
+    assert cli.main(["run", "--config", str(cfg), "--seed", "7", "--print-config"]) == 0
+    want = (PRINT_CONFIG_DEFAULT.replace("eta=(0.5+0j)", "eta=(0.4+0.1j)")
+            .replace("Nw=1.0", "Nw=2.5").replace("seed=1\n", "seed=7\n")
+            .replace("snr_mode=direct-gamma", "snr_mode=from-Ps")
+            .replace("W_list=3,12", "W_list=2,4"))
+    assert capsys.readouterr().out == want
+
+
 def test_cli_pdf_curves(tmp_path):
     out = tmp_path / "pdf.csv"
     rc = cli.main(["run", "--emit", "pdf_curves", "--snr-db", "13",
@@ -424,3 +539,13 @@ def test_cli_error_exit_code(tmp_path, capsys):
     rc = cli.main(["run", "--config", str(missing)])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("debug", [False, True])
+def test_cli_debug_flag_prints_traceback(tmp_path, capsys, debug):
+    missing = tmp_path / "nope.cfg"
+    argv = ["run", "--config", str(missing)] + (["--debug"] if debug else [])
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "nope.cfg" in err
+    assert ("Traceback (most recent call last)" in err) == debug

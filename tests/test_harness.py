@@ -83,9 +83,9 @@ def test_small_w_error_floor_under_fading():
     assert 0.10 < errs / 5000 < 0.25
 
 
-# (sent, decided) of 256 run_trial frames, bit i of each 256-bit hex word
-# being frame i; recorded before the detection-SNR formula and the
-# direct-gamma rescale were shared with the batch kernel
+# (sent, decided) of 256 run_trial frames as 256-bit hex words, frame 0 in
+# the most significant bit; recorded before the detection-SNR formula and
+# the direct-gamma rescale were shared with the batch kernel
 RUN_TRIAL_GOLDEN = [
     # (gamma_db or None for from-Ps, W, point_index, sent, decided)
     (6.0, 3, 0,

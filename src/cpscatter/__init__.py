@@ -5,7 +5,7 @@ path, folds the cancelled block into a circular convolution, diagonalizes
 it with a DFT, and detects the tag bit with a chi-square energy test.
 """
 
-from .analysis import BerPoint, ber_approx, ber_exact, pdf_curves
+from .analysis import ber_approx, ber_exact, pdf_curves
 from .detector import (
     DetectorParams,
     SnrBreakdown,

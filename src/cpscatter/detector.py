@@ -12,6 +12,8 @@ statistic directly as chi-square with W dof (and noncentral chi-square with
 lambda = W*gamma under H1). "complex" uses the statistically exact scaling
 for complex samples: 2*Gamma_t is chi-square with 2W dof (noncentrality
 2*W*gamma), i.e. density(x) = 2 * f(2x) with doubled parameters.
+dof_scaling holds that (scale, dof) pair once, for the densities here and
+the chi-square tails of analysis.ber_exact.
 
 The ML threshold is where the two densities cross. threshold_paper evaluates
 the closed form obtained by pulling the Bessel kernel's exponentials apart
@@ -42,7 +44,6 @@ from .numerics import (
 from .phy import ChannelSet, SystemConfig
 from .receiver import DetectionStatistic, noise_power
 
-_LN2 = math.log(2.0)
 _XTOL = 1e-10  # bisection tolerance of the exact-root threshold
 # scalar thresholds are asked for once per sweep point, or once per frame by
 # run_trial; a small LRU serves the repeats without growing per trial
@@ -108,16 +109,24 @@ def detection_snr(channels: ChannelSet, config: SystemConfig) -> SnrBreakdown:
     )
 
 
-def _log_f0(x, W: int, dof_convention: str):
+def dof_scaling(W: int, dof_convention: str) -> tuple[float, int]:
+    """(s, d): s times the statistic is chi-square with d dof.
+
+    The H1 noncentrality of s times the statistic is s * W * gamma.
+    """
     if dof_convention == "paper":
-        return log_chi2_pdf(x, W)
-    return _LN2 + log_chi2_pdf(2.0 * x, 2 * W)
+        return 1.0, W
+    return 2.0, 2 * W
+
+
+def _log_f0(x, W: int, dof_convention: str):
+    s, d = dof_scaling(W, dof_convention)
+    return math.log(s) + log_chi2_pdf(s * x, d)
 
 
 def _log_f1(x, W: int, lam, dof_convention: str):
-    if dof_convention == "paper":
-        return log_noncentral_chi2_pdf(x, W, lam)
-    return _LN2 + log_noncentral_chi2_pdf(2.0 * x, 2 * W, 2.0 * lam)
+    s, d = dof_scaling(W, dof_convention)
+    return math.log(s) + log_noncentral_chi2_pdf(s * x, d, s * lam)
 
 
 def log_pdf_h0(x, params: DetectorParams):
@@ -128,14 +137,16 @@ def log_pdf_h1(x, params: DetectorParams):
     return _log_f1(x, params.W, params.lam, params.dof_convention)
 
 
-def pdf_h0(x: float, params: DetectorParams) -> float:
-    """Density of the statistic under H0 (bit 0); zero for x <= 0."""
-    return math.exp(log_pdf_h0(x, params))
+def pdf_h0(x, params: DetectorParams):
+    """Density of the statistic under H0 (bit 0), elementwise; zero for x <= 0."""
+    out = np.exp(log_pdf_h0(x, params))
+    return float(out) if np.ndim(out) == 0 else out
 
 
-def pdf_h1(x: float, params: DetectorParams) -> float:
-    """Density of the statistic under H1 (bit 1); zero for x <= 0."""
-    return math.exp(log_pdf_h1(x, params))
+def pdf_h1(x, params: DetectorParams):
+    """Density of the statistic under H1 (bit 1), elementwise; zero for x <= 0."""
+    out = np.exp(log_pdf_h1(x, params))
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def threshold_paper(W: int, gamma):

@@ -99,6 +99,9 @@ class ExperimentSpec:
         # a measurement; SystemConfig itself allows Nw=0 for noiseless frames
         if self.base.Nw == 0:
             raise ValueError("a sweep needs noise power Nw > 0")
+        # _source_power would divide by a zero SNR inside the first chunk
+        if self.base.snr_mode == "direct-gamma" and self.base.eta == 0:
+            raise ValueError("direct-gamma mode needs eta != 0")
 
 
 @dataclass
@@ -272,7 +275,7 @@ def collect_statistics(config: SystemConfig, W: int, trials: int,
 
 
 def _point_setup(config: SystemConfig, snr_db: float | None, W: int):
-    """Resolve (reported snr_db, point gamma, scalar-or-None threshold)."""
+    """Resolve (reported snr_db, gamma, threshold or None, kernel gamma or None)."""
     if config.snr_mode == "direct-gamma":
         gamma = 10.0 ** (snr_db / 10.0)
         return snr_db, gamma, threshold_for(config, W, gamma), gamma
@@ -382,11 +385,14 @@ def parse_csv(path) -> list[BerResult]:
 
 
 def run_pdf_curves(spec: ExperimentSpec, n_points: int = 800) -> np.ndarray:
-    """Density table for the first sweep point (pdf_curves emit mode)."""
+    """Density table for the first sweep point (pdf_curves emit mode).
+
+    The point's gamma follows the BER rows' rule: the first listed SNR in
+    direct-gamma mode, the ensemble SNR in from-Ps mode.
+    """
     config = spec.base
-    snr_db = spec.snr_db_list[0]
     w = spec.W_list[0]
-    gamma = 10.0 ** (snr_db / 10.0)
+    _, gamma, _, _ = _point_setup(config, spec.snr_db_list[0], w)
     params = DetectorParams(W=w, gamma=gamma, dof_convention=config.dof_convention)
     hi = w * (1.0 + gamma) + 8.0 * math.sqrt(2.0 * w * (1.0 + 2.0 * gamma))
     grid = np.linspace(hi / n_points, hi, n_points)

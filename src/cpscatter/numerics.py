@@ -22,10 +22,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gammaln, ive, logsumexp
 
 _U64 = 1 << 64
@@ -34,8 +32,6 @@ _LN2 = math.log(2.0)
 # below this, scipy's ive is at (or next to) its underflow to zero and the
 # log-domain series takes over; the series needs few terms there
 _IVE_SERIES_BELOW = 1e-280
-# sin_power_integral is cached per W, and W <= R+1 (246 by default)
-_SIN_POWER_CACHE_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -179,25 +175,19 @@ def bessel_i(r: float, u: float) -> float:
     return float(np.exp(log_bessel_i(r, u)))
 
 
-@lru_cache(maxsize=_SIN_POWER_CACHE_SIZE)
 def sin_power_integral(w: int) -> float:
     """Integral of exp(cos(theta)) * sin(theta)^(w-2) over [0, pi].
 
     Appears in the closed-form detection threshold denominator; w >= 2.
+    By the Poisson integral of I_nu with nu = (w-2)/2 it equals
+    sqrt(pi) Gamma(nu + 1/2) 2^nu I_nu(1), assembled in the log domain.
     """
     if w < 2:
         raise ValueError(f"requires w >= 2, got {w}")
-    p = w - 2
-    val, err = quad(
-        lambda th: math.exp(math.cos(th)) * math.sin(th) ** p,
-        0.0,
-        math.pi,
-        epsabs=1e-12,
-        epsrel=1e-9,
+    nu = 0.5 * (w - 2)
+    return math.exp(
+        0.5 * math.log(math.pi) + math.lgamma(nu + 0.5) + nu * _LN2 + log_bessel_i(nu, 1.0)
     )
-    if err > 1e-8 * max(abs(val), 1.0):
-        raise RuntimeError(f"quadrature did not converge (w={w}, err={err})")
-    return val
 
 
 def _check_dof(n: int) -> None:

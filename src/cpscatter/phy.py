@@ -43,7 +43,6 @@ class SystemConfig:
     Ps: source sample variance (used directly in from-Ps mode)
     Nw: AWGN variance at the reader
     W: number of DFT bins averaged into one test statistic
-    trials: default Monte Carlo trial count per sweep point
     seed: master seed for all derived random streams
     snr_mode: "direct-gamma" rescales Ps per trial so the realized detection
         SNR equals 10^(gamma_db/10); "from-Ps" uses Ps as given and lets the
@@ -65,7 +64,6 @@ class SystemConfig:
     Ps: float = 1.0
     Nw: float = 1.0
     W: int = 12
-    trials: int = 100_000
     seed: int = 1
     snr_mode: str = "direct-gamma"
     gamma_db: float = 13.0
@@ -89,8 +87,6 @@ class SystemConfig:
             raise ValueError(f"Ps must be > 0, got {self.Ps}")
         if self.Nw < 0:
             raise ValueError(f"Nw must be >= 0, got {self.Nw}")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
         if self.snr_mode not in _SNR_MODES:
             raise ValueError(f"snr_mode must be one of {_SNR_MODES}")
         if self.dof_convention not in _DOF_CONVENTIONS:

@@ -1,4 +1,4 @@
-"""Error-probability theory: approximation, quadrature BER, density tables."""
+"""Error-probability theory: approximation, chi-square-tail BER, density tables."""
 
 import math
 
@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from cpscatter.analysis import ber_approx, ber_exact, pdf_curves, theory_point
+from cpscatter.analysis import ber_approx, ber_exact, pdf_curves
 from cpscatter.detector import DetectorParams, threshold_exact
 
 mpmath.mp.dps = 40
@@ -45,7 +45,7 @@ def test_ber_approx_domain():
         ber_approx(3, 1.0, 0.0)
 
 
-# --- exact BER by quadrature ------------------------------------------------------
+# --- exact BER from the chi-square tails ------------------------------------------
 
 @pytest.mark.parametrize("conv", ["paper", "complex"])
 def test_ber_exact_threshold_limits(conv):
@@ -89,6 +89,37 @@ def test_p0_p1_monotone_in_threshold():
         p1s.append(p1)
     assert all(a >= b for a, b in zip(p0s, p0s[1:]))
     assert all(a <= b for a, b in zip(p1s, p1s[1:]))
+
+
+def _mp_tails(d, x, nc):
+    # P(chi2_d > x) and the noncentral CDF as a Poisson mixture of central
+    # chi-square CDFs, at 60 digits
+    with mpmath.workdps(60):
+        x, h = mpmath.mpf(x), mpmath.mpf(nc) / 2
+        p0 = mpmath.gammainc(mpmath.mpf(d) / 2, x / 2, mpmath.inf, regularized=True)
+        p1, j = mpmath.mpf(0), 0
+        while True:
+            weight = mpmath.exp(-h + j * mpmath.log(h) - mpmath.loggamma(j + 1))
+            term = weight * mpmath.gammainc(mpmath.mpf(d) / 2 + j, 0, x / 2, regularized=True)
+            p1 += term
+            if j > h and term < p1 * mpmath.mpf(10) ** -40:
+                return float(p0), float(p1)
+            j += 1
+
+
+@pytest.mark.parametrize("conv", ["paper", "complex"])
+@pytest.mark.parametrize("w", [3, 12])
+@pytest.mark.parametrize("snr_db", [6, 9, 13, 16])
+def test_ber_exact_vs_mpmath_at_sweep_points(conv, w, snr_db):
+    gamma = 10 ** (snr_db / 10)
+    p = DetectorParams(W=w, gamma=gamma, dof_convention=conv)
+    th = threshold_exact(p)
+    s = 1 if conv == "paper" else 2
+    want0, want1 = _mp_tails(s * w, s * th, s * w * gamma)
+    p0, p1, pe = ber_exact(p, th)
+    assert p0 == pytest.approx(want0, rel=1e-12)
+    assert p1 == pytest.approx(want1, rel=1e-12)
+    assert pe == pytest.approx(0.5 * (want0 + want1), rel=1e-12)
 
 
 def test_ber_identity_half_sum():
@@ -152,9 +183,3 @@ def test_pdf_curves_rejects_bad_grid():
     with pytest.raises(ValueError):
         pdf_curves(p, np.array([2.0, 1.0]))
 
-
-def test_theory_point_bundle():
-    bp = theory_point(13.0, 3, 10 ** 1.3, 20.07, "complex")
-    assert bp.snr_db == 13.0 and bp.W == 3
-    assert bp.ber_theory_exact == pytest.approx(0.5 * (bp.p0 + bp.p1), rel=1e-12)
-    assert 0 <= bp.p0 <= 1 and 0 <= bp.p1 <= 1

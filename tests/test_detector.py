@@ -118,6 +118,29 @@ def test_threshold_paper_reference_value():
     assert threshold_paper(2, 1.0) == pytest.approx(0.2919, abs=5e-4)
 
 
+# closed-form thresholds at gamma = 0.5, 4, 10^0.9, 10^1.3, 10^1.6, recorded
+# while sin_power_integral was an adaptive quadrature
+THRESHOLD_PAPER_RECORDED = {
+    2: [0.069741226042675, 1.7710425895615538, 3.7392301265991335,
+        9.741791909760044, 19.670143171706027],
+    3: [0.23093575007181452, 2.8407325273841804, 5.7971160973399245,
+        14.80346340990232, 29.69681665147702],
+    12: [1.4587441316186596, 11.958492443204284, 23.78832163555587,
+         59.81633314495547, 119.3906112664098],
+    64: [7.99219033138914, 63.992188662854055, 127.08470610040902,
+         319.2341588672983, 636.963661334037],
+    246: [30.74796752991819, 245.9979675005305, 488.5098318538796,
+          1227.084291203035, 2448.3570664007625],
+}
+
+
+@pytest.mark.parametrize("w", sorted(THRESHOLD_PAPER_RECORDED))
+def test_threshold_paper_matches_recorded_values(w):
+    gammas = (0.5, 4.0, 10 ** 0.9, 10 ** 1.3, 10 ** 1.6)
+    got = [threshold_paper(w, g) for g in gammas]
+    assert got == pytest.approx(THRESHOLD_PAPER_RECORDED[w], rel=1e-12)
+
+
 def test_threshold_paper_domain():
     with pytest.raises(ValueError):
         threshold_paper(1, 1.0)

@@ -1,12 +1,17 @@
 """Monte Carlo driver: determinism, trends, CSV contract, config handling, CLI."""
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cpscatter
 from cpscatter import cli
 from cpscatter.harness import (
     CSV_HEADER,
@@ -334,6 +339,8 @@ def test_spec_validation():
 @pytest.mark.parametrize("cfg_text", [
     "Nw = 0\n",  # 0/0 statistics would give a chance-level ber_sim
     "threshold_mode = closed-form\nW_list = 3 1\n",  # W=1 only fails at its point
+    "eta = 0\n",  # direct-gamma rescales to an SNR that eta = 0 cannot reach
+    "trials = 5\n",  # the removed SystemConfig.trials is now an unknown key
 ])
 def test_degenerate_sweeps_fail_before_any_chunk(monkeypatch, tmp_path, cfg_text):
     from cpscatter import harness
@@ -464,6 +471,21 @@ def test_run_pdf_curves_table(tmp_path):
     assert len(lines) == 401
 
 
+def test_run_pdf_curves_from_ps_uses_ensemble_snr():
+    from cpscatter import analysis
+    from cpscatter.harness import _ensemble_gamma
+
+    base = SystemConfig(snr_mode="from-Ps", Ps=10.0, dof_convention="complex")
+    spec = ExperimentSpec(base=base, snr_db_list=(6.0,), W_list=(12,))
+    table = run_pdf_curves(spec, n_points=200)
+    gamma = _ensemble_gamma(base)
+    assert gamma == pytest.approx(44.1, rel=1e-3)  # 16.4 dB, not the listed 6 dB
+    params = DetectorParams(W=12, gamma=gamma, dof_convention="complex")
+    assert np.array_equal(table, analysis.pdf_curves(params, table[:, 0]))
+    hi = 12 * (1 + gamma) + 8 * math.sqrt(2 * 12 * (1 + 2 * gamma))
+    assert table[-1, 0] == pytest.approx(hi, rel=1e-12)
+
+
 # --- CLI ----------------------------------------------------------------------------------
 
 def test_cli_run_writes_csv(tmp_path, capsys):
@@ -488,6 +510,7 @@ def test_cli_print_config(tmp_path, capsys):
 
 # `sim run --print-config` output, recorded while _CONFIG_FIELDS was a
 # hand-written table; deriving it from the dataclass must not change a byte
+# (the removed trials field has since dropped its line)
 PRINT_CONFIG_DEFAULT = """N=2048
 C=256
 L=5
@@ -497,7 +520,6 @@ eta=(0.5+0j)
 Ps=1.0
 Nw=1.0
 W=12
-trials=100000
 seed=1
 snr_mode=direct-gamma
 gamma_db=13.0
@@ -524,6 +546,18 @@ def test_cli_print_config_is_unchanged(tmp_path, capsys):
             .replace("snr_mode=direct-gamma", "snr_mode=from-Ps")
             .replace("W_list=3,12", "W_list=2,4"))
     assert capsys.readouterr().out == want
+
+
+def test_cli_import_loads_no_scipy_integrate_or_stats():
+    # a fresh interpreter, as `sim` starts: each of these costs start-up time
+    src = str(Path(cpscatter.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, cpscatter.cli; "
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.stats') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_cli_pdf_curves(tmp_path):

@@ -264,6 +264,16 @@ def test_sin_power_integral_w3():
     assert sin_power_integral(3) == pytest.approx(math.e - math.exp(-1), rel=1e-9)
 
 
+def test_sin_power_integral_vs_mpmath_quadrature():
+    # the Bessel closed form against direct high-precision quadrature, over
+    # every W a default-geometry sweep can ask for
+    with mpmath.workdps(20):
+        for w in range(2, 247):
+            want = mpmath.quad(lambda t: mpmath.exp(mpmath.cos(t)) * mpmath.sin(t) ** (w - 2),
+                               [0, mpmath.pi / 2, mpmath.pi], method="gauss-legendre")
+            assert sin_power_integral(w) == pytest.approx(float(want), rel=1e-12)
+
+
 def test_sin_power_integral_monotone():
     vals = [sin_power_integral(w) for w in range(2, 65)]
     assert all(a > b for a, b in zip(vals, vals[1:]))

@@ -44,7 +44,7 @@ def test_flat_fading_geometry():
     dict(Ps=0.0),
     dict(Ps=-1.0),
     dict(Nw=-0.1),
-    dict(trials=0),
+    dict(K=-1),
     dict(snr_mode="nope"),
     dict(dof_convention="nope"),
     dict(threshold_mode="nope"),

@@ -8,7 +8,6 @@ it with a DFT, and detects the tag bit with a chi-square energy test.
 from .analysis import ber_approx, ber_exact, pdf_curves
 from .detector import (
     DetectorParams,
-    SnrBreakdown,
     ThresholdBracketError,
     decide,
     detection_snr,
@@ -45,7 +44,6 @@ from .numerics import (
 from .phy import (
     ChannelSet,
     Frame,
-    FrameHistory,
     SystemConfig,
     draw_channels,
     generate_source_symbol,
@@ -66,7 +64,6 @@ from .receiver import (
     noise_power,
     process,
     test_statistic,
-    transform,
 )
 
 __version__ = "0.1.0"

@@ -12,8 +12,10 @@ moment-matched Gaussian approximation
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.special import chdtrc, chndtr
+from scipy.special import chdtrc, chndtr, gammainc, gammaln, logsumexp
 
 from .detector import DetectorParams, dof_scaling, pdf_h0, pdf_h1
 from .numerics import gaussian_q
@@ -35,14 +37,33 @@ def ber_exact(params: DetectorParams, threshold: float):
     convention's scaling from detector.dof_scaling. Both agree with a
     60-digit Poisson-mixture sum to about 2e-14 relative at the sweep
     points. chndtr returns 0 for a p1 below about 1e-142 (W=246, complex,
-    9.25 dB: 0.0 against 2.7e-152), so P_e is then p0 / 2.
+    from 9.25 dB); there p1 is that Poisson mixture summed in the log
+    domain instead. P_e is 0.0 only where both tails fall below the
+    float64 floor (W=246, complex, 13 dB: the true p1 is 4.1e-425).
     """
     if not threshold > 0:
         raise ValueError(f"threshold must be > 0, got {threshold}")
     s, d = dof_scaling(params.W, params.dof_convention)
-    p0 = float(chdtrc(d, s * threshold))
-    p1 = float(chndtr(s * threshold, d, s * params.lam))
+    x, nc = s * threshold, s * params.lam
+    p0 = float(chdtrc(d, x))
+    p1 = float(chndtr(x, d, nc))
+    if p1 == 0.0 and nc > 0:
+        p1 = _ncx2_cdf_mixture(x, d, nc)
     return p0, p1, 0.5 * (p0 + p1)
+
+
+def _ncx2_cdf_mixture(x: float, d: int, nc: float) -> float:
+    """Noncentral chi-square CDF as sum_j w_j P(d/2 + j, x/2), log domain.
+
+    w_j = e^(-nc/2) (nc/2)^j / j! are Poisson weights; the sum runs to
+    nc/2 + 40 sqrt(nc/2) + 100, far past the weights' bulk.
+    """
+    h = 0.5 * nc
+    j = np.arange(int(h + 40.0 * math.sqrt(h) + 100.0) + 1)
+    log_w = -h + j * math.log(h) - gammaln(j + 1)
+    with np.errstate(divide="ignore"):  # terms whose CDF underflows drop out
+        log_cdf = np.log(gammainc(0.5 * d + j, 0.5 * x))
+    return float(np.exp(logsumexp(log_w + log_cdf)))
 
 
 def pdf_curves(params: DetectorParams, x_grid) -> np.ndarray:

@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -54,13 +53,6 @@ class ThresholdBracketError(RuntimeError):
     """No density crossing could be bracketed (degenerate SNR)."""
 
 
-class SnrBreakdown(NamedTuple):
-    gamma: float
-    Px: float
-    Pf: float
-    Pw: float
-
-
 @dataclass(frozen=True)
 class DetectorParams:
     """Hypothesis-test parameters for one operating point."""
@@ -68,7 +60,6 @@ class DetectorParams:
     W: int
     gamma: float
     dof_convention: str = "paper"
-    threshold: float | None = None
 
     def __post_init__(self):
         if self.W < 1:
@@ -97,16 +88,11 @@ def detection_gamma(config: SystemConfig, ps, sum_g2, sum_f2):
     )
 
 
-def detection_snr(channels: ChannelSet, config: SystemConfig) -> SnrBreakdown:
-    """Detection SNR gamma and the powers Px, Pf, Pw it is built from."""
+def detection_snr(channels: ChannelSet, config: SystemConfig) -> float:
+    """Detection SNR gamma of one channel draw at the configured Ps."""
     if config.Nw == 0:
         raise ValueError("detection SNR undefined for zero noise power")
-    return SnrBreakdown(
-        gamma=detection_gamma(config, config.Ps, channels.sum_g2, channels.sum_f2),
-        Px=(config.R + 1) * config.Ps * channels.sum_g2,
-        Pf=channels.sum_f2,
-        Pw=noise_power(config),
-    )
+    return detection_gamma(config, config.Ps, channels.sum_g2, channels.sum_f2)
 
 
 def dof_scaling(W: int, dof_convention: str) -> tuple[float, int]:
@@ -181,8 +167,7 @@ def _h0_mode(W: int, dof_convention: str) -> float:
     return max(W - 1.0, 0.0)
 
 
-def _solve_crossing(W: int, gamma: np.ndarray, dof_convention: str,
-                    xtol: float) -> np.ndarray:
+def _solve_crossing(W: int, gamma: np.ndarray, dof_convention: str) -> np.ndarray:
     """Density crossing for each gamma (all > 0), bisected as one array.
 
     Every element follows the scalar algorithm: the same starting bracket,
@@ -216,10 +201,10 @@ def _solve_crossing(W: int, gamma: np.ndarray, dof_convention: str,
     else:
         raise ThresholdBracketError(
             f"no H1-dominant region found (W={W}, gamma={gamma[idx[0]]})")
-    # capped iterations: at large x one float64 ulp can exceed xtol
+    # capped iterations: at large x one float64 ulp can exceed _XTOL
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        idx = np.flatnonzero((hi - lo > xtol) & (mid > lo) & (mid < hi))
+        idx = np.flatnonzero((hi - lo > _XTOL) & (mid > lo) & (mid < hi))
         if idx.size == 0:
             break
         up = h0_wins(mid[idx], idx)
@@ -229,16 +214,15 @@ def _solve_crossing(W: int, gamma: np.ndarray, dof_convention: str,
 
 
 @lru_cache(maxsize=_SCALAR_CACHE_SIZE)
-def _threshold_exact_cached(W: int, gamma: float, dof_convention: str,
-                            xtol: float) -> float:
-    return float(_solve_crossing(W, np.array([gamma]), dof_convention, xtol)[0])
+def _threshold_exact_cached(W: int, gamma: float, dof_convention: str) -> float:
+    return float(_solve_crossing(W, np.array([gamma]), dof_convention)[0])
 
 
-def threshold_exact(params: DetectorParams, xtol: float = _XTOL) -> float:
+def threshold_exact(params: DetectorParams) -> float:
     """ML threshold as the true crossing of the H0/H1 densities (bisection)."""
     if params.gamma <= 0:
         raise ValueError(f"threshold requires gamma > 0, got {params.gamma}")
-    return _threshold_exact_cached(params.W, params.gamma, params.dof_convention, xtol)
+    return _threshold_exact_cached(params.W, params.gamma, params.dof_convention)
 
 
 def threshold_for(config: SystemConfig, W: int, gamma):
@@ -266,7 +250,7 @@ def threshold_for(config: SystemConfig, W: int, gamma):
         if config.threshold_mode == "closed-form":
             out[pos] = threshold_paper(W, gamma[pos])
         else:
-            out[pos] = _solve_crossing(W, gamma[pos], config.dof_convention, _XTOL)
+            out[pos] = _solve_crossing(W, gamma[pos], config.dof_convention)
     return out
 
 

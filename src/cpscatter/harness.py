@@ -82,6 +82,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if not self.snr_db_list or not self.W_list:
             raise ValueError("sweep lists must be non-empty")
+        if not all(math.isfinite(snr) for snr in self.snr_db_list):
+            raise ValueError(f"snr_db_list must be finite, got {self.snr_db_list}")
         if self.trials_per_point < 1:
             raise ValueError("trials_per_point must be >= 1")
         if self.trials_per_point >= (1 << _TRIAL_BITS):
@@ -167,7 +169,7 @@ def run_trial(config: SystemConfig, rng):
     else:
         cfg = config
         if config.gamma_knowledge == "genie":
-            gamma_det = detection_snr(channels, cfg).gamma
+            gamma_det = detection_snr(channels, cfg)
         else:
             gamma_det = _ensemble_gamma(cfg)
     bit = int(gen.integers(0, 2))

@@ -16,11 +16,15 @@ attenuation inside the tag, and w(n) ~ CN(0, Nw).
 
 Because the gate only touches the CP, a legacy OFDM receiver (which drops
 the CP) is unaffected by the tag no matter what bit is sent.
+
+Frames start cold (zero samples before n = 0), and no cross-frame state is
+needed: the previous symbol's channel memory reaches only y[:Q], while the
+reader windows start at Q >= L, K and the gate at Q >= M.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,6 +87,9 @@ class SystemConfig:
             raise ValueError(f"need N >= C, got N={self.N}, C={self.C}")
         if self.W < 1 or self.W > self.R + 1:
             raise ValueError(f"need 1 <= W <= R+1 = {self.R + 1}, got W={self.W}")
+        # a NaN or infinite value would run to a plausible-looking wrong BER row
+        if not np.all(np.isfinite([self.Ps, self.Nw, self.eta, self.gamma_db])):
+            raise ValueError("Ps, Nw, eta and gamma_db must be finite")
         if not self.Ps > 0:
             raise ValueError(f"Ps must be > 0, got {self.Ps}")
         if self.Nw < 0:
@@ -124,10 +131,6 @@ class ChannelSet:
     f: np.ndarray
 
     @property
-    def Q(self) -> int:
-        return max(len(self.h), len(self.g), len(self.f)) - 1
-
-    @property
     def sum_g2(self) -> float:
         return float(np.sum(np.abs(self.g) ** 2))
 
@@ -152,37 +155,9 @@ class Frame:
     noise: np.ndarray | None = None
 
 
-@dataclass(eq=False)
-class FrameHistory:
-    """Cross-frame convolution tails (previous frame's trailing samples)."""
-
-    s_tail: np.ndarray
-    gx_tail: np.ndarray
-
-    @classmethod
-    def from_frame(cls, frame: Frame, config: SystemConfig) -> "FrameHistory":
-        q = config.Q
-        gx = frame.gate * frame.x
-        if q == 0:
-            return cls(np.zeros(0, np.complex128), np.zeros(0, np.complex128))
-        return cls(frame.s[-q:].copy(), gx[-q:].copy())
-
-
-def _causal_fir(signal: np.ndarray, taps: np.ndarray, tail=None) -> np.ndarray:
-    """y(n) = sum_m taps[m] * signal(n-m), with signal(n<0) from tail (or 0)."""
-    taps = np.asarray(taps, dtype=np.complex128)
-    signal = np.asarray(signal, dtype=np.complex128)
-    k = len(taps) - 1
-    if k == 0:
-        return taps[0] * signal
-    pad = np.zeros(k, dtype=np.complex128)
-    if tail is not None:
-        tail = np.asarray(tail, dtype=np.complex128)
-        take = min(k, len(tail))
-        if take:
-            pad[k - take :] = tail[-take:]
-    ext = np.concatenate([pad, signal])
-    return np.convolve(ext, taps)[k : k + len(signal)]
+def _causal_fir(signal: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """y(n) = sum_m taps[m] * signal(n-m), with signal(n<0) = 0."""
+    return np.convolve(signal, taps)[: len(signal)]
 
 
 def draw_channels(config: SystemConfig, rng) -> ChannelSet:
@@ -211,47 +186,37 @@ def tag_gate(config: SystemConfig, bit: int) -> np.ndarray:
     return gate
 
 
-def tag_receive(s: np.ndarray, g: np.ndarray, history=None) -> np.ndarray:
-    """Signal at the tag antenna: causal FIR of the source through g.
-
-    history supplies the previous frame's trailing source samples for the
-    n < 0 convolution terms; None means a cold start (zeros).
-    """
-    tail = history.s_tail if isinstance(history, FrameHistory) else history
-    return _causal_fir(s, g, tail)
+def tag_receive(s: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Signal at the tag antenna: causal FIR of the source through g."""
+    return _causal_fir(s, g)
 
 
-def observe_components(s, x, gate, channels: ChannelSet, config: SystemConfig,
-                       history: FrameHistory | None = None):
+def observe_components(s, x, gate, channels: ChannelSet, config: SystemConfig):
     """Noise-free reader components: (direct source path, backscatter path)."""
     if not (len(s) == len(x) == len(gate) == config.frame_len):
         raise ValueError("stream lengths must all equal N+C")
-    s_tail = history.s_tail if history is not None else None
-    gx_tail = history.gx_tail if history is not None else None
-    direct = _causal_fir(s, channels.h, s_tail)
-    backscatter = config.eta * _causal_fir(gate * x, channels.f, gx_tail)
+    direct = _causal_fir(s, channels.h)
+    backscatter = config.eta * _causal_fir(gate * x, channels.f)
     return direct, backscatter
 
 
-def observe(s, x, gate, channels: ChannelSet, config: SystemConfig, rng,
-            history: FrameHistory | None = None) -> np.ndarray:
+def observe(s, x, gate, channels: ChannelSet, config: SystemConfig, rng) -> np.ndarray:
     """Reader observation: direct path + backscatter + CN(0, Nw) noise."""
-    direct, backscatter = observe_components(s, x, gate, channels, config, history)
+    direct, backscatter = observe_components(s, x, gate, channels, config)
     noise = complex_gaussian(rng, config.Nw, config.frame_len)
     return direct + backscatter + noise
 
 
-def simulate_frame(config: SystemConfig, channels: ChannelSet, bit: int, rng,
-                   history: FrameHistory | None = None) -> Frame:
+def simulate_frame(config: SystemConfig, channels: ChannelSet, bit: int, rng) -> Frame:
     """Build one complete frame, keeping the noise realization for diagnostics.
 
     Draw order on the stream: source symbol, then reader noise.
     """
     gen = as_generator(rng)
     s = generate_source_symbol(config, gen)
-    x = tag_receive(s, channels.g, history)
+    x = tag_receive(s, channels.g)
     gate = tag_gate(config, bit)
-    direct, backscatter = observe_components(s, x, gate, channels, config, history)
+    direct, backscatter = observe_components(s, x, gate, channels, config)
     noise = complex_gaussian(gen, config.Nw, config.frame_len)
     return Frame(s=s, x=x, gate=gate, y=direct + backscatter + noise,
                  bit=bit, noise=noise)

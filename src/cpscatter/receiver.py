@@ -43,7 +43,6 @@ class DetectionStatistic:
     """
 
     gamma_t: float
-    Pw: float
     Mt: float | None = None
     Jt: float | None = None
     Vt: float | None = None
@@ -84,17 +83,12 @@ def fold(z: np.ndarray, config: SystemConfig) -> np.ndarray:
     return out
 
 
-def transform(z_folded: np.ndarray) -> np.ndarray:
-    """(R+1)-point DFT of the folded block."""
-    return dft(z_folded)
-
-
 def process(y: np.ndarray, config: SystemConfig) -> CancelledBlock:
     """Full receiver front end: windows -> cancel -> fold -> DFT."""
     y1, y2 = extract_windows(y, config)
     z = cancel(y1, y2)
     zf = fold(z, config)
-    return CancelledBlock(z=z, z_folded=zf, z_tilde=transform(zf))
+    return CancelledBlock(z=z, z_folded=zf, z_tilde=dft(zf))
 
 
 def test_statistic(z_tilde: np.ndarray, W: int, Pw: float,
@@ -107,7 +101,7 @@ def test_statistic(z_tilde: np.ndarray, W: int, Pw: float,
             f"window [{offset}, {offset + W}) out of range for {len(z_tilde)} bins"
         )
     g = float(np.sum(np.abs(z_tilde[offset : offset + W]) ** 2)) / Pw
-    return DetectionStatistic(gamma_t=g, Pw=Pw)
+    return DetectionStatistic(gamma_t=g)
 
 
 def decompose_statistic(frame: Frame, channels: ChannelSet, config: SystemConfig,
@@ -123,7 +117,7 @@ def decompose_statistic(frame: Frame, channels: ChannelSet, config: SystemConfig
 
     full = process(frame.y, config)
     n1, n2 = extract_windows(frame.noise, config)
-    noise_tilde = transform(fold(cancel(n1, n2), config))
+    noise_tilde = dft(fold(cancel(n1, n2), config))
     signal_tilde = full.z_tilde - noise_tilde
 
     sl = slice(offset, offset + w)
@@ -133,4 +127,4 @@ def decompose_statistic(frame: Frame, channels: ChannelSet, config: SystemConfig
     jt = float(np.sum(np.abs(signal_tilde[sl]) ** 2)) / pw
     vt = float(np.sum(2.0 * np.real(signal_tilde[sl] * np.conj(noise_tilde[sl])))) / pw
     gamma_t = float(np.sum(np.abs(full.z_tilde[sl]) ** 2)) / pw
-    return DetectionStatistic(gamma_t=gamma_t, Pw=pw, Mt=mt, Jt=jt, Vt=vt)
+    return DetectionStatistic(gamma_t=gamma_t, Mt=mt, Jt=jt, Vt=vt)

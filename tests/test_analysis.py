@@ -117,9 +117,28 @@ def test_ber_exact_vs_mpmath_at_sweep_points(conv, w, snr_db):
     s = 1 if conv == "paper" else 2
     want0, want1 = _mp_tails(s * w, s * th, s * w * gamma)
     p0, p1, pe = ber_exact(p, th)
-    assert p0 == pytest.approx(want0, rel=1e-12)
-    assert p1 == pytest.approx(want1, rel=1e-12)
-    assert pe == pytest.approx(0.5 * (want0 + want1), rel=1e-12)
+    assert p0 == pytest.approx(want0, rel=1e-12, abs=0)
+    assert p1 == pytest.approx(want1, rel=1e-12, abs=0)
+    assert pe == pytest.approx(0.5 * (want0 + want1), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("conv, snr_db", [
+    ("complex", 9.25), ("complex", 11.5), ("paper", 11.5), ("paper", 13.0),
+])
+def test_ber_exact_where_chndtr_underflows(conv, snr_db):
+    # at W=246 chndtr returns 0 for these p1 (1e-152 .. 1e-284); the
+    # Poisson-mixture fallback must still give the true miss probability
+    gamma = 10 ** (snr_db / 10)
+    p = DetectorParams(W=246, gamma=gamma, dof_convention=conv)
+    th = threshold_exact(p)
+    s = 1 if conv == "paper" else 2
+    want0, want1 = _mp_tails(s * 246, s * th, s * 246 * gamma)
+    p0, p1, pe = ber_exact(p, th)
+    assert 0.0 < want1 < 1e-142
+    # abs=0: pytest.approx's default 1e-12 absolute slack would pass p1 = 0
+    assert p0 == pytest.approx(want0, rel=1e-10, abs=0)
+    assert p1 == pytest.approx(want1, rel=1e-10, abs=0)
+    assert pe == pytest.approx(0.5 * (want0 + want1), rel=1e-10, abs=0)
 
 
 def test_ber_identity_half_sum():

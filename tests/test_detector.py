@@ -23,7 +23,7 @@ from cpscatter.detector import (
 from cpscatter.harness import collect_statistics
 from cpscatter.numerics import RngStream
 from cpscatter.phy import ChannelSet, SystemConfig
-from cpscatter.receiver import DetectionStatistic
+from cpscatter.receiver import DetectionStatistic, noise_power
 
 mpmath.mp.dps = 40
 
@@ -41,22 +41,20 @@ def unit_channelset(l=5, m=5, k=5):
 
 def test_detection_snr_reference_arithmetic():
     cfg = SystemConfig()
-    snr = detection_snr(unit_channelset(), cfg)
-    assert snr.Pw == pytest.approx(502.0)
-    assert snr.Px == pytest.approx(246.0 * 1.0 * 6.0)
-    assert snr.Pf == pytest.approx(6.0)
-    assert snr.gamma == pytest.approx(246.0 * 0.25 * 36.0 / 502.0, rel=1e-12)
+    assert noise_power(cfg) == pytest.approx(502.0)
+    gamma = detection_snr(unit_channelset(), cfg)
+    assert gamma == pytest.approx(246.0 * 0.25 * 36.0 / 502.0, rel=1e-12)
 
 
 def test_detection_snr_eta_zero():
     cfg = SystemConfig(eta=0.0, snr_mode="from-Ps")
-    assert detection_snr(unit_channelset(), cfg).gamma == 0.0
+    assert detection_snr(unit_channelset(), cfg) == 0.0
 
 
 def test_detection_snr_linear_in_ps():
     ch = unit_channelset()
-    g1 = detection_snr(ch, SystemConfig(Ps=1.0)).gamma
-    g2 = detection_snr(ch, SystemConfig(Ps=2.0)).gamma
+    g1 = detection_snr(ch, SystemConfig(Ps=1.0))
+    g2 = detection_snr(ch, SystemConfig(Ps=2.0))
     assert g2 == pytest.approx(2.0 * g1, rel=1e-12)
 
 
@@ -305,9 +303,9 @@ def test_threshold_exact_paper_convention_w1():
 
 def test_decide_basic():
     th = 2.5
-    assert decide(DetectionStatistic(gamma_t=0.0, Pw=1.0), th) == 0
-    assert decide(DetectionStatistic(gamma_t=2 * th, Pw=1.0), th) == 1
-    assert decide(DetectionStatistic(gamma_t=th, Pw=1.0), th) == 1  # tie -> 1
+    assert decide(DetectionStatistic(gamma_t=0.0), th) == 0
+    assert decide(DetectionStatistic(gamma_t=2 * th), th) == 1
+    assert decide(DetectionStatistic(gamma_t=th), th) == 1  # tie -> 1
     assert decide(5.0, th) == 1  # bare float accepted
 
 

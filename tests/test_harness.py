@@ -341,6 +341,14 @@ def test_spec_validation():
     "threshold_mode = closed-form\nW_list = 3 1\n",  # W=1 only fails at its point
     "eta = 0\n",  # direct-gamma rescales to an SNR that eta = 0 cannot reach
     "trials = 5\n",  # the removed SystemConfig.trials is now an unknown key
+    "Nw = nan\n",  # non-finite values used to give a plausible wrong row
+    "Nw = inf\n",
+    "eta = nan\n",
+    "eta = inf\n",
+    "snr_mode = from-Ps\nPs = inf\n",
+    "snr_db_list = 6 nan\n",
+    "snr_db_list = inf\n",
+    "snr_db_list = -inf 6\n",
 ])
 def test_degenerate_sweeps_fail_before_any_chunk(monkeypatch, tmp_path, cfg_text):
     from cpscatter import harness

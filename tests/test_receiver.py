@@ -3,8 +3,15 @@
 import numpy as np
 import pytest
 
-from cpscatter.numerics import RngStream, complex_gaussian
-from cpscatter.phy import SystemConfig, draw_channels, simulate_frame, tag_gate, tag_receive
+from cpscatter.numerics import RngStream, complex_gaussian, dft
+from cpscatter.phy import (
+    SystemConfig,
+    draw_channels,
+    legacy_demodulate,
+    simulate_frame,
+    tag_gate,
+    tag_receive,
+)
 from cpscatter.receiver import (
     cancel,
     decompose_statistic,
@@ -12,7 +19,6 @@ from cpscatter.receiver import (
     fold,
     noise_power,
     process,
-    transform,
 )
 from cpscatter.receiver import test_statistic as energy_statistic
 
@@ -64,6 +70,23 @@ def test_noise_free_cancellation_is_exact():
         y1, y2 = extract_windows(fr.y, c)
         z = cancel(y1, y2)
         assert np.max(np.abs(z)) <= 1e-10 * np.max(np.abs(y1))
+
+
+@pytest.mark.parametrize("geometry", [
+    dict(),
+    dict(N=64, C=32, L=2, M=7, K=3, W=3),  # Q = M > L, K
+])
+def test_samples_before_q_are_never_read(geometry):
+    # what the previous symbol leaves in channel memory reaches only y[:Q],
+    # so frames can start cold: neither reader sees those samples
+    c = cfg(**geometry)
+    gen = RngStream(12).generator()
+    for bit in (0, 1):
+        fr = simulate_frame(c, draw_channels(c, gen), bit, gen)
+        y = fr.y.copy()
+        y[: c.Q] = complex_gaussian(gen, 1e6, c.Q)
+        assert np.array_equal(process(y, c).z_tilde, process(fr.y, c).z_tilde)
+        assert np.array_equal(legacy_demodulate(y, c), legacy_demodulate(fr.y, c))
 
 
 # --- fold ----------------------------------------------------------------------
@@ -150,7 +173,7 @@ def test_circulant_diagonalization_identity():
 
 
 def test_transform_zero():
-    assert not transform(np.zeros(246, dtype=complex)).any()
+    assert not dft(np.zeros(246, dtype=complex)).any()
 
 
 def test_single_path_constant_gate_diagonalizes():
@@ -217,7 +240,7 @@ def test_noise_only_statistic_mean():
     for _ in range(n):
         w1 = complex_gaussian(gen, c.Nw, c.T + 1)
         w2 = complex_gaussian(gen, c.Nw, c.T + 1)
-        zt = transform(fold(cancel(w1, w2), c))
+        zt = dft(fold(cancel(w1, w2), c))
         acc += energy_statistic(zt, c.W, pw).gamma_t
         acc_bins += float(np.mean(np.abs(zt) ** 2))
     assert acc / n == pytest.approx(c.W, rel=0.03)

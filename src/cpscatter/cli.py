@@ -7,6 +7,7 @@ import sys
 import traceback
 
 from .harness import (
+    _EMIT_MODES,
     build_spec,
     emit_csv,
     format_effective_config,
@@ -15,6 +16,7 @@ from .harness import (
     run_pdf_curves,
     write_pdf_csv,
 )
+from .phy import _DOF_CONVENTIONS, _THRESHOLD_MODES
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -33,11 +35,10 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="Monte Carlo trials per sweep point")
     run.add_argument("--seed", type=int, help="master seed")
     run.add_argument("--out", dest="output_path", help="output CSV path")
-    run.add_argument("--emit", choices=("ber_vs_snr", "ber_vs_w", "pdf_curves"),
-                     help="what to emit")
-    run.add_argument("--threshold", choices=("closed-form", "exact-root"),
+    run.add_argument("--emit", choices=_EMIT_MODES, help="what to emit")
+    run.add_argument("--threshold", choices=_THRESHOLD_MODES,
                      dest="threshold_mode", help="detection threshold mode")
-    run.add_argument("--dof", choices=("paper", "complex"),
+    run.add_argument("--dof", choices=_DOF_CONVENTIONS,
                      dest="dof_convention", help="degree-of-freedom convention")
     run.add_argument("--workers", type=int, help="worker processes (0 = all CPUs)")
     run.add_argument("--print-config", action="store_true",
@@ -51,17 +52,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         file_values = load_config_file(args.config) if args.config else None
-        overrides = {
-            key: getattr(args, key)
-            for key in ("snr_db_list", "W_list", "trials_per_point", "seed",
-                        "output_path", "emit", "threshold_mode",
-                        "dof_convention", "workers")
-            if getattr(args, key, None) is not None
-        }
-        if "snr_db_list" in overrides:
-            overrides["snr_db_list"] = tuple(overrides["snr_db_list"])
-        if "W_list" in overrides:
-            overrides["W_list"] = tuple(overrides["W_list"])
+        # every other option is a configuration key; build_spec skips unset ones
+        overrides = {key: tuple(val) if isinstance(val, list) else val
+                     for key, val in vars(args).items()
+                     if key not in ("command", "config", "print_config", "debug")}
         spec = build_spec(file_values, overrides)
 
         if args.print_config:

@@ -225,14 +225,15 @@ def threshold_exact(params: DetectorParams) -> float:
     return _threshold_exact_cached(params.W, params.gamma, params.dof_convention)
 
 
-def threshold_for(config: SystemConfig, W: int, gamma):
-    """Threshold per the configured mode; gamma == 0 degenerates to W.
+def threshold_for(config: SystemConfig, gamma):
+    """Threshold at config.W per the configured mode; gamma == 0 gives W.
 
     gamma is a scalar (one threshold, a float) or an array of per-trial
     SNRs (one threshold each, solved together). With gamma == 0 the two
     hypotheses coincide and any positive threshold yields chance-level
     decisions; the H0 mean keeps the detector runnable.
     """
+    W = config.W
     if np.ndim(gamma) == 0:
         if gamma == 0:
             return float(W)

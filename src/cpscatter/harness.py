@@ -26,8 +26,13 @@ Two execution paths exist:
     the Phase 2/4 subtraction removes it exactly (an invariant the test
     suite checks to 1e-10).
 
-The two paths consume streams differently, so they are not bit-identical
-trial for trial; the suite checks they agree statistically.
+A sweep point is one SystemConfig: the base config at the point's W and,
+in direct-gamma mode, its gamma_db (ExperimentSpec.points). Both paths
+read W and the SNR from it, and _operating_point is the one rule that turns
+drawn tap energies into (source power, detection SNR), so run_trial(point,
+...) replays a kernel point. The two paths consume streams differently, so
+they are not bit-identical trial for trial; the suite checks they agree
+statistically.
 """
 
 from __future__ import annotations
@@ -42,8 +47,9 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis
-# threshold_exact is no longer called here, but perfbench/spans.py traces the
-# exact-root threshold through this namespace, so the name stays importable
+# detection_snr and threshold_exact are no longer called here, but
+# perfbench/spans.py traces them through this namespace, so the names stay
+# importable
 from .detector import (
     DetectorParams,
     detection_gamma,
@@ -92,18 +98,23 @@ class ExperimentSpec:
             raise ValueError(f"emit must be one of {_EMIT_MODES}")
         if self.workers < 0:
             raise ValueError("workers must be >= 0")
-        for w in self.W_list:
-            if w < 1 or w > self.base.R + 1:
-                raise ValueError(f"W={w} outside [1, R+1={self.base.R + 1}]")
-            if w < 2 and self.base.threshold_mode == "closed-form":
-                raise ValueError(f"W={w}: the closed-form threshold needs W >= 2")
-        # with no noise the statistic is 0/0 and the BER would be noise, not
-        # a measurement; SystemConfig itself allows Nw=0 for noiseless frames
-        if self.base.Nw == 0:
-            raise ValueError("a sweep needs noise power Nw > 0")
-        # _source_power would divide by a zero SNR inside the first chunk
-        if self.base.snr_mode == "direct-gamma" and self.base.eta == 0:
-            raise ValueError("direct-gamma mode needs eta != 0")
+        # SystemConfig checks each point's W; the operating point at the mean
+        # tap energies fails where every trial of the point would
+        for point in self.points():
+            if point.W < 2 and point.threshold_mode == "closed-form":
+                raise ValueError(f"W={point.W}: the closed-form threshold needs W >= 2")
+            _operating_point(point, point.M + 1, point.K + 1)
+
+    def points(self) -> list[SystemConfig]:
+        """The sweep points in run order, each one SystemConfig.
+
+        direct-gamma: each SNR, then each W. from-Ps: each W, since the SNR
+        follows the channel draw.
+        """
+        if self.base.snr_mode == "direct-gamma":
+            return [replace(self.base, gamma_db=snr, W=w)
+                    for snr in self.snr_db_list for w in self.W_list]
+        return [replace(self.base, W=w) for w in self.W_list]
 
 
 @dataclass
@@ -130,66 +141,55 @@ def trial_stream(seed: int, point_index: int, trial_index: int) -> RngStream:
     return RngStream(seed=seed, stream=(point_index << _TRIAL_BITS) | trial_index)
 
 
-def _gamma_target(config: SystemConfig) -> float:
-    return 10.0 ** (config.gamma_db / 10.0)
+def _operating_point(config: SystemConfig, sum_g2, sum_f2):
+    """(source power, detection SNR) of a point for the drawn tap energies.
 
-
-def _ensemble_gamma(config: SystemConfig) -> float:
-    # channel-averaged tap energies: E[sum|g|^2] = M+1, E[sum|f|^2] = K+1
-    return detection_gamma(config, config.Ps, config.M + 1, config.K + 1)
-
-
-def _source_power(config: SystemConfig, sum_g2, sum_f2, gamma_target):
-    """Source power per channel draw (scalars or per-trial arrays).
-
-    gamma_target None keeps Ps (from-Ps); otherwise the power is rescaled so
-    that the realized detection SNR equals gamma_target (direct-gamma).
+    sum_g2 and sum_f2 are scalars or per-trial arrays. direct-gamma rescales
+    the source power so that gamma = 10^(gamma_db/10). from-Ps keeps Ps, with
+    the SNR of the drawn taps (genie; an array in the kernel) or of the mean
+    tap energies M+1 and K+1 (ensemble; one scalar).
     """
-    if gamma_target is None:
-        return config.Ps
-    if config.eta == 0:
-        raise ValueError("direct-gamma mode needs eta != 0")
-    return gamma_target / detection_gamma(config, 1.0, sum_g2, sum_f2)
+    # with no noise the statistic is 0/0 and the BER would be noise, not a
+    # measurement; SystemConfig itself allows Nw=0 for noiseless frames
+    if config.Nw == 0:
+        raise ValueError("the detection SNR needs noise power Nw > 0")
+    if config.snr_mode == "direct-gamma":
+        if config.eta == 0:
+            raise ValueError("direct-gamma mode needs eta != 0")
+        gamma = 10.0 ** (config.gamma_db / 10.0)
+        return gamma / detection_gamma(config, 1.0, sum_g2, sum_f2), gamma
+    if config.gamma_knowledge == "ensemble":
+        sum_g2, sum_f2 = config.M + 1, config.K + 1
+    return config.Ps, detection_gamma(config, config.Ps, sum_g2, sum_f2)
 
 
 def run_trial(config: SystemConfig, rng):
     """One full-frame trial: returns (sent_bit, decided_bit).
 
     Stream consumption order: channel taps (h, g, f), the tag bit, the
-    source symbol, the frame noise. In direct-gamma mode the source power
-    is rescaled per channel draw so the realized detection SNR equals
-    10^(gamma_db/10) exactly.
+    source symbol, the frame noise. The source power and the threshold's
+    SNR follow _operating_point, as in the batch kernel.
     """
     gen = as_generator(rng)
     channels = draw_channels(config, gen)
-    if config.snr_mode == "direct-gamma":
-        gamma_det = _gamma_target(config)
-        cfg = replace(config, Ps=_source_power(
-            config, channels.sum_g2, channels.sum_f2, gamma_det))
-    else:
-        cfg = config
-        if config.gamma_knowledge == "genie":
-            gamma_det = detection_snr(channels, cfg)
-        else:
-            gamma_det = _ensemble_gamma(cfg)
+    ps, gamma = _operating_point(config, channels.sum_g2, channels.sum_f2)
+    cfg = replace(config, Ps=ps)
     bit = int(gen.integers(0, 2))
     frame = simulate_frame(cfg, channels, bit, gen)
     block = process(frame.y, cfg)
     stat = test_statistic(block.z_tilde, cfg.W, noise_power(cfg))
-    threshold = threshold_for(cfg, cfg.W, gamma_det)
-    return bit, decide(stat, threshold)
+    return bit, decide(stat, threshold_for(cfg, gamma))
 
 
-def _run_chunk(config: SystemConfig, W: int, gamma_target: float | None,
-               threshold: float | None, point_index: int, start: int,
-               count: int, collect: bool = False, force_bit: int | None = None):
-    """Vectorized batch of `count` trials with per-trial Philox streams.
+def _run_chunk(point: SystemConfig, threshold: float | None, point_index: int,
+               start: int, count: int, collect: bool = False,
+               force_bit: int | None = None):
+    """Vectorized batch of `count` trials of one point, per-trial Philox streams.
 
-    gamma_target is the pinned detection SNR (direct-gamma mode) or None
-    (from-Ps). threshold is the scalar detection threshold, or None to
-    derive one per trial from the genie SNR, all in one array solve.
-    Returns the error count, or (bits, statistics) arrays when collect is
-    set.
+    threshold is the point's scalar detection threshold, or None to derive
+    it from _operating_point: per trial (from-Ps genie, all in one array
+    solve) or once. Returns the error count, or (bits, statistics) arrays
+    when collect is set.
 
     Per trial the stream yields, as (re, im) pairs of standard normals,
     the complex blocks g (M+1), f (K+1), s (C-K source samples), b (K) and
@@ -197,13 +197,13 @@ def _run_chunk(config: SystemConfig, W: int, gamma_target: float | None,
     that depend on W, and the bins of a smaller W are a prefix of those of
     a larger one; the bit comes last so one complex view covers every block.
     """
-    m1, k1, k, q = config.M + 1, config.K + 1, config.K, config.Q
-    nb = config.R + 1  # folded block length, = the gated window length
-    n_src = config.C - k  # source samples the gated window reads
+    W, m1, k1, k, q = point.W, point.M + 1, point.K + 1, point.K, point.Q
+    nb = point.R + 1  # folded block length, = the gated window length
+    n_src = point.C - k  # source samples the gated window reads
     dim = 2 * (m1 + k1 + n_src + k + W) + 1
 
     v = np.empty((count, dim))
-    seed = config.seed % _U64
+    seed = point.seed % _U64
     base = point_index << _TRIAL_BITS
     # per-trial Philox streams keyed (seed, point<<40 | trial); rekeying via
     # the state dict is bit-identical to constructing Philox(key=...) fresh
@@ -227,7 +227,7 @@ def _run_chunk(config: SystemConfig, W: int, gamma_target: float | None,
     g, f, s, b, a = np.split(cv, np.cumsum([m1, k1, n_src, k]), axis=1)
     sum_g2 = 0.5 * np.sum(v[:, : 2 * m1] ** 2, axis=1)
     sum_f2 = 0.5 * np.sum(v[:, 2 * m1 : 2 * (m1 + k1)] ** 2, axis=1)
-    ps = _source_power(config, sum_g2, sum_f2, gamma_target)
+    ps, gamma = _operating_point(point, sum_g2, sum_f2)
 
     # tag signal on the gated window only (Q >= M keeps indices in range)
     u = g[:, :1] * s[:, q : q + nb]
@@ -246,96 +246,84 @@ def _run_chunk(config: SystemConfig, W: int, gamma_target: float | None,
 
     # back to CN(0, 1) scales: f, a and b each carry a factor sqrt(2), and
     # the product of g and s a factor 2
-    amp = bits * config.eta * np.sqrt(ps / 2.0) / 2.0
-    bins = amp[:, None] * f_bins * u_bins + math.sqrt(config.Nw) * noise
-    stats = np.sum(bins.real ** 2 + bins.imag ** 2, axis=1) / noise_power(config)
+    amp = bits * point.eta * np.sqrt(ps / 2.0) / 2.0
+    bins = amp[:, None] * f_bins * u_bins + math.sqrt(point.Nw) * noise
+    stats = np.sum(bins.real ** 2 + bins.imag ** 2, axis=1) / noise_power(point)
 
     if collect:
         return bits, stats
 
     if threshold is None:
-        threshold = threshold_for(config, W, detection_gamma(config, ps, sum_g2, sum_f2))
+        threshold = threshold_for(point, gamma)
     decisions = (stats >= threshold).astype(np.int64)
     return int(np.sum(decisions != bits))
 
 
-def collect_statistics(config: SystemConfig, W: int, trials: int,
-                       gamma_target: float | None = None,
-                       force_bit: int | None = None,
-                       point_index: int = 0):
-    """Per-trial (bits, test statistics) from the batch kernel."""
-    all_bits, all_stats = [], []
-    start = 0
-    while start < trials:
-        n = min(_CHUNK, trials - start)
-        bits, stats = _run_chunk(config, W, gamma_target, None, point_index,
-                                 start, n, collect=True, force_bit=force_bit)
-        all_bits.append(bits)
-        all_stats.append(stats)
-        start += n
-    return np.concatenate(all_bits), np.concatenate(all_stats)
+def collect_statistics(point: SystemConfig, trials: int,
+                       force_bit: int | None = None, point_index: int = 0):
+    """Per-trial (bits, test statistics) of one point from the batch kernel."""
+    chunks = [_run_chunk(point, None, point_index, start, min(_CHUNK, trials - start),
+                         collect=True, force_bit=force_bit)
+              for start in range(0, trials, _CHUNK)]
+    bits, stats = zip(*chunks)
+    return np.concatenate(bits), np.concatenate(stats)
 
 
-def _point_setup(config: SystemConfig, snr_db: float | None, W: int):
-    """Resolve (reported snr_db, gamma, threshold or None, kernel gamma or None)."""
-    if config.snr_mode == "direct-gamma":
-        gamma = 10.0 ** (snr_db / 10.0)
-        return snr_db, gamma, threshold_for(config, W, gamma), gamma
-    gamma_ens = _ensemble_gamma(config)
-    reported = 10.0 * math.log10(gamma_ens) if gamma_ens > 0 else -math.inf
-    if config.gamma_knowledge == "ensemble":
-        return reported, gamma_ens, threshold_for(config, W, gamma_ens), None
-    return reported, gamma_ens, None, None
+def _point_setup(point: SystemConfig):
+    """(reported snr_db, DetectorParams, threshold) of one sweep point.
+
+    The SNR is the operating point's at the mean tap energies: the pinned
+    SNR in direct-gamma mode, the ensemble SNR in from-Ps mode.
+    """
+    _, gamma = _operating_point(point, point.M + 1, point.K + 1)
+    if point.snr_mode == "direct-gamma":
+        snr_db = point.gamma_db
+    else:
+        snr_db = 10.0 * math.log10(gamma) if gamma > 0 else -math.inf
+    params = DetectorParams(W=point.W, gamma=gamma, dof_convention=point.dof_convention)
+    return snr_db, params, threshold_for(point, gamma)
 
 
 def run_experiment(spec: ExperimentSpec) -> list[BerResult]:
     """Run every sweep point; deterministic for fixed (seed, spec)."""
-    config = spec.base
-    if config.snr_mode == "direct-gamma":
-        points = [(snr, w) for snr in spec.snr_db_list for w in spec.W_list]
-    else:
-        # the per-trial SNR floats with the channel draw; one point per W
-        points = [(None, w) for w in spec.W_list]
-
     workers = spec.workers if spec.workers > 0 else (os.cpu_count() or 1)
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     results = []
     try:
-        for point_index, (snr_db, w) in enumerate(points):
-            reported_snr, gamma, threshold, kernel_gamma = _point_setup(config, snr_db, w)
+        for point_index, point in enumerate(spec.points()):
+            snr_db, params, threshold = _point_setup(point)
+            # a from-Ps genie point's SNR follows each trial's taps, and so
+            # does its threshold: the kernel solves those per chunk
+            per_trial = point.snr_mode == "from-Ps" and point.gamma_knowledge == "genie"
             t0 = time.perf_counter()
             tasks = []
-            start = 0
-            while start < spec.trials_per_point:
+            for start in range(0, spec.trials_per_point, _CHUNK):
                 n = min(_CHUNK, spec.trials_per_point - start)
-                args = (config, w, kernel_gamma, threshold, point_index, start, n)
+                args = (point, None if per_trial else threshold, point_index, start, n)
                 tasks.append(pool.submit(_run_chunk, *args) if pool else _run_chunk(*args))
-                start += n
             errors = sum(t.result() for t in tasks) if pool else sum(tasks)
             wall_ms = int(round(1000 * (time.perf_counter() - t0)))
 
-            thr_report = threshold if threshold is not None else threshold_for(config, w, gamma)
-            params = DetectorParams(W=w, gamma=gamma, dof_convention=config.dof_convention)
-            _, _, pe_exact = analysis.ber_exact(params, thr_report)
-            pe_approx = analysis.ber_approx(w, gamma, thr_report)
+            _, _, pe_exact = analysis.ber_exact(params, threshold)
+            pe_approx = analysis.ber_approx(params.W, params.gamma, threshold)
 
             ber = errors / spec.trials_per_point
             ci = 1.96 * math.sqrt(max(ber * (1.0 - ber), 0.0) / spec.trials_per_point)
             results.append(
                 BerResult(
-                    snr_db=float(reported_snr),
-                    W=w,
+                    snr_db=float(snr_db),
+                    W=point.W,
                     trials=spec.trials_per_point,
                     bit_errors=errors,
                     ber_sim=ber,
                     ci95_halfwidth=ci,
                     ber_theory_approx=pe_approx,
                     ber_theory_exact=pe_exact,
-                    threshold_used=thr_report,
+                    threshold_used=threshold,
                     wall_ms=wall_ms,
-                    dof_convention=config.dof_convention,
-                    threshold_mode=config.threshold_mode,
-                    seed=config.seed,
+                    dof_convention=point.dof_convention,
+                    threshold_mode=point.threshold_mode,
+                    seed=point.seed,
                 )
             )
     finally:
@@ -389,13 +377,12 @@ def parse_csv(path) -> list[BerResult]:
 def run_pdf_curves(spec: ExperimentSpec, n_points: int = 800) -> np.ndarray:
     """Density table for the first sweep point (pdf_curves emit mode).
 
-    The point's gamma follows the BER rows' rule: the first listed SNR in
-    direct-gamma mode, the ensemble SNR in from-Ps mode.
+    The point is spec.points()[0], set up as for its BER row: the first
+    listed SNR and W in direct-gamma mode, the ensemble SNR at the first W
+    in from-Ps mode.
     """
-    config = spec.base
-    w = spec.W_list[0]
-    _, gamma, _, _ = _point_setup(config, spec.snr_db_list[0], w)
-    params = DetectorParams(W=w, gamma=gamma, dof_convention=config.dof_convention)
+    _, params, _ = _point_setup(spec.points()[0])
+    w, gamma = params.W, params.gamma
     hi = w * (1.0 + gamma) + 8.0 * math.sqrt(2.0 * w * (1.0 + 2.0 * gamma))
     grid = np.linspace(hi / n_points, hi, n_points)
     return analysis.pdf_curves(params, grid)

@@ -113,9 +113,8 @@ def test_criterion_4_noise_calibration(report):
 
 @pytest.mark.parametrize("w", [3, 12])
 def test_criterion_5_distribution_fit(report, w):
-    cfg = SystemConfig(W=w, seed=ACCEPTANCE_BASE.seed)
-    _, g = collect_statistics(cfg, w, 10_000, gamma_target=10 ** 1.3, force_bit=0,
-                              point_index=50 + w)
+    cfg = SystemConfig(W=w, gamma_db=13.0, seed=ACCEPTANCE_BASE.seed)
+    _, g = collect_statistics(cfg, 10_000, force_bit=0, point_index=50 + w)
     ks_c = stats.kstest(2.0 * g, stats.chi2(2 * w).cdf)
     ks_p = stats.kstest(g, stats.chi2(w).cdf)
     report.add(f"  criterion 5 detail (W={w}): paper-dof KS D={ks_p.statistic:.4f} "

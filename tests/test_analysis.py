@@ -22,7 +22,7 @@ def test_ber_approx_zero_gamma_at_mean_threshold():
 def test_ber_approx_large_gamma_limit():
     w, th = 6, 9.0
     first = 0.5 * 0.5 * math.erfc((th - w) / math.sqrt(2 * w) / math.sqrt(2))
-    assert ber_approx(w, 1e9, th) == pytest.approx(first, rel=1e-9)
+    assert ber_approx(w, 1e9, th) == pytest.approx(first, rel=1e-9, abs=0)
 
 
 def test_ber_approx_reference_arithmetic():
@@ -33,7 +33,7 @@ def test_ber_approx_reference_arithmetic():
         0.5 * q((th - w) / mpmath.sqrt(2 * w))
         + 0.5 * q((w * (1 + gamma) - th) / mpmath.sqrt(2 * w * (1 + 2 * gamma)))
     )
-    assert ber_approx(w, gamma, th) == pytest.approx(want, rel=1e-12)
+    assert ber_approx(w, gamma, th) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_ber_approx_domain():
@@ -145,7 +145,7 @@ def test_ber_identity_half_sum():
     p = DetectorParams(W=5, gamma=6.0, dof_convention="complex")
     th = threshold_exact(p)
     p0, p1, pe = ber_exact(p, th)
-    assert pe == pytest.approx(0.5 * (p0 + p1), rel=1e-12)
+    assert pe == pytest.approx(0.5 * (p0 + p1), rel=1e-12, abs=0)
 
 
 @pytest.mark.xfail(

@@ -101,9 +101,9 @@ def test_pdfs_normalize(conv):
 def test_complex_convention_matches_scipy_scaling():
     p = DetectorParams(W=6, gamma=4.0, dof_convention="complex")
     for x in (1.0, 6.0, 20.0, 45.0):
-        assert pdf_h0(x, p) == pytest.approx(2 * stats.chi2.pdf(2 * x, 12), rel=1e-9)
+        assert pdf_h0(x, p) == pytest.approx(2 * stats.chi2.pdf(2 * x, 12), rel=1e-9, abs=0)
         assert pdf_h1(x, p) == pytest.approx(
-            2 * stats.ncx2.pdf(2 * x, 12, 48.0), rel=1e-8
+            2 * stats.ncx2.pdf(2 * x, 12, 48.0), rel=1e-8, abs=0
         )
 
 
@@ -204,13 +204,13 @@ def test_thresholds_finite_over_gamma_range(w):
 
 
 def test_threshold_for_modes():
-    cfg_cf = SystemConfig(threshold_mode="closed-form")
-    cfg_ex = SystemConfig(threshold_mode="exact-root", dof_convention="complex")
-    assert threshold_for(cfg_cf, 3, 2.0) == pytest.approx(threshold_paper(3, 2.0))
-    assert threshold_for(cfg_ex, 3, 2.0) == pytest.approx(
+    cfg_cf = SystemConfig(threshold_mode="closed-form", W=3)
+    cfg_ex = SystemConfig(threshold_mode="exact-root", dof_convention="complex", W=3)
+    assert threshold_for(cfg_cf, 2.0) == pytest.approx(threshold_paper(3, 2.0))
+    assert threshold_for(cfg_ex, 2.0) == pytest.approx(
         threshold_exact(DetectorParams(W=3, gamma=2.0, dof_convention="complex"))
     )
-    assert threshold_for(cfg_cf, 7, 0.0) == 7.0  # degenerate SNR fallback
+    assert threshold_for(SystemConfig(W=7), 0.0) == 7.0  # degenerate SNR fallback
 
 
 def _reference_bisection(W, gamma, conv, xtol=1e-10):
@@ -246,8 +246,8 @@ def _reference_bisection(W, gamma, conv, xtol=1e-10):
 @pytest.mark.parametrize("w", [1, 2, 3, 12, 246])
 def test_threshold_array_solve_matches_scalar(conv, w):
     gammas = np.array([0.0, 1e-3, 0.36, 4.4, 17.5, 1e3])
-    cfg = SystemConfig(threshold_mode="exact-root", dof_convention=conv)
-    got = threshold_for(cfg, w, gammas)
+    cfg = SystemConfig(threshold_mode="exact-root", dof_convention=conv, W=w)
+    got = threshold_for(cfg, gammas)
     assert got.shape == gammas.shape
     assert got[0] == float(w)  # gamma == 0 maps to W elementwise
     for g, th in zip(gammas[1:], got[1:]):
@@ -258,14 +258,14 @@ def test_threshold_array_solve_matches_scalar(conv, w):
 
 
 def test_threshold_for_array_closed_form_matches_scalar():
-    cfg = SystemConfig(threshold_mode="closed-form")
+    cfg = SystemConfig(threshold_mode="closed-form", W=12)
     gammas = np.array([0.0, 1e-3, 0.36, 4.4, 17.5, 1e3])
-    got = threshold_for(cfg, 12, gammas)
+    got = threshold_for(cfg, gammas)
     assert got[0] == 12.0
     assert got[1:] == pytest.approx([threshold_paper(12, float(g)) for g in gammas[1:]],
                                     rel=1e-15)
     with pytest.raises(ValueError):
-        threshold_for(cfg, 12, np.array([1.0, -1.0]))
+        threshold_for(cfg, np.array([1.0, -1.0]))
 
 
 def test_caches_stay_bounded_over_distinct_gammas():
@@ -275,15 +275,15 @@ def test_caches_stay_bounded_over_distinct_gammas():
               if hasattr(obj, "cache_info")]
     assert caches and all(c.cache_info().maxsize is not None for c in caches)
     gammas = np.linspace(0.01, 50.0, 10_000)
-    cf = SystemConfig(threshold_mode="closed-form")
-    ex = SystemConfig(threshold_mode="exact-root", dof_convention="complex")
-    threshold_for(ex, 3, gammas)
-    threshold_for(cf, 3, gammas)
+    cf = SystemConfig(threshold_mode="closed-form", W=3)
+    ex = SystemConfig(threshold_mode="exact-root", dof_convention="complex", W=3)
+    threshold_for(ex, gammas)
+    threshold_for(cf, gammas)
     for g in gammas:
-        threshold_for(cf, 3, float(g))
+        threshold_for(cf, float(g))
     # scalar exact solves cost milliseconds: overflow the LRU a few times over
     for g in gammas[:: len(gammas) // 400]:
-        threshold_for(ex, 3, float(g))
+        threshold_for(ex, float(g))
     for c in caches:
         info = c.cache_info()
         assert info.currsize <= info.maxsize
@@ -296,7 +296,7 @@ def test_threshold_exact_paper_convention_w1():
         th = threshold_exact(p)
         assert th == pytest.approx(_reference_bisection(1, gamma, "paper"), abs=1e-10)
         assert abs(pdf_h0(th, p) - pdf_h1(th, p)) < 1e-9 * pdf_h0(th, p)
-        assert pdf_h1(th, p) == pytest.approx(stats.ncx2.pdf(th, 1, gamma), rel=1e-10)
+        assert pdf_h1(th, p) == pytest.approx(stats.ncx2.pdf(th, 1, gamma), rel=1e-10, abs=0)
 
 
 # --- decision rule -----------------------------------------------------------------
@@ -333,8 +333,8 @@ def test_decide_threshold_domain():
 def test_h0_statistic_fits_complex_convention():
     # 2*Gamma under H0 against chi-square with 2W dof (smaller sibling of the
     # acceptance-suite check)
-    cfg = SystemConfig(W=3, seed=901)
-    _, g = collect_statistics(cfg, 3, 4000, gamma_target=10.0, force_bit=0)
+    cfg = SystemConfig(W=3, gamma_db=10.0, seed=901)
+    _, g = collect_statistics(cfg, 4000, force_bit=0)
     ks_complex = stats.kstest(2 * g, stats.chi2(6).cdf)
     assert ks_complex.pvalue > 0.01
     # the W-dof convention does not fit the same samples; record the statistic

@@ -17,6 +17,8 @@ from cpscatter.harness import (
     CSV_HEADER,
     BerResult,
     ExperimentSpec,
+    _operating_point,
+    _point_setup,
     _run_chunk,
     build_spec,
     collect_statistics,
@@ -82,9 +84,7 @@ def test_small_w_error_floor_under_fading():
     # how large the SNR gets
     cfg = SystemConfig(gamma_db=60.0, dof_convention="complex",
                        threshold_mode="exact-root", W=12, seed=33)
-    gamma = 10.0 ** 6
-    th = threshold_exact(DetectorParams(W=12, gamma=gamma, dof_convention="complex"))
-    errs = _run_chunk(cfg, 12, gamma, th, 0, 0, 5000)
+    errs = _run_chunk(cfg, None, 0, 0, 5000)
     assert 0.10 < errs / 5000 < 0.25
 
 
@@ -122,15 +122,31 @@ def test_run_trial_direct_gamma_requires_eta():
         run_trial(cfg, trial_stream(1, 0, 0))
 
 
+SNR_MODES = [
+    dict(snr_mode="direct-gamma"),
+    dict(snr_mode="from-Ps", gamma_knowledge="genie"),
+    dict(snr_mode="from-Ps", gamma_knowledge="ensemble"),
+]
+
+
+@pytest.mark.parametrize("mode", SNR_MODES)
+def test_zero_noise_fails_in_every_snr_mode(mode):
+    # the statistic is 0/0 without noise; both paths must say so, not divide
+    cfg = SystemConfig(Nw=0.0, **mode)
+    with pytest.raises(ValueError, match="Nw"):
+        run_trial(cfg, trial_stream(1, 0, 0))
+    with pytest.raises(ValueError, match="Nw"):
+        collect_statistics(cfg, 16)
+
+
 # --- batch kernel ----------------------------------------------------------------
 
 def test_kernel_reproducible_and_chunk_invariant():
-    cfg = SystemConfig(dof_convention="complex", threshold_mode="exact-root", seed=6)
-    gamma = 10 ** 0.6
-    th = threshold_exact(DetectorParams(W=3, gamma=gamma, dof_convention="complex"))
-    whole = _run_chunk(cfg, 3, gamma, th, 0, 0, 2000)
-    split = sum(_run_chunk(cfg, 3, gamma, th, 0, s, 500) for s in (0, 500, 1000, 1500))
-    again = _run_chunk(cfg, 3, gamma, th, 0, 0, 2000)
+    cfg = SystemConfig(gamma_db=6.0, W=3, dof_convention="complex",
+                       threshold_mode="exact-root", seed=6)
+    whole = _run_chunk(cfg, None, 0, 0, 2000)
+    split = sum(_run_chunk(cfg, None, 0, s, 500) for s in (0, 500, 1000, 1500))
+    again = _run_chunk(cfg, None, 0, 0, 2000)
     assert whole == split == again
 
 
@@ -142,10 +158,9 @@ def test_kernel_streams_match_fresh_philox():
     # and an explicit W-bin DFT sum
     from cpscatter.receiver import fold as fold_op, noise_power
 
-    cfg = SystemConfig(seed=12, eta=1.0, snr_mode="from-Ps", Nw=1.5)
-    w = 3
-    _, stats = collect_statistics(cfg, w, 4, gamma_target=None, force_bit=1,
-                                  point_index=3)
+    cfg = SystemConfig(seed=12, eta=1.0, snr_mode="from-Ps", Nw=1.5, W=3)
+    w = cfg.W
+    _, stats = collect_statistics(cfg, 4, force_bit=1, point_index=3)
     m1, k1, k, q, nb = cfg.M + 1, cfg.K + 1, cfg.K, cfg.Q, cfg.R + 1
     n_src = cfg.C - k
     sizes = [m1, k1, n_src, k, w]
@@ -169,7 +184,7 @@ def test_kernel_streams_match_fresh_philox():
         assert stats[i] == pytest.approx(want / noise_power(cfg), rel=1e-12)
 
 
-_LAW_GAMMA = 10 ** 1.3
+_LAW_GAMMA_DB = 13.0
 _LAW_WS = (1, 3, 12, 246)
 
 
@@ -178,16 +193,15 @@ def _full_frame_statistics(bit, n=2000):
     # the full-frame chain (draw_channels -> simulate_frame -> process ->
     # test_statistic) with run_trial's direct-gamma source rescale; one
     # frame gives the statistic at every W
-    from cpscatter.harness import _source_power
     from cpscatter.phy import draw_channels, simulate_frame
     from cpscatter.receiver import noise_power, process, test_statistic
 
-    cfg = SystemConfig(seed=7002)
+    cfg = SystemConfig(gamma_db=_LAW_GAMMA_DB, seed=7002)
     out = {w: np.empty(n) for w in _LAW_WS}
     for i in range(n):
         gen = trial_stream(cfg.seed, bit, i).generator()
         ch = draw_channels(cfg, gen)
-        cfg_t = replace(cfg, Ps=_source_power(cfg, ch.sum_g2, ch.sum_f2, _LAW_GAMMA))
+        cfg_t = replace(cfg, Ps=_operating_point(cfg, ch.sum_g2, ch.sum_f2)[0])
         zt = process(simulate_frame(cfg_t, ch, bit, gen).y, cfg_t).z_tilde
         for w in _LAW_WS:
             out[w][i] = test_statistic(zt, w, noise_power(cfg_t)).gamma_t
@@ -202,9 +216,8 @@ def test_kernel_statistic_law_matches_full_frames(w, bit):
     from scipy import stats as sps
 
     frames = _full_frame_statistics(bit)[w]
-    _, lean = collect_statistics(SystemConfig(W=w, seed=7001), w, len(frames),
-                                 gamma_target=_LAW_GAMMA, force_bit=bit,
-                                 point_index=bit)
+    point = SystemConfig(W=w, gamma_db=_LAW_GAMMA_DB, seed=7001)
+    _, lean = collect_statistics(point, len(frames), force_bit=bit, point_index=bit)
     assert sps.ks_2samp(lean, frames).pvalue > 1e-3
 
 
@@ -212,9 +225,7 @@ def test_kernel_agrees_with_run_trial_statistically():
     gamma_db, w, n = 6.0, 3, 4000
     cfg = SystemConfig(gamma_db=gamma_db, W=w, dof_convention="complex",
                        threshold_mode="exact-root", seed=91)
-    gamma = 10 ** (gamma_db / 10)
-    th = threshold_exact(DetectorParams(W=w, gamma=gamma, dof_convention="complex"))
-    kernel_errs = _run_chunk(cfg, w, gamma, th, 0, 0, n)
+    kernel_errs = _run_chunk(cfg, None, 0, 0, n)
     ref_errs = sum(b != d for b, d in (run_trial(cfg, trial_stream(91, 7, i)) for i in range(n)))
     p1, p2 = kernel_errs / n, ref_errs / n
     sigma = math.sqrt((p1 * (1 - p1) + p2 * (1 - p2)) / n)
@@ -227,17 +238,17 @@ def test_from_ps_chunk_matches_scalar_threshold_loop(monkeypatch):
     from cpscatter import harness
 
     cfg = SystemConfig(snr_mode="from-Ps", dof_convention="complex",
-                       threshold_mode="exact-root", seed=14)
+                       threshold_mode="exact-root", W=12, seed=14)
     seen = []
 
-    def spy(config, w, gamma):
+    def spy(config, gamma):
         seen.append(np.array(gamma))
-        return threshold_for(config, w, gamma)
+        return threshold_for(config, gamma)
 
     monkeypatch.setattr(harness, "threshold_for", spy)
-    errors = _run_chunk(cfg, 12, None, None, 0, 0, 1024)
+    errors = _run_chunk(cfg, None, 0, 0, 1024)
     (gammas,) = seen
-    bits, stats = collect_statistics(cfg, 12, 1024)
+    bits, stats = collect_statistics(cfg, 1024)
     ref = np.array([
         threshold_exact(DetectorParams(W=12, gamma=float(g), dof_convention="complex"))
         for g in gammas
@@ -246,12 +257,30 @@ def test_from_ps_chunk_matches_scalar_threshold_loop(monkeypatch):
     assert 0 < errors < 1024
 
 
+@pytest.mark.parametrize("mode", [SNR_MODES[0], SNR_MODES[2]])
+def test_kernel_threshold_handoff(mode):
+    # the threshold run_experiment solves once per point must be the one the
+    # kernel derives from the point itself, and the row must sum the chunks
+    base = SystemConfig(dof_convention="complex", threshold_mode="exact-root",
+                        seed=21, **mode)
+    spec = ExperimentSpec(base=base, snr_db_list=(9.0,), W_list=(3,),
+                          trials_per_point=2048, workers=1)
+    (point,) = spec.points()
+    _, _, threshold = _point_setup(point)
+    handed = [_run_chunk(point, threshold, 0, start, 1024) for start in (0, 1024)]
+    derived = [_run_chunk(point, None, 0, start, 1024) for start in (0, 1024)]
+    assert handed == derived
+    (row,) = run_experiment(spec)
+    assert row.bit_errors == sum(handed)
+    assert row.threshold_used == threshold
+
+
 def test_collect_statistics_forced_bit():
-    cfg = SystemConfig(W=3, seed=41)
-    bits, stats = collect_statistics(cfg, 3, 3000, gamma_target=4.0, force_bit=0)
+    cfg = SystemConfig(W=3, gamma_db=10 * math.log10(4.0), seed=41)
+    bits, stats = collect_statistics(cfg, 3000, force_bit=0)
     assert not bits.any()
     assert np.mean(stats) == pytest.approx(3.0, rel=0.05)
-    bits1, stats1 = collect_statistics(cfg, 3, 3000, gamma_target=4.0, force_bit=1)
+    bits1, stats1 = collect_statistics(cfg, 3000, force_bit=1)
     assert bits1.all()
     assert np.mean(stats1) == pytest.approx(3.0 * 5.0, rel=0.15)
 
@@ -321,6 +350,15 @@ def test_emit_mode_ordering():
     assert [(r.W, r.snr_db) for r in by_snr] == [(3, 6.0), (3, 9.0), (12, 6.0), (12, 9.0)]
     by_w = run_experiment(ExperimentSpec(emit="ber_vs_w", **kw))
     assert [(r.snr_db, r.W) for r in by_w] == [(6.0, 3), (6.0, 12), (9.0, 3), (9.0, 12)]
+
+
+def test_spec_points_in_run_order():
+    base = SystemConfig(seed=3)
+    spec = ExperimentSpec(base=base, snr_db_list=(9.0, 6.0), W_list=(12, 3))
+    assert spec.points() == [replace(base, gamma_db=snr, W=w)
+                             for snr, w in ((9.0, 12), (9.0, 3), (6.0, 12), (6.0, 3))]
+    from_ps = replace(spec, base=replace(base, snr_mode="from-Ps"))
+    assert from_ps.points() == [replace(from_ps.base, W=w) for w in (12, 3)]
 
 
 def test_spec_validation():
@@ -481,12 +519,11 @@ def test_run_pdf_curves_table(tmp_path):
 
 def test_run_pdf_curves_from_ps_uses_ensemble_snr():
     from cpscatter import analysis
-    from cpscatter.harness import _ensemble_gamma
 
     base = SystemConfig(snr_mode="from-Ps", Ps=10.0, dof_convention="complex")
     spec = ExperimentSpec(base=base, snr_db_list=(6.0,), W_list=(12,))
     table = run_pdf_curves(spec, n_points=200)
-    gamma = _ensemble_gamma(base)
+    _, gamma = _operating_point(base, base.M + 1, base.K + 1)
     assert gamma == pytest.approx(44.1, rel=1e-3)  # 16.4 dB, not the listed 6 dB
     params = DetectorParams(W=12, gamma=gamma, dof_convention="complex")
     assert np.array_equal(table, analysis.pdf_curves(params, table[:, 0]))

@@ -288,7 +288,7 @@ def test_sin_power_integral_domain():
 
 def test_chi2_pdf_two_dof_closed_form():
     for x in (0.1, 1.0, 5.0, 20.0):
-        assert chi2_pdf(x, 2) == pytest.approx(0.5 * math.exp(-x / 2), rel=1e-12)
+        assert chi2_pdf(x, 2) == pytest.approx(0.5 * math.exp(-x / 2), rel=1e-12, abs=0)
 
 
 def test_chi2_pdf_nonpositive_x():

@@ -7,7 +7,6 @@ it with a DFT, and detects the tag bit with a chi-square energy test.
 
 from .analysis import ber_approx, ber_exact, pdf_curves
 from .detector import (
-    DetectorParams,
     ThresholdBracketError,
     decide,
     detection_snr,
@@ -55,7 +54,6 @@ from .phy import (
     tag_receive,
 )
 from .receiver import (
-    CancelledBlock,
     DetectionStatistic,
     cancel,
     decompose_statistic,

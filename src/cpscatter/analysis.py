@@ -2,12 +2,16 @@
 
 With equiprobable bits the bit error rate is P_e = (p0 + p1) / 2, where
 p0 (false alarm) is the H0 tail above the threshold and p1 (missed
-detection) the H1 mass below it. In either dof convention s times the
-statistic is chi-square with d dof (noncentral under H1), so ber_exact
-reads both from scipy.special's chi-square tails; ber_approx is the
-moment-matched Gaussian approximation
+detection) the H1 mass below it. Each function takes the sweep point (its
+W and dof convention), the detection SNR gamma and the threshold T_h. In
+either dof convention s times the statistic is chi-square with d dof
+(noncentral under H1), so ber_exact reads both from scipy.special's
+chi-square tails; ber_approx is the moment-matched Gaussian approximation
 
-    P_e ~= 1/2 Q((T_h - W)/sqrt(2W)) + 1/2 Q((W(1+gamma) - T_h)/sqrt(2W(1+2gamma))).
+    P_e ~= 1/2 Q((T_h - W)/sqrt(2W/s)) + 1/2 Q((W(1+gamma) - T_h)/sqrt(2W(1+2gamma)/s)),
+
+with the modeled statistic's variances 2W/s (H0) and 2W(1+2gamma)/s (H1):
+s = 1 for the paper convention, 2 for the complex one.
 """
 
 from __future__ import annotations
@@ -17,20 +21,27 @@ import math
 import numpy as np
 from scipy.special import chdtrc, chndtr, gammainc, gammaln, logsumexp
 
-from .detector import DetectorParams, dof_scaling, pdf_h0, pdf_h1
+from .detector import dof_scaling, pdf_h0, pdf_h1
 from .numerics import gaussian_q
+from .phy import SystemConfig
 
 
-def ber_approx(W: int, gamma: float, threshold: float) -> float:
+def _check(gamma: float, threshold: float) -> None:
+    if not (gamma >= 0 and threshold > 0):
+        raise ValueError(f"need gamma >= 0 and threshold > 0, got {gamma}, {threshold}")
+
+
+def ber_approx(point: SystemConfig, gamma: float, threshold: float) -> float:
     """Moment-matched Gaussian approximation of the BER."""
-    if W < 1 or gamma < 0 or not threshold > 0:
-        raise ValueError("need W >= 1, gamma >= 0, threshold > 0")
-    t1 = gaussian_q((threshold - W) / np.sqrt(2.0 * W))
-    t2 = gaussian_q((W * (1.0 + gamma) - threshold) / np.sqrt(2.0 * W * (1.0 + 2.0 * gamma)))
+    _check(gamma, threshold)
+    s, _ = dof_scaling(point)
+    w = point.W
+    t1 = gaussian_q((threshold - w) / np.sqrt(2.0 * w / s))
+    t2 = gaussian_q((w * (1.0 + gamma) - threshold) / np.sqrt(2.0 * w * (1.0 + 2.0 * gamma) / s))
     return 0.5 * t1 + 0.5 * t2
 
 
-def ber_exact(params: DetectorParams, threshold: float):
+def ber_exact(point: SystemConfig, gamma: float, threshold: float):
     """(p0, p1, P_e) from the chi-square tails of the modeled densities.
 
     p0 = chdtrc(d, s T) and p1 = chndtr(s T, d, s W gamma), with (s, d) the
@@ -41,10 +52,9 @@ def ber_exact(params: DetectorParams, threshold: float):
     domain instead. P_e is 0.0 only where both tails fall below the
     float64 floor (W=246, complex, 13 dB: the true p1 is 4.1e-425).
     """
-    if not threshold > 0:
-        raise ValueError(f"threshold must be > 0, got {threshold}")
-    s, d = dof_scaling(params.W, params.dof_convention)
-    x, nc = s * threshold, s * params.lam
+    _check(gamma, threshold)
+    s, d = dof_scaling(point)
+    x, nc = s * threshold, s * (point.W * gamma)
     p0 = float(chdtrc(d, x))
     p1 = float(chndtr(x, d, nc))
     if p1 == 0.0 and nc > 0:
@@ -66,9 +76,9 @@ def _ncx2_cdf_mixture(x: float, d: int, nc: float) -> float:
     return float(np.exp(logsumexp(log_w + log_cdf)))
 
 
-def pdf_curves(params: DetectorParams, x_grid) -> np.ndarray:
+def pdf_curves(point: SystemConfig, gamma: float, x_grid) -> np.ndarray:
     """Tabulated (x, f0(x), f1(x)) rows for plotting the two densities."""
     x = np.asarray(x_grid, dtype=np.float64)
     if x.ndim != 1 or np.any(x <= 0) or np.any(np.diff(x) <= 0):
         raise ValueError("x_grid must be 1-D, positive, strictly increasing")
-    return np.column_stack([x, pdf_h0(x, params), pdf_h1(x, params)])
+    return np.column_stack([x, pdf_h0(x, point), pdf_h1(x, point, gamma)])

@@ -15,21 +15,22 @@ for complex samples: 2*Gamma_t is chi-square with 2W dof (noncentrality
 dof_scaling holds that (scale, dof) pair once, for the densities here and
 the chi-square tails of analysis.ber_exact.
 
-The ML threshold is where the two densities cross. threshold_paper evaluates
-the closed form obtained by pulling the Bessel kernel's exponentials apart
-(which is what makes it solvable, at the cost of an approximation);
-threshold_exact finds the true crossing by bisection on the log-density
-difference. The bisection runs on an array of gammas at once, with the
-densities evaluated elementwise (log I_r via scipy's ive), so a batch of
-per-trial thresholds costs one array solve: threshold_for takes a scalar
-gamma or an array of them. Only the scalar path is cached, in a small
-bounded LRU.
+Every density and threshold reads W, the dof convention and the threshold
+mode from the sweep point's SystemConfig, and takes gamma as an argument.
+The ML threshold is where the two densities cross. threshold_paper
+evaluates the closed form obtained by pulling the Bessel kernel's
+exponentials apart (which is what makes it solvable, at the cost of an
+approximation); threshold_exact finds the true crossing by bisection on the
+log-density difference. The bisection runs on an array of gammas at once,
+with the densities evaluated elementwise (log I_r via scipy's ive), so a
+batch of per-trial thresholds costs one array solve. threshold_for picks
+the mode once, for an array of gammas; a scalar gamma is its one-element
+case, cached in a small bounded LRU keyed on (config, gamma).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -41,7 +42,7 @@ from .numerics import (
     sin_power_integral,
 )
 from .phy import ChannelSet, SystemConfig
-from .receiver import DetectionStatistic, noise_power
+from .receiver import noise_power
 
 _XTOL = 1e-10  # bisection tolerance of the exact-root threshold
 # scalar thresholds are asked for once per sweep point, or once per frame by
@@ -51,28 +52,6 @@ _SCALAR_CACHE_SIZE = 128
 
 class ThresholdBracketError(RuntimeError):
     """No density crossing could be bracketed (degenerate SNR)."""
-
-
-@dataclass(frozen=True)
-class DetectorParams:
-    """Hypothesis-test parameters for one operating point."""
-
-    W: int
-    gamma: float
-    dof_convention: str = "paper"
-
-    def __post_init__(self):
-        if self.W < 1:
-            raise ValueError(f"W must be >= 1, got {self.W}")
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
-        if self.dof_convention not in ("paper", "complex"):
-            raise ValueError(f"unknown dof convention {self.dof_convention!r}")
-
-    @property
-    def lam(self) -> float:
-        """Noncentrality parameter, lambda = W * gamma."""
-        return self.W * self.gamma
 
 
 def detection_gamma(config: SystemConfig, ps, sum_g2, sum_f2):
@@ -95,43 +74,35 @@ def detection_snr(channels: ChannelSet, config: SystemConfig) -> float:
     return detection_gamma(config, config.Ps, channels.sum_g2, channels.sum_f2)
 
 
-def dof_scaling(W: int, dof_convention: str) -> tuple[float, int]:
+def dof_scaling(config: SystemConfig) -> tuple[float, int]:
     """(s, d): s times the statistic is chi-square with d dof.
 
     The H1 noncentrality of s times the statistic is s * W * gamma.
     """
-    if dof_convention == "paper":
-        return 1.0, W
-    return 2.0, 2 * W
+    if config.dof_convention == "paper":
+        return 1.0, config.W
+    return 2.0, 2 * config.W
 
 
-def _log_f0(x, W: int, dof_convention: str):
-    s, d = dof_scaling(W, dof_convention)
+def log_pdf_h0(x, config: SystemConfig):
+    s, d = dof_scaling(config)
     return math.log(s) + log_chi2_pdf(s * x, d)
 
 
-def _log_f1(x, W: int, lam, dof_convention: str):
-    s, d = dof_scaling(W, dof_convention)
-    return math.log(s) + log_noncentral_chi2_pdf(s * x, d, s * lam)
+def log_pdf_h1(x, config: SystemConfig, gamma):
+    s, d = dof_scaling(config)
+    return math.log(s) + log_noncentral_chi2_pdf(s * x, d, s * (config.W * gamma))
 
 
-def log_pdf_h0(x, params: DetectorParams):
-    return _log_f0(x, params.W, params.dof_convention)
-
-
-def log_pdf_h1(x, params: DetectorParams):
-    return _log_f1(x, params.W, params.lam, params.dof_convention)
-
-
-def pdf_h0(x, params: DetectorParams):
+def pdf_h0(x, config: SystemConfig):
     """Density of the statistic under H0 (bit 0), elementwise; zero for x <= 0."""
-    out = np.exp(log_pdf_h0(x, params))
+    out = np.exp(log_pdf_h0(x, config))
     return float(out) if np.ndim(out) == 0 else out
 
 
-def pdf_h1(x, params: DetectorParams):
+def pdf_h1(x, config: SystemConfig, gamma):
     """Density of the statistic under H1 (bit 1), elementwise; zero for x <= 0."""
-    out = np.exp(log_pdf_h1(x, params))
+    out = np.exp(log_pdf_h1(x, config, gamma))
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -161,27 +132,22 @@ def threshold_paper(W: int, gamma):
     return log_arg ** 2 / (W * gamma)
 
 
-def _h0_mode(W: int, dof_convention: str) -> float:
-    if dof_convention == "paper":
-        return max(W - 2.0, 0.0)
-    return max(W - 1.0, 0.0)
+def _solve_crossing(config: SystemConfig, gamma: np.ndarray) -> np.ndarray:
+    """Density crossing at config for each gamma (all > 0), bisected as one array.
 
-
-def _solve_crossing(W: int, gamma: np.ndarray, dof_convention: str) -> np.ndarray:
-    """Density crossing for each gamma (all > 0), bisected as one array.
-
-    Every element follows the scalar algorithm: the same starting bracket,
+    Every element follows the same algorithm: the same starting bracket,
     the same expansion and bisection caps, the same stopping rule; only
     elements still in play are evaluated.
     """
-    lam = W * gamma
+    W = config.W
 
     def h0_wins(x, idx):
-        return _log_f0(x, W, dof_convention) - _log_f1(x, W, lam[idx], dof_convention) > 0
+        return log_pdf_h0(x, config) - log_pdf_h1(x, config, gamma[idx]) > 0
 
-    # f0 dominates below the crossing, f1 above; expand each end until the
-    # sign change is bracketed
-    lo = np.full(gamma.shape, max(_h0_mode(W, dof_convention), 1e-8))
+    # f0 dominates below the crossing, f1 above; expand each end, starting
+    # from the H0 mode and the H1 mean, until the sign change is bracketed
+    s, d = dof_scaling(config)
+    lo = np.full(gamma.shape, max(max(d - 2.0, 0.0) / s, 1e-8))
     hi = W * (1.0 + gamma)
     idx = np.arange(gamma.size)
     for _ in range(200):
@@ -213,51 +179,44 @@ def _solve_crossing(W: int, gamma: np.ndarray, dof_convention: str) -> np.ndarra
     return 0.5 * (lo + hi)
 
 
-@lru_cache(maxsize=_SCALAR_CACHE_SIZE)
-def _threshold_exact_cached(W: int, gamma: float, dof_convention: str) -> float:
-    return float(_solve_crossing(W, np.array([gamma]), dof_convention)[0])
-
-
-def threshold_exact(params: DetectorParams) -> float:
+def threshold_exact(config: SystemConfig, gamma: float) -> float:
     """ML threshold as the true crossing of the H0/H1 densities (bisection)."""
-    if params.gamma <= 0:
-        raise ValueError(f"threshold requires gamma > 0, got {params.gamma}")
-    return _threshold_exact_cached(params.W, params.gamma, params.dof_convention)
+    if not gamma > 0:
+        raise ValueError(f"threshold requires gamma > 0, got {gamma}")
+    return float(_solve_crossing(config, np.array([gamma], dtype=np.float64))[0])
 
 
 def threshold_for(config: SystemConfig, gamma):
     """Threshold at config.W per the configured mode; gamma == 0 gives W.
 
-    gamma is a scalar (one threshold, a float) or an array of per-trial
-    SNRs (one threshold each, solved together). With gamma == 0 the two
-    hypotheses coincide and any positive threshold yields chance-level
+    gamma is an array of per-trial SNRs (one threshold each, solved
+    together) or a scalar (one threshold, a float: the one-element case,
+    served from a small LRU keyed on (config, gamma)). With gamma == 0 the
+    two hypotheses coincide and any positive threshold yields chance-level
     decisions; the H0 mean keeps the detector runnable.
     """
-    W = config.W
     if np.ndim(gamma) == 0:
-        if gamma == 0:
-            return float(W)
-        if config.threshold_mode == "closed-form":
-            return threshold_paper(W, gamma)
-        return threshold_exact(
-            DetectorParams(W=W, gamma=gamma, dof_convention=config.dof_convention)
-        )
+        return _scalar_threshold(config, float(gamma))
     gamma = np.asarray(gamma, dtype=np.float64)
     if np.any(gamma < 0):
         raise ValueError(f"gamma must be >= 0, got {np.min(gamma)}")
-    out = np.full(gamma.shape, float(W))
+    out = np.full(gamma.shape, float(config.W))
     pos = gamma > 0
     if np.any(pos):
         if config.threshold_mode == "closed-form":
-            out[pos] = threshold_paper(W, gamma[pos])
+            out[pos] = threshold_paper(config.W, gamma[pos])
         else:
-            out[pos] = _solve_crossing(W, gamma[pos], config.dof_convention)
+            out[pos] = _solve_crossing(config, gamma[pos])
     return out
 
 
-def decide(statistic, threshold: float) -> int:
+@lru_cache(maxsize=_SCALAR_CACHE_SIZE)
+def _scalar_threshold(config: SystemConfig, gamma: float) -> float:
+    return float(threshold_for(config, np.array([gamma]))[0])
+
+
+def decide(statistic: float, threshold: float) -> int:
     """Threshold comparison; exact ties resolve to 1."""
     if not threshold > 0:
         raise ValueError(f"threshold must be > 0, got {threshold}")
-    g = statistic.gamma_t if isinstance(statistic, DetectionStatistic) else float(statistic)
-    return 1 if g >= threshold else 0
+    return 1 if statistic >= threshold else 0

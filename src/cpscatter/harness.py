@@ -51,7 +51,6 @@ from . import analysis
 # perfbench/spans.py traces them through this namespace, so the names stay
 # importable
 from .detector import (
-    DetectorParams,
     detection_gamma,
     detection_snr,
     threshold_exact,
@@ -176,9 +175,9 @@ def run_trial(config: SystemConfig, rng):
     cfg = replace(config, Ps=ps)
     bit = int(gen.integers(0, 2))
     frame = simulate_frame(cfg, channels, bit, gen)
-    block = process(frame.y, cfg)
-    stat = test_statistic(block.z_tilde, cfg.W, noise_power(cfg))
-    return bit, decide(stat, threshold_for(cfg, gamma))
+    stat = test_statistic(process(frame.y, cfg), cfg.W, noise_power(cfg))
+    # the point config, not the per-frame copy, so the threshold LRU hits
+    return bit, decide(stat, threshold_for(config, gamma))
 
 
 def _run_chunk(point: SystemConfig, threshold: float | None, point_index: int,
@@ -270,7 +269,7 @@ def collect_statistics(point: SystemConfig, trials: int,
 
 
 def _point_setup(point: SystemConfig):
-    """(reported snr_db, DetectorParams, threshold) of one sweep point.
+    """(reported snr_db, detection SNR gamma, threshold) of one sweep point.
 
     The SNR is the operating point's at the mean tap energies: the pinned
     SNR in direct-gamma mode, the ensemble SNR in from-Ps mode.
@@ -280,8 +279,7 @@ def _point_setup(point: SystemConfig):
         snr_db = point.gamma_db
     else:
         snr_db = 10.0 * math.log10(gamma) if gamma > 0 else -math.inf
-    params = DetectorParams(W=point.W, gamma=gamma, dof_convention=point.dof_convention)
-    return snr_db, params, threshold_for(point, gamma)
+    return snr_db, gamma, threshold_for(point, gamma)
 
 
 def run_experiment(spec: ExperimentSpec) -> list[BerResult]:
@@ -291,7 +289,7 @@ def run_experiment(spec: ExperimentSpec) -> list[BerResult]:
     results = []
     try:
         for point_index, point in enumerate(spec.points()):
-            snr_db, params, threshold = _point_setup(point)
+            snr_db, gamma, threshold = _point_setup(point)
             # a from-Ps genie point's SNR follows each trial's taps, and so
             # does its threshold: the kernel solves those per chunk
             per_trial = point.snr_mode == "from-Ps" and point.gamma_knowledge == "genie"
@@ -304,8 +302,8 @@ def run_experiment(spec: ExperimentSpec) -> list[BerResult]:
             errors = sum(t.result() for t in tasks) if pool else sum(tasks)
             wall_ms = int(round(1000 * (time.perf_counter() - t0)))
 
-            _, _, pe_exact = analysis.ber_exact(params, threshold)
-            pe_approx = analysis.ber_approx(params.W, params.gamma, threshold)
+            _, _, pe_exact = analysis.ber_exact(point, gamma, threshold)
+            pe_approx = analysis.ber_approx(point, gamma, threshold)
 
             ber = errors / spec.trials_per_point
             ci = 1.96 * math.sqrt(max(ber * (1.0 - ber), 0.0) / spec.trials_per_point)
@@ -377,15 +375,16 @@ def parse_csv(path) -> list[BerResult]:
 def run_pdf_curves(spec: ExperimentSpec, n_points: int = 800) -> np.ndarray:
     """Density table for the first sweep point (pdf_curves emit mode).
 
-    The point is spec.points()[0], set up as for its BER row: the first
+    The point is spec.points()[0] at the SNR of its BER row: the first
     listed SNR and W in direct-gamma mode, the ensemble SNR at the first W
     in from-Ps mode.
     """
-    _, params, _ = _point_setup(spec.points()[0])
-    w, gamma = params.W, params.gamma
+    point = spec.points()[0]
+    _, gamma = _operating_point(point, point.M + 1, point.K + 1)
+    w = point.W
     hi = w * (1.0 + gamma) + 8.0 * math.sqrt(2.0 * w * (1.0 + 2.0 * gamma))
     grid = np.linspace(hi / n_points, hi, n_points)
-    return analysis.pdf_curves(params, grid)
+    return analysis.pdf_curves(point, gamma, grid)
 
 
 def write_pdf_csv(table: np.ndarray, path) -> None:

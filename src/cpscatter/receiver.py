@@ -11,8 +11,10 @@ with w_e ~ CN(0, 2*Nw) and T = C-Q-1. Because the gated tag signal only
 occupies R+1 = T-K+1 samples, folding the last K entries of z onto its head
 turns the linear convolution with f into a circular one of length R+1, which
 an (R+1)-point DFT diagonalizes: z_tilde = eta * f_tilde * b * x_tilde +
-w_tilde, bin by bin. The test statistic averages W bins of |z_tilde|^2
-normalized by the per-bin noise power P_w = 2*(T+1)*Nw.
+w_tilde, bin by bin. process returns that z_tilde. The test statistic, a
+float, sums |z_tilde|^2 over the first W bins normalized by the per-bin
+noise power P_w = 2*(T+1)*Nw; decompose_statistic (simulation side only)
+splits it into noise, signal and cross terms.
 """
 
 from __future__ import annotations
@@ -22,30 +24,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import dft
-from .phy import ChannelSet, Frame, SystemConfig
-
-
-@dataclass(eq=False)
-class CancelledBlock:
-    """Post-cancellation vectors: raw z, folded z, and its DFT."""
-
-    z: np.ndarray
-    z_folded: np.ndarray
-    z_tilde: np.ndarray
+from .phy import Frame, SystemConfig
 
 
 @dataclass
 class DetectionStatistic:
-    """Test statistic plus (optionally) its genie-side decomposition.
+    """Genie decomposition of the test statistic (decompose_statistic).
 
     Mt is the pure-noise part, Jt the pure-signal part, Vt the cross term;
-    when filled, gamma_t == Mt for bit 0 and Mt + Jt + Vt for bit 1.
+    gamma_t == Mt for bit 0 and Mt + Jt + Vt for bit 1.
     """
 
     gamma_t: float
-    Mt: float | None = None
-    Jt: float | None = None
-    Vt: float | None = None
+    Mt: float
+    Jt: float
+    Vt: float
 
 
 def noise_power(config: SystemConfig) -> float:
@@ -83,29 +76,22 @@ def fold(z: np.ndarray, config: SystemConfig) -> np.ndarray:
     return out
 
 
-def process(y: np.ndarray, config: SystemConfig) -> CancelledBlock:
-    """Full receiver front end: windows -> cancel -> fold -> DFT."""
+def process(y: np.ndarray, config: SystemConfig) -> np.ndarray:
+    """Full receiver front end: windows -> cancel -> fold -> DFT; returns z_tilde."""
     y1, y2 = extract_windows(y, config)
-    z = cancel(y1, y2)
-    zf = fold(z, config)
-    return CancelledBlock(z=z, z_folded=zf, z_tilde=dft(zf))
+    return dft(fold(cancel(y1, y2), config))
 
 
-def test_statistic(z_tilde: np.ndarray, W: int, Pw: float,
-                   offset: int = 0) -> DetectionStatistic:
-    """Energy statistic over W DFT bins starting at offset, normalized by Pw."""
+def test_statistic(z_tilde: np.ndarray, W: int, Pw: float) -> float:
+    """Energy statistic over the first W DFT bins, normalized by Pw."""
     if Pw <= 0:
         raise ValueError(f"Pw must be > 0, got {Pw}")
-    if offset < 0 or offset + W > len(z_tilde):
-        raise ValueError(
-            f"window [{offset}, {offset + W}) out of range for {len(z_tilde)} bins"
-        )
-    g = float(np.sum(np.abs(z_tilde[offset : offset + W]) ** 2)) / Pw
-    return DetectionStatistic(gamma_t=g)
+    if W > len(z_tilde):
+        raise ValueError(f"W={W} bins out of range for {len(z_tilde)} bins")
+    return float(np.sum(np.abs(z_tilde[:W]) ** 2)) / Pw
 
 
-def decompose_statistic(frame: Frame, channels: ChannelSet, config: SystemConfig,
-                        offset: int = 0) -> DetectionStatistic:
+def decompose_statistic(frame: Frame, config: SystemConfig) -> DetectionStatistic:
     """Genie decomposition of the statistic into noise/signal/cross parts.
 
     Needs the frame's recorded noise realization; simulation-side only.
@@ -115,16 +101,11 @@ def decompose_statistic(frame: Frame, channels: ChannelSet, config: SystemConfig
     pw = noise_power(config)
     w = config.W
 
-    full = process(frame.y, config)
-    n1, n2 = extract_windows(frame.noise, config)
-    noise_tilde = dft(fold(cancel(n1, n2), config))
-    signal_tilde = full.z_tilde - noise_tilde
+    z_tilde = process(frame.y, config)
+    noise_tilde = process(frame.noise, config)
+    signal_tilde = z_tilde - noise_tilde
 
-    sl = slice(offset, offset + w)
-    if offset < 0 or offset + w > len(full.z_tilde):
-        raise ValueError("statistic window out of range")
-    mt = float(np.sum(np.abs(noise_tilde[sl]) ** 2)) / pw
-    jt = float(np.sum(np.abs(signal_tilde[sl]) ** 2)) / pw
-    vt = float(np.sum(2.0 * np.real(signal_tilde[sl] * np.conj(noise_tilde[sl])))) / pw
-    gamma_t = float(np.sum(np.abs(full.z_tilde[sl]) ** 2)) / pw
-    return DetectionStatistic(gamma_t=gamma_t, Mt=mt, Jt=jt, Vt=vt)
+    vt = float(np.sum(2.0 * np.real(signal_tilde[:w] * np.conj(noise_tilde[:w])))) / pw
+    return DetectionStatistic(gamma_t=test_statistic(z_tilde, w, pw),
+                              Mt=test_statistic(noise_tilde, w, pw),
+                              Jt=test_statistic(signal_tilde, w, pw), Vt=vt)

@@ -13,7 +13,7 @@ import pytest
 from scipy import stats
 
 from cpscatter.analysis import ber_exact
-from cpscatter.detector import DetectorParams, threshold_exact
+from cpscatter.detector import threshold_exact
 from cpscatter.harness import ExperimentSpec, collect_statistics, emit_csv, run_experiment
 from cpscatter.numerics import RngStream, bessel_i, complex_gaussian, dft, gamma_fn, gaussian_q, sin_power_integral
 from cpscatter.phy import SystemConfig, draw_channels, legacy_demodulate, observe_components, simulate_frame, tag_gate
@@ -100,7 +100,7 @@ def test_criterion_4_noise_calibration(report):
     while count < 100_000:
         ch = draw_channels(cfg, gen)
         fr = simulate_frame(cfg, ch, 0, gen)
-        zt = process(fr.y, cfg).z_tilde
+        zt = process(fr.y, cfg)
         acc += float(np.sum(np.abs(zt) ** 2))
         count += len(zt)
     mean = acc / count
@@ -219,11 +219,11 @@ def test_criterion_10_ml_optimality_probe(report):
     for w in (3, 12):
         for snr_db in (13.0, 16.0):
             gamma = 10 ** (snr_db / 10)
-            p = DetectorParams(W=w, gamma=gamma, dof_convention="complex")
-            th = threshold_exact(p)
-            _, _, pe = ber_exact(p, th)
+            p = SystemConfig(W=w, dof_convention="complex")
+            th = threshold_exact(p, gamma)
+            _, _, pe = ber_exact(p, gamma, th)
             for c in (0.5, 0.8, 1.2, 2.0):
-                _, _, pe_c = ber_exact(p, c * th)
+                _, _, pe_c = ber_exact(p, gamma, c * th)
                 if pe > pe_c * (1 + 1e-9):
                     ok = False
                     worst = f"W={w} snr={snr_db} c={c}: {pe:.3e} > {pe_c:.3e}"

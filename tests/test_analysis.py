@@ -7,22 +7,27 @@ import numpy as np
 import pytest
 
 from cpscatter.analysis import ber_approx, ber_exact, pdf_curves
-from cpscatter.detector import DetectorParams, threshold_exact
+from cpscatter.detector import threshold_exact
+from cpscatter.phy import SystemConfig
 
 mpmath.mp.dps = 40
 
 
 # --- Gaussian approximation -----------------------------------------------------
 
+def paper(w):
+    return SystemConfig(W=w, dof_convention="paper")
+
+
 def test_ber_approx_zero_gamma_at_mean_threshold():
     # both Q arguments vanish: 1/2*Q(0) + 1/2*Q(0) = 0.5, first term 0.25
-    assert ber_approx(8, 0.0, 8.0) == pytest.approx(0.5, abs=1e-12)
+    assert ber_approx(paper(8), 0.0, 8.0) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_ber_approx_large_gamma_limit():
     w, th = 6, 9.0
     first = 0.5 * 0.5 * math.erfc((th - w) / math.sqrt(2 * w) / math.sqrt(2))
-    assert ber_approx(w, 1e9, th) == pytest.approx(first, rel=1e-9, abs=0)
+    assert ber_approx(paper(w), 1e9, th) == pytest.approx(first, rel=1e-9, abs=0)
 
 
 def test_ber_approx_reference_arithmetic():
@@ -33,58 +38,69 @@ def test_ber_approx_reference_arithmetic():
         0.5 * q((th - w) / mpmath.sqrt(2 * w))
         + 0.5 * q((w * (1 + gamma) - th) / mpmath.sqrt(2 * w * (1 + 2 * gamma)))
     )
-    assert ber_approx(w, gamma, th) == pytest.approx(want, rel=1e-12, abs=0)
+    assert ber_approx(paper(w), gamma, th) == pytest.approx(want, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("w,gamma,th", [(3, 10 ** 0.6, 6.9), (12, 10 ** 1.6, 144.6)],
+                         ids=["W3-6dB", "W12-16dB"])
+def test_ber_approx_complex_convention_variances(w, gamma, th):
+    # the complex convention's modeled statistic has variances W (H0) and
+    # W(1+2 gamma) (H1), half the paper convention's
+    q = lambda x: 0.5 * mpmath.erfc(x / mpmath.sqrt(2))
+    want = float(
+        0.5 * q((th - w) / mpmath.sqrt(w))
+        + 0.5 * q((w * (1 + gamma) - th) / mpmath.sqrt(w * (1 + 2 * gamma)))
+    )
+    got = ber_approx(SystemConfig(W=w, dof_convention="complex"), gamma, th)
+    assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_ber_approx_domain():
     with pytest.raises(ValueError):
-        ber_approx(0, 1.0, 1.0)
+        ber_approx(paper(3), -1.0, 1.0)
     with pytest.raises(ValueError):
-        ber_approx(3, -1.0, 1.0)
-    with pytest.raises(ValueError):
-        ber_approx(3, 1.0, 0.0)
+        ber_approx(paper(3), 1.0, 0.0)
 
 
 # --- exact BER from the chi-square tails ------------------------------------------
 
 @pytest.mark.parametrize("conv", ["paper", "complex"])
 def test_ber_exact_threshold_limits(conv):
-    p = DetectorParams(W=4, gamma=5.0, dof_convention=conv)
-    p0, p1, pe = ber_exact(p, 1e-9)
+    p, gamma = SystemConfig(W=4, dof_convention=conv), 5.0
+    p0, p1, pe = ber_exact(p, gamma, 1e-9)
     assert p0 == pytest.approx(1.0, abs=1e-6)
     assert p1 == pytest.approx(0.0, abs=1e-9)
     assert pe == pytest.approx(0.5, abs=1e-6)
-    p0, p1, pe = ber_exact(p, 1e4)
+    p0, p1, pe = ber_exact(p, gamma, 1e4)
     assert p0 == pytest.approx(0.0, abs=1e-9)
     assert p1 == pytest.approx(1.0, abs=1e-6)
     assert pe == pytest.approx(0.5, abs=1e-6)
 
 
 def test_ber_exact_local_optimality():
-    p = DetectorParams(W=3, gamma=10 ** 1.3, dof_convention="paper")
-    th = threshold_exact(p)
-    _, _, pe = ber_exact(p, th)
+    p, gamma = paper(3), 10 ** 1.3
+    th = threshold_exact(p, gamma)
+    _, _, pe = ber_exact(p, gamma, th)
     for c in (0.8, 1.2):
-        _, _, pe_c = ber_exact(p, c * th)
+        _, _, pe_c = ber_exact(p, gamma, c * th)
         assert pe <= pe_c
 
 
 @pytest.mark.parametrize("w,gamma", [(3, 10 ** 1.3), (12, 10 ** 1.6)])
 def test_ml_threshold_minimizes_over_wide_perturbations(w, gamma):
-    p = DetectorParams(W=w, gamma=gamma, dof_convention="complex")
-    th = threshold_exact(p)
-    _, _, pe = ber_exact(p, th)
+    p = SystemConfig(W=w, dof_convention="complex")
+    th = threshold_exact(p, gamma)
+    _, _, pe = ber_exact(p, gamma, th)
     for c in np.linspace(0.5, 2.0, 21):
-        _, _, pe_c = ber_exact(p, float(c) * th)
+        _, _, pe_c = ber_exact(p, gamma, float(c) * th)
         assert pe <= pe_c * (1 + 1e-9)
 
 
 def test_p0_p1_monotone_in_threshold():
-    p = DetectorParams(W=6, gamma=4.0, dof_convention="paper")
     ths = np.linspace(2.0, 40.0, 12)
     p0s, p1s = [], []
     for th in ths:
-        p0, p1, _ = ber_exact(p, float(th))
+        p0, p1, _ = ber_exact(paper(6), 4.0, float(th))
         p0s.append(p0)
         p1s.append(p1)
     assert all(a >= b for a, b in zip(p0s, p0s[1:]))
@@ -112,11 +128,11 @@ def _mp_tails(d, x, nc):
 @pytest.mark.parametrize("snr_db", [6, 9, 13, 16])
 def test_ber_exact_vs_mpmath_at_sweep_points(conv, w, snr_db):
     gamma = 10 ** (snr_db / 10)
-    p = DetectorParams(W=w, gamma=gamma, dof_convention=conv)
-    th = threshold_exact(p)
+    p = SystemConfig(W=w, dof_convention=conv)
+    th = threshold_exact(p, gamma)
     s = 1 if conv == "paper" else 2
     want0, want1 = _mp_tails(s * w, s * th, s * w * gamma)
-    p0, p1, pe = ber_exact(p, th)
+    p0, p1, pe = ber_exact(p, gamma, th)
     assert p0 == pytest.approx(want0, rel=1e-12, abs=0)
     assert p1 == pytest.approx(want1, rel=1e-12, abs=0)
     assert pe == pytest.approx(0.5 * (want0 + want1), rel=1e-12, abs=0)
@@ -129,11 +145,11 @@ def test_ber_exact_where_chndtr_underflows(conv, snr_db):
     # at W=246 chndtr returns 0 for these p1 (1e-152 .. 1e-284); the
     # Poisson-mixture fallback must still give the true miss probability
     gamma = 10 ** (snr_db / 10)
-    p = DetectorParams(W=246, gamma=gamma, dof_convention=conv)
-    th = threshold_exact(p)
+    p = SystemConfig(W=246, dof_convention=conv)
+    th = threshold_exact(p, gamma)
     s = 1 if conv == "paper" else 2
     want0, want1 = _mp_tails(s * 246, s * th, s * 246 * gamma)
-    p0, p1, pe = ber_exact(p, th)
+    p0, p1, pe = ber_exact(p, gamma, th)
     assert 0.0 < want1 < 1e-142
     # abs=0: pytest.approx's default 1e-12 absolute slack would pass p1 = 0
     assert p0 == pytest.approx(want0, rel=1e-10, abs=0)
@@ -142,9 +158,9 @@ def test_ber_exact_where_chndtr_underflows(conv, snr_db):
 
 
 def test_ber_identity_half_sum():
-    p = DetectorParams(W=5, gamma=6.0, dof_convention="complex")
-    th = threshold_exact(p)
-    p0, p1, pe = ber_exact(p, th)
+    p = SystemConfig(W=5, dof_convention="complex")
+    th = threshold_exact(p, 6.0)
+    p0, p1, pe = ber_exact(p, 6.0, th)
     assert pe == pytest.approx(0.5 * (p0 + p1), rel=1e-12, abs=0)
 
 
@@ -156,19 +172,17 @@ def test_ber_identity_half_sum():
 )
 def test_approx_within_factor_two_of_exact():
     for gamma in (10.0, 20.0, 50.0):
-        p = DetectorParams(W=12, gamma=gamma, dof_convention="paper")
-        th = threshold_exact(p)
-        _, _, pe = ber_exact(p, th)
-        ap = ber_approx(12, gamma, th)
+        th = threshold_exact(paper(12), gamma)
+        _, _, pe = ber_exact(paper(12), gamma, th)
+        ap = ber_approx(paper(12), gamma, th)
         assert 0.5 <= ap / pe <= 2.0
 
 
 # --- density tables -----------------------------------------------------------------
 
 def test_pdf_curves_mode_and_positivity():
-    p = DetectorParams(W=6, gamma=3.0, dof_convention="paper")
     grid = np.linspace(0.05, 60, 1200)
-    table = pdf_curves(p, grid)
+    table = pdf_curves(paper(6), 3.0, grid)
     assert table.shape == (1200, 3)
     assert np.all(table[:, 1:] >= 0)
     peak_x = table[np.argmax(table[:, 1]), 0]
@@ -176,19 +190,18 @@ def test_pdf_curves_mode_and_positivity():
 
 
 def test_pdf_curves_h1_mean():
-    p = DetectorParams(W=4, gamma=5.0, dof_convention="paper")
     hi = 4 * (1 + 5.0) + 10 * math.sqrt(2 * 4 * 11)
     grid = np.linspace(hi / 4000, hi, 4000)
-    table = pdf_curves(p, grid)
+    table = pdf_curves(paper(4), 5.0, grid)
     mean = np.trapezoid(table[:, 0] * table[:, 2], table[:, 0])
     assert mean == pytest.approx(4 + 20.0, rel=0.01)
 
 
 def test_pdf_curves_crossing_matches_exact_threshold():
-    p = DetectorParams(W=6, gamma=8.0, dof_convention="complex")
-    th = threshold_exact(p)
+    p = SystemConfig(W=6, dof_convention="complex")
+    th = threshold_exact(p, 8.0)
     grid = np.linspace(0.1, 80, 8000)
-    table = pdf_curves(p, grid)
+    table = pdf_curves(p, 8.0, grid)
     diff = table[:, 1] - table[:, 2]
     sign_change = np.nonzero(np.diff(np.sign(diff)))[0]
     crossings = table[sign_change, 0]
@@ -196,9 +209,8 @@ def test_pdf_curves_crossing_matches_exact_threshold():
 
 
 def test_pdf_curves_rejects_bad_grid():
-    p = DetectorParams(W=4, gamma=1.0)
     with pytest.raises(ValueError):
-        pdf_curves(p, np.array([0.0, 1.0]))
+        pdf_curves(paper(4), 1.0, np.array([0.0, 1.0]))
     with pytest.raises(ValueError):
-        pdf_curves(p, np.array([2.0, 1.0]))
+        pdf_curves(paper(4), 1.0, np.array([2.0, 1.0]))
 

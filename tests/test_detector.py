@@ -8,8 +8,8 @@ import pytest
 from scipy import stats
 from scipy.integrate import quad
 
+from cpscatter.analysis import ber_approx, ber_exact, pdf_curves
 from cpscatter.detector import (
-    DetectorParams,
     decide,
     detection_snr,
     log_pdf_h0,
@@ -23,7 +23,7 @@ from cpscatter.detector import (
 from cpscatter.harness import collect_statistics
 from cpscatter.numerics import RngStream
 from cpscatter.phy import ChannelSet, SystemConfig
-from cpscatter.receiver import DetectionStatistic, noise_power
+from cpscatter.receiver import noise_power
 
 mpmath.mp.dps = 40
 
@@ -63,46 +63,49 @@ def test_detection_snr_zero_noise_error():
         detection_snr(unit_channelset(), SystemConfig(Nw=0.0))
 
 
-# --- params and densities -------------------------------------------------------
+# --- operating point and densities ---------------------------------------------
 
-def test_params_validation():
-    with pytest.raises(ValueError):
-        DetectorParams(W=0, gamma=1.0)
-    with pytest.raises(ValueError):
-        DetectorParams(W=3, gamma=-1.0)
-    with pytest.raises(ValueError):
-        DetectorParams(W=3, gamma=1.0, dof_convention="bogus")
-    assert DetectorParams(W=4, gamma=2.5).lam == pytest.approx(10.0)
+def test_negative_gamma_rejected():
+    # every function of (point, gamma) refuses a negative detection SNR
+    point = SystemConfig(W=3, threshold_mode="exact-root")
+    for call in (lambda: pdf_h1(1.0, point, -1.0),
+                 lambda: threshold_exact(point, -1.0),
+                 lambda: threshold_for(point, -1.0),
+                 lambda: ber_exact(point, -1.0, 1.0),
+                 lambda: ber_approx(point, -1.0, 1.0),
+                 lambda: pdf_curves(point, -1.0, np.array([1.0, 2.0]))):
+        with pytest.raises(ValueError):
+            call()
 
 
 @pytest.mark.parametrize("conv", ["paper", "complex"])
 def test_pdfs_zero_gamma_coincide(conv):
-    p = DetectorParams(W=5, gamma=0.0, dof_convention=conv)
+    p = SystemConfig(W=5, dof_convention=conv)
     for x in np.linspace(0.2, 30, 30):
-        assert pdf_h1(float(x), p) == pytest.approx(pdf_h0(float(x), p), abs=1e-6)
+        assert pdf_h1(float(x), p, 0.0) == pytest.approx(pdf_h0(float(x), p), abs=1e-6)
 
 
 @pytest.mark.parametrize("conv", ["paper", "complex"])
 def test_pdfs_vanish_left_of_origin(conv):
-    p = DetectorParams(W=5, gamma=2.0, dof_convention=conv)
+    p = SystemConfig(W=5, dof_convention=conv)
     for x in (-3.0, 0.0):
         assert pdf_h0(x, p) == 0.0
-        assert pdf_h1(x, p) == 0.0
+        assert pdf_h1(x, p, 2.0) == 0.0
 
 
 @pytest.mark.parametrize("conv", ["paper", "complex"])
 def test_pdfs_normalize(conv):
-    p = DetectorParams(W=4, gamma=3.0, dof_convention=conv)
-    for f in (pdf_h0, pdf_h1):
-        total, _ = quad(lambda x: f(x, p), 0, np.inf, epsabs=1e-12, limit=200)
+    p = SystemConfig(W=4, dof_convention=conv)
+    for f in (lambda x: pdf_h0(x, p), lambda x: pdf_h1(x, p, 3.0)):
+        total, _ = quad(f, 0, np.inf, epsabs=1e-12, limit=200)
         assert total == pytest.approx(1.0, abs=1e-6)
 
 
 def test_complex_convention_matches_scipy_scaling():
-    p = DetectorParams(W=6, gamma=4.0, dof_convention="complex")
+    p = SystemConfig(W=6, dof_convention="complex")
     for x in (1.0, 6.0, 20.0, 45.0):
         assert pdf_h0(x, p) == pytest.approx(2 * stats.chi2.pdf(2 * x, 12), rel=1e-9, abs=0)
-        assert pdf_h1(x, p) == pytest.approx(
+        assert pdf_h1(x, p, 4.0) == pytest.approx(
             2 * stats.ncx2.pdf(2 * x, 12, 48.0), rel=1e-8, abs=0
         )
 
@@ -162,21 +165,21 @@ def test_threshold_paper_depends_only_on_w_gamma():
 @pytest.mark.parametrize("w,gamma", [(2, 1.0), (3, 19.953), (4, 0.01),
                                      (12, 39.81), (12, 0.5)])
 def test_threshold_exact_root_contract(conv, w, gamma):
-    p = DetectorParams(W=w, gamma=gamma, dof_convention=conv)
-    th = threshold_exact(p)
+    p = SystemConfig(W=w, dof_convention=conv)
+    th = threshold_exact(p, gamma)
     assert th > 0
-    f0, f1 = pdf_h0(th, p), pdf_h1(th, p)
+    f0, f1 = pdf_h0(th, p), pdf_h1(th, p, gamma)
     assert abs(f0 - f1) < 1e-9 * f0
 
 
 def test_threshold_exact_sanity_bracket():
-    th = threshold_exact(DetectorParams(W=4, gamma=0.01))
+    th = threshold_exact(SystemConfig(W=4), 0.01)
     assert th > 2.0  # above half the H0 mean
 
 
 def test_threshold_exact_gamma_domain():
     with pytest.raises(ValueError):
-        threshold_exact(DetectorParams(W=4, gamma=0.0))
+        threshold_exact(SystemConfig(W=4), 0.0)
 
 
 def test_threshold_exact_vs_paper_reported():
@@ -186,7 +189,7 @@ def test_threshold_exact_vs_paper_reported():
     for w in (3, 12):
         for snr_db in (13.0, 16.0):
             gamma = 10 ** (snr_db / 10)
-            exact = threshold_exact(DetectorParams(W=w, gamma=gamma))
+            exact = threshold_exact(SystemConfig(W=w), gamma)
             closed = threshold_paper(w, gamma)
             assert math.isfinite(exact) and exact > 0
             assert math.isfinite(closed) and closed > 0
@@ -197,7 +200,7 @@ def test_threshold_exact_vs_paper_reported():
 @pytest.mark.parametrize("w", [2, 3, 12])
 def test_thresholds_finite_over_gamma_range(w):
     for gamma in (0.1, 0.5, 2.0, 10.0, 40.0, 100.0):
-        te = threshold_exact(DetectorParams(W=w, gamma=gamma))
+        te = threshold_exact(SystemConfig(W=w), gamma)
         tp = threshold_paper(w, gamma)
         assert math.isfinite(te) and te > 0
         assert math.isfinite(tp) and tp > 0
@@ -208,18 +211,21 @@ def test_threshold_for_modes():
     cfg_ex = SystemConfig(threshold_mode="exact-root", dof_convention="complex", W=3)
     assert threshold_for(cfg_cf, 2.0) == pytest.approx(threshold_paper(3, 2.0))
     assert threshold_for(cfg_ex, 2.0) == pytest.approx(
-        threshold_exact(DetectorParams(W=3, gamma=2.0, dof_convention="complex"))
+        threshold_exact(cfg_ex, 2.0)
     )
     assert threshold_for(SystemConfig(W=7), 0.0) == 7.0  # degenerate SNR fallback
+    # a scalar gamma is the one-element case of the array solve, bit for bit
+    for cfg in (cfg_cf, cfg_ex):
+        assert threshold_for(cfg, 2.0) == threshold_for(cfg, np.array([2.0]))[0]
 
 
 def _reference_bisection(W, gamma, conv, xtol=1e-10):
     # the per-threshold scalar loop the array solve replaced: same bracket,
     # caps and stopping rule, one scalar density difference per step
-    p = DetectorParams(W=W, gamma=gamma, dof_convention=conv)
+    p = SystemConfig(W=W, dof_convention=conv)
 
     def diff(x):
-        return log_pdf_h0(x, p) - log_pdf_h1(x, p)
+        return log_pdf_h0(x, p) - log_pdf_h1(x, p, gamma)
 
     lo = max(W - (2.0 if conv == "paper" else 1.0), 0.0, 1e-8)
     hi = W * (1.0 + gamma)
@@ -251,7 +257,7 @@ def test_threshold_array_solve_matches_scalar(conv, w):
     assert got.shape == gammas.shape
     assert got[0] == float(w)  # gamma == 0 maps to W elementwise
     for g, th in zip(gammas[1:], got[1:]):
-        scalar = threshold_exact(DetectorParams(W=w, gamma=float(g), dof_convention=conv))
+        scalar = threshold_exact(cfg, float(g))
         assert th == pytest.approx(scalar, abs=1e-10, rel=1e-15)
         assert th == pytest.approx(_reference_bisection(w, float(g), conv),
                                    abs=1e-10, rel=1e-15)
@@ -292,21 +298,20 @@ def test_caches_stay_bounded_over_distinct_gammas():
 def test_threshold_exact_paper_convention_w1():
     # 1 dof puts the noncentral density's Bessel order at -1/2
     for gamma in (0.36, 4.4, 17.5):
-        p = DetectorParams(W=1, gamma=gamma, dof_convention="paper")
-        th = threshold_exact(p)
+        p = SystemConfig(W=1, dof_convention="paper")
+        th = threshold_exact(p, gamma)
         assert th == pytest.approx(_reference_bisection(1, gamma, "paper"), abs=1e-10)
-        assert abs(pdf_h0(th, p) - pdf_h1(th, p)) < 1e-9 * pdf_h0(th, p)
-        assert pdf_h1(th, p) == pytest.approx(stats.ncx2.pdf(th, 1, gamma), rel=1e-10, abs=0)
+        assert abs(pdf_h0(th, p) - pdf_h1(th, p, gamma)) < 1e-9 * pdf_h0(th, p)
+        assert pdf_h1(th, p, gamma) == pytest.approx(stats.ncx2.pdf(th, 1, gamma), rel=1e-10, abs=0)
 
 
 # --- decision rule -----------------------------------------------------------------
 
 def test_decide_basic():
     th = 2.5
-    assert decide(DetectionStatistic(gamma_t=0.0), th) == 0
-    assert decide(DetectionStatistic(gamma_t=2 * th), th) == 1
-    assert decide(DetectionStatistic(gamma_t=th), th) == 1  # tie -> 1
-    assert decide(5.0, th) == 1  # bare float accepted
+    assert decide(0.0, th) == 0
+    assert decide(2 * th, th) == 1
+    assert decide(th, th) == 1  # tie -> 1
 
 
 def test_decide_scale_invariance():

@@ -32,7 +32,7 @@ from cpscatter.harness import (
     trial_stream,
     write_pdf_csv,
 )
-from cpscatter.detector import DetectorParams, threshold_exact, threshold_for
+from cpscatter.detector import threshold_exact, threshold_for
 from cpscatter.phy import SystemConfig
 
 
@@ -122,6 +122,20 @@ def test_run_trial_direct_gamma_requires_eta():
         run_trial(cfg, trial_stream(1, 0, 0))
 
 
+
+def test_run_trial_reuses_the_point_threshold():
+    # the per-frame config differs in Ps; the threshold is looked up at the
+    # point, so a direct-gamma point solves it once
+    from cpscatter import detector
+
+    cfg = SystemConfig(gamma_db=7.25, W=5, dof_convention="complex",
+                       threshold_mode="exact-root", seed=3)
+    detector._scalar_threshold.cache_clear()
+    for i in range(20):
+        run_trial(cfg, trial_stream(3, 0, i))
+    info = detector._scalar_threshold.cache_info()
+    assert (info.misses, info.hits) == (1, 19)
+
 SNR_MODES = [
     dict(snr_mode="direct-gamma"),
     dict(snr_mode="from-Ps", gamma_knowledge="genie"),
@@ -202,9 +216,9 @@ def _full_frame_statistics(bit, n=2000):
         gen = trial_stream(cfg.seed, bit, i).generator()
         ch = draw_channels(cfg, gen)
         cfg_t = replace(cfg, Ps=_operating_point(cfg, ch.sum_g2, ch.sum_f2)[0])
-        zt = process(simulate_frame(cfg_t, ch, bit, gen).y, cfg_t).z_tilde
+        zt = process(simulate_frame(cfg_t, ch, bit, gen).y, cfg_t)
         for w in _LAW_WS:
-            out[w][i] = test_statistic(zt, w, noise_power(cfg_t)).gamma_t
+            out[w][i] = test_statistic(zt, w, noise_power(cfg_t))
     return out
 
 
@@ -249,10 +263,7 @@ def test_from_ps_chunk_matches_scalar_threshold_loop(monkeypatch):
     errors = _run_chunk(cfg, None, 0, 0, 1024)
     (gammas,) = seen
     bits, stats = collect_statistics(cfg, 1024)
-    ref = np.array([
-        threshold_exact(DetectorParams(W=12, gamma=float(g), dof_convention="complex"))
-        for g in gammas
-    ])
+    ref = np.array([threshold_exact(cfg, float(g)) for g in gammas])
     assert errors == int(np.sum((stats >= ref) != bits))
     assert 0 < errors < 1024
 
@@ -341,6 +352,24 @@ def test_from_ps_mode_reports_ensemble_snr():
     for r in res:
         assert r.snr_db == pytest.approx(10 * math.log10(want_gamma), rel=1e-9)
 
+
+
+@pytest.mark.parametrize("kw", [
+    dict(dof_convention="paper", threshold_mode="closed-form"),
+    dict(dof_convention="complex", threshold_mode="exact-root"),
+])
+def test_row_theory_columns_come_from_its_point(kw):
+    from cpscatter import analysis
+
+    spec = ExperimentSpec(base=SystemConfig(seed=12, **kw), snr_db_list=(6.0, 16.0),
+                          W_list=(3, 12), trials_per_point=64, workers=1)
+    rows = {(r.snr_db, r.W): r for r in run_experiment(spec)}
+    for point in spec.points():
+        _, gamma = _operating_point(point, point.M + 1, point.K + 1)
+        row = rows[(point.gamma_db, point.W)]
+        assert row.threshold_used == threshold_for(point, gamma)
+        assert row.ber_theory_exact == analysis.ber_exact(point, gamma, row.threshold_used)[2]
+        assert row.ber_theory_approx == analysis.ber_approx(point, gamma, row.threshold_used)
 
 def test_emit_mode_ordering():
     base = SystemConfig(seed=11)
@@ -525,8 +554,8 @@ def test_run_pdf_curves_from_ps_uses_ensemble_snr():
     table = run_pdf_curves(spec, n_points=200)
     _, gamma = _operating_point(base, base.M + 1, base.K + 1)
     assert gamma == pytest.approx(44.1, rel=1e-3)  # 16.4 dB, not the listed 6 dB
-    params = DetectorParams(W=12, gamma=gamma, dof_convention="complex")
-    assert np.array_equal(table, analysis.pdf_curves(params, table[:, 0]))
+    (point,) = spec.points()
+    assert np.array_equal(table, analysis.pdf_curves(point, gamma, table[:, 0]))
     hi = 12 * (1 + gamma) + 8 * math.sqrt(2 * 12 * (1 + 2 * gamma))
     assert table[-1, 0] == pytest.approx(hi, rel=1e-12)
 

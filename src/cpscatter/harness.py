@@ -12,19 +12,24 @@ Two execution paths exist:
     channels) and pushes it through the receiver and detector.
   * the batch kernel used by run_experiment: per trial it draws only what
     the statistic depends on and forms the W DFT bins directly. With
-    d = w1 - w2 the cancelled noise (T+1 samples of CN(0, 2Nw)) and
+    w1 - w2 the cancelled noise (T+1 samples of CN(0, 2Nw)) and
     omega = exp(-2 pi j / (R+1)), the folded bins p < W are
         Z_p = eta sqrt(Ps) F_p U_p,   F_p = sum_k f_k omega^(p k),
         N_p = sqrt(2 Nw) (sqrt(R+1) a_p + sum_{i<K} b_i omega^(p i)),
     where U = DFT of the tag signal u on the gated window [Q, C-K) (a tag
     FIR over the first C-K source samples; the circular convolution with f
     is exactly what the fold produces), a are W and b are K complex
-    normals CN(0, 1). The DFT of the first R+1 noise samples is i.i.d.
-    across bins, and the fold adds the last K samples with fixed phases, so
-    N_p has the law of the full chain's noise bins: exact in law, with no
-    covariance factor. The direct source->reader path is omitted because
-    the Phase 2/4 subtraction removes it exactly (an invariant the test
-    suite checks to 1e-10).
+    normals CN(0, 1). No FIR runs: with S the DFT of the source window
+    s[Q:C-K] and G_p = sum_m g_m omega^(p m),
+        U_p = G_p S_p + sum_{j<M} c_j omega^(p j),
+        c_j = sum_{m-i=j, 1<=i<=m<=M} g_m d_i,   d_i = s[Q-i] - s[C-K-i],
+    as the FIR reads the M samples before the window, not its circular tail.
+    The DFT of the first R+1 noise samples is i.i.d. across bins, and the
+    fold adds the last K samples with fixed phases, so N_p has the law of
+    the full chain's noise bins: exact in law, with no covariance factor.
+    The direct source->reader path is omitted because the Phase 2/4
+    subtraction removes it exactly (an invariant the test suite checks to
+    1e-10).
 
 A sweep point is one SystemConfig: the base config at the point's W and,
 in direct-gamma mode, its gamma_db (ExperimentSpec.points). Both paths
@@ -195,28 +200,24 @@ def _run_chunk(point: SystemConfig, threshold: float | None, point_index: int,
     a (W), then one normal for the bit. Only a and the bit sit at offsets
     that depend on W, and the bins of a smaller W are a prefix of those of
     a larger one; the bit comes last so one complex view covers every block.
+    The tag bins are G S + M edge terms (module docstring): no tag FIR runs.
     """
-    W, m1, k1, k, q = point.W, point.M + 1, point.K + 1, point.K, point.Q
-    nb = point.R + 1  # folded block length, = the gated window length
+    W, m, k, q = point.W, point.M, point.K, point.Q
+    m1, k1, nb = m + 1, k + 1, point.R + 1  # nb: the gated window length
     n_src = point.C - k  # source samples the gated window reads
     dim = 2 * (m1 + k1 + n_src + k + W) + 1
 
     v = np.empty((count, dim))
     seed = point.seed % _U64
     base = point_index << _TRIAL_BITS
-    # per-trial Philox streams keyed (seed, point<<40 | trial); rekeying via
-    # the state dict is bit-identical to constructing Philox(key=...) fresh
-    # and roughly twice as fast
+    # per-trial Philox streams keyed (seed, point<<40 | trial): st is a fresh
+    # Philox's state (counter 0, buffer empty), so setting its second key word
+    # and assigning it back is bit-identical to constructing Philox(key=...)
     bitgen = np.random.Philox(key=[seed, 0])
     gen = np.random.Generator(bitgen)
+    st = bitgen.state
     for j in range(count):
-        st = bitgen.state
-        st["state"]["counter"][:] = 0
-        st["state"]["key"][0] = seed
         st["state"]["key"][1] = base | (start + j)
-        st["buffer_pos"] = 4
-        st["has_uint32"] = 0
-        st["uinteger"] = 0
         bitgen.state = st
         gen.standard_normal(out=v[j])
 
@@ -228,14 +229,18 @@ def _run_chunk(point: SystemConfig, threshold: float | None, point_index: int,
     sum_f2 = 0.5 * np.sum(v[:, 2 * m1 : 2 * (m1 + k1)] ** 2, axis=1)
     ps, gamma = _operating_point(point, sum_g2, sum_f2)
 
-    # tag signal on the gated window only (Q >= M keeps indices in range)
-    u = g[:, :1] * s[:, q : q + nb]
-    for m in range(1, m1):
-        u += g[:, m : m + 1] * s[:, q - m : q - m + nb]
-    u_bins = np.fft.fft(u, axis=1)[:, :W]
-    # omega^(p i) for bins p < W and tap / fold offsets i <= K
-    phase = np.exp(-2j * np.pi / nb * np.outer(np.arange(W), np.arange(k1)))
-    f_bins = np.sum(f[:, None, :] * phase, axis=2)
+    # omega^(p i) for bins p < W and tap / fold / edge offsets i <= max(M, K)
+    phase = np.exp(-2j * np.pi / nb * np.outer(np.arange(W), np.arange(max(m1, k1))))
+    # tag FIR bins U_p = G_p S_p + edge terms (module docstring), with
+    # d_i = s[Q-i] - s[Q+nb-i] for i = 1..M (Q >= M keeps them in range)
+    u_bins = (np.sum(g[:, None, :] * phase[:, :m1], axis=2)
+              * np.fft.fft(s[:, q : q + nb], axis=1)[:, :W])
+    d = (s[:, q - m : q] - s[:, n_src - m : n_src])[:, ::-1]
+    c = np.zeros_like(d)
+    for i in range(1, m1):
+        c[:, : m1 - i] += g[:, i:] * d[:, i - 1 : i]
+    u_bins += np.sum(c[:, None, :] * phase[:, :m], axis=2)
+    f_bins = np.sum(f[:, None, :] * phase[:, :k1], axis=2)
     noise = math.sqrt(nb) * a + np.sum(b[:, None, :] * phase[:, :k], axis=2)
 
     if force_bit is None:
@@ -261,6 +266,10 @@ def _run_chunk(point: SystemConfig, threshold: float | None, point_index: int,
 def collect_statistics(point: SystemConfig, trials: int,
                        force_bit: int | None = None, point_index: int = 0):
     """Per-trial (bits, test statistics) of one point from the batch kernel."""
+    if not 1 <= trials < (1 << _TRIAL_BITS):
+        raise ValueError(f"trials must be in [1, 2^{_TRIAL_BITS}), got {trials}")
+    if force_bit not in (None, 0, 1):
+        raise ValueError(f"force_bit must be None, 0 or 1, got {force_bit!r}")
     chunks = [_run_chunk(point, None, point_index, start, min(_CHUNK, trials - start),
                          collect=True, force_bit=force_bit)
               for start in range(0, trials, _CHUNK)]

@@ -165,37 +165,56 @@ def test_kernel_reproducible_and_chunk_invariant():
 
 
 def test_kernel_streams_match_fresh_philox():
-    # the kernel rekeys one Philox through its state dict; its statistics must
-    # equal those rebuilt from Philox(key=[seed, stream]) constructed fresh
-    # per trial, read in the layout [g | f | s | b | a | bit] and pushed
-    # through a time-domain tag FIR, a linear convolution with f, the fold
-    # and an explicit W-bin DFT sum
+    # the kernel rekeys one Philox from a template state and forms the bins
+    # from the window's FFT plus M edge terms; its statistics must equal
+    # those rebuilt from Philox(key=[seed, stream]) constructed fresh per
+    # trial, read in the layout [g | f | s | b | a | bit] and pushed through
+    # a time-domain tag FIR, a linear convolution with f, the fold and an
+    # explicit W-bin DFT sum, at geometries with no, short and long edges
     from cpscatter.receiver import fold as fold_op, noise_power
 
-    cfg = SystemConfig(seed=12, eta=1.0, snr_mode="from-Ps", Nw=1.5, W=3)
-    w = cfg.W
-    _, stats = collect_statistics(cfg, 4, force_bit=1, point_index=3)
-    m1, k1, k, q, nb = cfg.M + 1, cfg.K + 1, cfg.K, cfg.Q, cfg.R + 1
-    n_src = cfg.C - k
-    sizes = [m1, k1, n_src, k, w]
-    omega = np.exp(-2j * np.pi / nb)
-    for i in range(4):
-        fresh = np.random.Generator(
-            np.random.Philox(key=[12, (3 << 40) | i])
-        ).standard_normal(2 * sum(sizes) + 1)
-        cn = (fresh[0:-1:2] + 1j * fresh[1:-1:2]) / np.sqrt(2.0)  # CN(0, 1)
-        g, f, s, b, a = np.split(cn, np.cumsum(sizes[:-1]))
-        x = np.zeros(n_src, dtype=complex)
-        for n in range(q, n_src):
-            x[n] = sum(g[mm] * s[n - mm] for mm in range(m1))
-        zf = fold_op(np.convolve(f, x[q:]), cfg)  # eta = 1, Ps = 1, bit = 1
-        want = 0.0
-        for p in range(w):
-            signal = sum(zf[n] * omega ** (p * n) for n in range(nb))
-            noise = np.sqrt(2.0 * cfg.Nw) * (
-                np.sqrt(nb) * a[p] + sum(b[j] * omega ** (p * j) for j in range(k)))
-            want += abs(signal + noise) ** 2
-        assert stats[i] == pytest.approx(want / noise_power(cfg), rel=1e-12)
+    geometries = [{}, {"M": 0}, {"L": 9, "M": 11, "K": 8},
+                  {"N": 64, "C": 32, "L": 2, "M": 7, "K": 3}]
+    for geometry in geometries:
+        for w in (1, 3, 12):
+            cfg = SystemConfig(seed=12, eta=1.0, snr_mode="from-Ps", Nw=1.5, W=w,
+                               **geometry)
+            _, stats = collect_statistics(cfg, 4, force_bit=1, point_index=3)
+            m1, k1, k, q, nb = cfg.M + 1, cfg.K + 1, cfg.K, cfg.Q, cfg.R + 1
+            n_src = cfg.C - k
+            sizes = [m1, k1, n_src, k, w]
+            omega = np.exp(-2j * np.pi / nb)
+            for i in range(4):
+                fresh = np.random.Generator(
+                    np.random.Philox(key=[12, (3 << 40) | i])
+                ).standard_normal(2 * sum(sizes) + 1)
+                cn = (fresh[0:-1:2] + 1j * fresh[1:-1:2]) / np.sqrt(2.0)  # CN(0, 1)
+                g, f, s, b, a = np.split(cn, np.cumsum(sizes[:-1]))
+                x = np.zeros(n_src, dtype=complex)
+                for n in range(q, n_src):
+                    x[n] = sum(g[mm] * s[n - mm] for mm in range(m1))
+                zf = fold_op(np.convolve(f, x[q:]), cfg)  # eta = 1, Ps = 1, bit = 1
+                want = 0.0
+                for p in range(w):
+                    signal = sum(zf[n] * omega ** (p * n) for n in range(nb))
+                    noise = np.sqrt(2.0 * cfg.Nw) * (
+                        np.sqrt(nb) * a[p] + sum(b[j] * omega ** (p * j) for j in range(k)))
+                    want += abs(signal + noise) ** 2
+                assert stats[i] == pytest.approx(want / noise_power(cfg), rel=1e-12), (
+                    geometry, w, i)
+
+
+def test_kernel_trials_are_independent_of_their_chunk():
+    # every trial starts from a freshly keyed stream: a chunk's statistics
+    # are bit-identical to single-trial chunks and to a chunk starting
+    # mid-way, so no buffer or counter state leaks from one trial to the next
+    cfg = SystemConfig(seed=23, W=12, gamma_db=9.0)
+    bits, stats = _run_chunk(cfg, None, 2, 0, 8, collect=True)
+    for j in range(8):
+        one_bit, one_stat = _run_chunk(cfg, None, 2, j, 1, collect=True)
+        assert one_bit[0] == bits[j] and one_stat[0] == stats[j]
+    mid_bits, mid_stats = _run_chunk(cfg, None, 2, 3, 5, collect=True)
+    assert np.array_equal(mid_bits, bits[3:]) and np.array_equal(mid_stats, stats[3:])
 
 
 _LAW_GAMMA_DB = 13.0
@@ -294,6 +313,23 @@ def test_collect_statistics_forced_bit():
     bits1, stats1 = collect_statistics(cfg, 3000, force_bit=1)
     assert bits1.all()
     assert np.mean(stats1) == pytest.approx(3.0 * 5.0, rel=0.15)
+
+
+@pytest.mark.parametrize("kw", [
+    {"trials": 0},
+    {"trials": -5},
+    {"trials": 1 << 40},
+    {"trials": 16, "force_bit": 2},
+    {"trials": 16, "force_bit": -1},
+])
+def test_collect_statistics_rejects_bad_arguments_before_any_chunk(monkeypatch, kw):
+    from cpscatter import harness
+
+    calls = []
+    monkeypatch.setattr(harness, "_run_chunk", lambda *a, **k: calls.append(a))
+    with pytest.raises(ValueError):
+        collect_statistics(SystemConfig(W=3), **kw)
+    assert calls == []
 
 
 # --- run_experiment ----------------------------------------------------------------

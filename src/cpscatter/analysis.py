@@ -27,8 +27,8 @@ from .phy import SystemConfig
 
 
 def _check(gamma: float, threshold: float) -> None:
-    if not (gamma >= 0 and threshold > 0):
-        raise ValueError(f"need gamma >= 0 and threshold > 0, got {gamma}, {threshold}")
+    if not (0 <= gamma < math.inf and threshold > 0):
+        raise ValueError(f"need finite gamma >= 0 and threshold > 0, got {gamma}, {threshold}")
 
 
 def ber_approx(point: SystemConfig, gamma: float, threshold: float) -> float:

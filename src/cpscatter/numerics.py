@@ -217,16 +217,17 @@ def chi2_pdf(x: float, n: int) -> float:
 def log_noncentral_chi2_pdf(x, n: int, lam):
     """Log density of the noncentral chi-square (n dof, noncentrality lam).
 
-    Elementwise over x and lam (broadcast); -inf for x <= 0, and the central
-    density where lam == 0. Evaluated as log-gamma / log-Bessel combinations
+    Elementwise over x and lam (broadcast; lam finite and >= 0); -inf for
+    x <= 0, and the central density where lam == 0. Evaluated as log-gamma / log-Bessel combinations
     so large lam (up to ~1e4 and beyond) neither overflows nor underflows
     prematurely.
     """
     _check_dof(n)
     x = np.asarray(x, dtype=np.float64)
     lam = np.asarray(lam, dtype=np.float64)
-    if (lam < 0).any():
-        raise ValueError(f"noncentrality must be >= 0, got {np.min(lam)}")
+    bad = ~((lam >= 0) & (lam < math.inf))
+    if bad.any():
+        raise ValueError(f"noncentrality must be finite and >= 0, got {lam[bad].flat[0]}")
     nc = (x > 0) & (lam > 0)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = (

@@ -8,6 +8,7 @@ import pytest
 from scipy import stats
 from scipy.integrate import quad
 
+from cpscatter import detector, harness
 from cpscatter.analysis import ber_approx, ber_exact, pdf_curves
 from cpscatter.detector import (
     decide,
@@ -66,16 +67,22 @@ def test_detection_snr_zero_noise_error():
 # --- operating point and densities ---------------------------------------------
 
 def test_negative_gamma_rejected():
-    # every function of (point, gamma) refuses a negative detection SNR
+    # every function of (point, gamma) refuses a negative or non-finite
+    # detection SNR, on the scalar and the array threshold path alike
     point = SystemConfig(W=3, threshold_mode="exact-root")
-    for call in (lambda: pdf_h1(1.0, point, -1.0),
-                 lambda: threshold_exact(point, -1.0),
-                 lambda: threshold_for(point, -1.0),
-                 lambda: ber_exact(point, -1.0, 1.0),
-                 lambda: ber_approx(point, -1.0, 1.0),
-                 lambda: pdf_curves(point, -1.0, np.array([1.0, 2.0]))):
-        with pytest.raises(ValueError):
-            call()
+    closed = SystemConfig(W=3, threshold_mode="closed-form")
+    for gamma in (-1.0, math.nan, math.inf):
+        for call in (lambda: pdf_h1(1.0, point, gamma),
+                     lambda: threshold_exact(point, gamma),
+                     lambda: threshold_for(point, gamma),
+                     lambda: threshold_for(point, np.array([1.0, gamma])),
+                     lambda: threshold_for(closed, gamma),
+                     lambda: threshold_for(closed, np.array([1.0, gamma])),
+                     lambda: ber_exact(point, gamma, 1.0),
+                     lambda: ber_approx(point, gamma, 1.0),
+                     lambda: pdf_curves(point, gamma, np.array([1.0, 2.0]))):
+            with pytest.raises(ValueError):
+                call()
 
 
 @pytest.mark.parametrize("conv", ["paper", "complex"])
@@ -219,33 +226,29 @@ def test_threshold_for_modes():
         assert threshold_for(cfg, 2.0) == threshold_for(cfg, np.array([2.0]))[0]
 
 
-def _reference_bisection(W, gamma, conv, xtol=1e-10):
-    # the per-threshold scalar loop the array solve replaced: same bracket,
-    # caps and stopping rule, one scalar density difference per step
-    p = SystemConfig(W=W, dof_convention=conv)
+def _mp_root(W, gamma, conv):
+    # the true density crossing to 50 digits: the same log-density
+    # difference in mpmath, bracketed by halving and doubling from the H1
+    # mean, then a bracketing root finder
+    with mpmath.workdps(50):
+        s = 1 if conv == "paper" else 2
+        d, lam = s * W, s * W * mpmath.mpf(gamma)
+        nu = mpmath.mpf(d) / 2 - 1
 
-    def diff(x):
-        return log_pdf_h0(x, p) - log_pdf_h1(x, p, gamma)
+        def diff(x):  # log f0 - log f1 at s*x; the Jacobian s cancels
+            y = s * x
+            log_f0 = (-y / 2 + nu * mpmath.log(y) - d * mpmath.log(2) / 2
+                      - mpmath.loggamma(mpmath.mpf(d) / 2))
+            log_f1 = (-mpmath.log(2) + nu / 2 * mpmath.log(y / lam) - (y + lam) / 2
+                      + mpmath.log(mpmath.besseli(nu, mpmath.sqrt(lam * y))))
+            return log_f0 - log_f1
 
-    lo = max(W - (2.0 if conv == "paper" else 1.0), 0.0, 1e-8)
-    hi = W * (1.0 + gamma)
-    for _ in range(200):
-        if diff(lo) > 0:
-            break
-        lo *= 0.5
-    for _ in range(200):
-        if diff(hi) < 0:
-            break
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= xtol or mid <= lo or mid >= hi:
-            break
-        if diff(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        lo = hi = W * (1 + mpmath.mpf(gamma))
+        while diff(lo) <= 0:
+            lo /= 2
+        while diff(hi) >= 0:
+            hi *= 2
+        return float(mpmath.findroot(diff, (lo, hi), solver="anderson"))
 
 
 @pytest.mark.parametrize("conv", ["paper", "complex"])
@@ -259,8 +262,54 @@ def test_threshold_array_solve_matches_scalar(conv, w):
     for g, th in zip(gammas[1:], got[1:]):
         scalar = threshold_exact(cfg, float(g))
         assert th == pytest.approx(scalar, abs=1e-10, rel=1e-15)
-        assert th == pytest.approx(_reference_bisection(w, float(g), conv),
-                                   abs=1e-10, rel=1e-15)
+        assert th == pytest.approx(_mp_root(w, float(g), conv), abs=1e-10, rel=1e-15)
+
+
+def _count_passes(monkeypatch, cfg, gammas):
+    # one call of log_pdf_h1 per density pass over the elements in play
+    calls = []
+    real = detector.log_pdf_h1
+
+    def spy(x, config, gamma):
+        calls.append(np.size(x))
+        return real(x, config, gamma)
+
+    with monkeypatch.context() as m:
+        m.setattr(detector, "log_pdf_h1", spy)
+        out = threshold_for(cfg, gammas)
+    return out, len(calls)
+
+
+@pytest.mark.parametrize("conv", ["paper", "complex"])
+@pytest.mark.parametrize("w", [3, 12])
+def test_threshold_solve_density_passes(monkeypatch, conv, w):
+    # the per-trial genie gammas of one 1024-trial from-Ps chunk, as the
+    # kernel draws them, take a handful of passes (bracket ends included)
+    point = SystemConfig(W=w, snr_mode="from-Ps", dof_convention=conv,
+                         threshold_mode="exact-root", gamma_knowledge="genie", seed=401)
+    drawn = []
+    with monkeypatch.context() as m:
+        m.setattr(harness, "threshold_for", lambda cfg, g: drawn.append(g) or float(cfg.W))
+        harness._run_chunk(point, None, 0, 0, 1024)
+    (gammas,) = drawn
+    assert gammas.shape == (1024,)
+    got, passes = _count_passes(monkeypatch, point, gammas)
+    assert passes <= 12
+    # each element iterates on its own: the array solve is the scalar one
+    assert np.array_equal(got, [threshold_exact(point, float(g)) for g in gammas])
+
+
+@pytest.mark.parametrize("w,conv", [(1, "paper"), (1, "complex"), (246, "complex"),
+                                    (246, "paper")])
+def test_threshold_solve_extremes(monkeypatch, w, conv):
+    # order -1/2 (W=1 paper), a 245th-order Bessel ratio (W=246 complex)
+    # and gammas far from the sweep: the bracket guard keeps the count low
+    cfg = SystemConfig(W=w, dof_convention=conv, threshold_mode="exact-root")
+    gammas = np.array([1e-3, 1e3])
+    got, passes = _count_passes(monkeypatch, cfg, gammas)
+    assert passes <= 12
+    for g, th in zip(gammas, got):
+        assert th == pytest.approx(_mp_root(w, float(g), conv), abs=1e-10, rel=1e-15)
 
 
 def test_threshold_for_array_closed_form_matches_scalar():
@@ -300,7 +349,7 @@ def test_threshold_exact_paper_convention_w1():
     for gamma in (0.36, 4.4, 17.5):
         p = SystemConfig(W=1, dof_convention="paper")
         th = threshold_exact(p, gamma)
-        assert th == pytest.approx(_reference_bisection(1, gamma, "paper"), abs=1e-10)
+        assert th == pytest.approx(_mp_root(1, gamma, "paper"), abs=1e-10)
         assert abs(pdf_h0(th, p) - pdf_h1(th, p, gamma)) < 1e-9 * pdf_h0(th, p)
         assert pdf_h1(th, p, gamma) == pytest.approx(stats.ncx2.pdf(th, 1, gamma), rel=1e-10, abs=0)
 

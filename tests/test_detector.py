@@ -265,51 +265,36 @@ def test_threshold_array_solve_matches_scalar(conv, w):
         assert th == pytest.approx(_mp_root(w, float(g), conv), abs=1e-10, rel=1e-15)
 
 
-def _count_passes(monkeypatch, cfg, gammas):
-    # one call of log_pdf_h1 per density pass over the elements in play
-    calls = []
-    real = detector.log_pdf_h1
-
-    def spy(x, config, gamma):
-        calls.append(np.size(x))
-        return real(x, config, gamma)
-
-    with monkeypatch.context() as m:
-        m.setattr(detector, "log_pdf_h1", spy)
-        out = threshold_for(cfg, gammas)
-    return out, len(calls)
-
-
-@pytest.mark.parametrize("conv", ["paper", "complex"])
-@pytest.mark.parametrize("w", [3, 12])
-def test_threshold_solve_density_passes(monkeypatch, conv, w):
-    # the per-trial genie gammas of one 1024-trial from-Ps chunk, as the
-    # kernel draws them, take a handful of passes (bracket ends included)
-    point = SystemConfig(W=w, snr_mode="from-Ps", dof_convention=conv,
-                         threshold_mode="exact-root", gamma_knowledge="genie", seed=401)
+def _kernel_gammas(monkeypatch, point):
+    # the per-trial genie gammas of one 1024-trial chunk, as the kernel draws them
     drawn = []
     with monkeypatch.context() as m:
         m.setattr(harness, "threshold_for", lambda cfg, g: drawn.append(g) or float(cfg.W))
         harness._run_chunk(point, None, 0, 0, 1024)
     (gammas,) = drawn
     assert gammas.shape == (1024,)
-    got, passes = _count_passes(monkeypatch, point, gammas)
-    assert passes <= 12
+    return gammas
+
+
+@pytest.mark.parametrize("w,conv,gammas", [
+    (3, "complex", None), (12, "complex", None), (3, "paper", None), (12, "paper", None),
+    # order -1/2, a 245th-order Bessel ratio, and gammas far from the sweep
+    (1, "paper", (1e-3, 1e3)), (1, "complex", (1e-3, 1e3)),
+    (246, "complex", (1e-3, 1e3)), (246, "paper", (1e-3, 1e3)),
+], ids=lambda v: "kernel" if v is None else "extremes" if isinstance(v, tuple) else str(v))
+def test_threshold_solve_density_passes(monkeypatch, w, conv, gammas):
+    # one log_pdf_h1 call per density pass, bracket ends included
+    point = SystemConfig(W=w, snr_mode="from-Ps", dof_convention=conv,
+                         threshold_mode="exact-root", gamma_knowledge="genie", seed=401)
+    gammas = _kernel_gammas(monkeypatch, point) if gammas is None else np.array(gammas)
+    calls = []
+    real = detector.log_pdf_h1
+    with monkeypatch.context() as m:
+        m.setattr(detector, "log_pdf_h1", lambda *args: calls.append(1) or real(*args))
+        got = threshold_for(point, gammas)
+    assert len(calls) <= 12
     # each element iterates on its own: the array solve is the scalar one
     assert np.array_equal(got, [threshold_exact(point, float(g)) for g in gammas])
-
-
-@pytest.mark.parametrize("w,conv", [(1, "paper"), (1, "complex"), (246, "complex"),
-                                    (246, "paper")])
-def test_threshold_solve_extremes(monkeypatch, w, conv):
-    # order -1/2 (W=1 paper), a 245th-order Bessel ratio (W=246 complex)
-    # and gammas far from the sweep: the bracket guard keeps the count low
-    cfg = SystemConfig(W=w, dof_convention=conv, threshold_mode="exact-root")
-    gammas = np.array([1e-3, 1e3])
-    got, passes = _count_passes(monkeypatch, cfg, gammas)
-    assert passes <= 12
-    for g, th in zip(gammas, got):
-        assert th == pytest.approx(_mp_root(w, float(g), conv), abs=1e-10, rel=1e-15)
 
 
 def test_threshold_for_array_closed_form_matches_scalar():

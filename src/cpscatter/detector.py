@@ -47,8 +47,8 @@ from .numerics import (
 from .phy import ChannelSet, SystemConfig
 from .receiver import noise_power
 
-# the exact-root iteration stops once its step is within _XTOL (or within a
-# few ulps of x, where one ulp of a large threshold exceeds _XTOL)
+# the exact-root iteration stops once its step is within _XTOL, or within
+# 4 ulps of x where those are larger (thresholds above about 1e5)
 _XTOL = 1e-10
 # scalar thresholds are asked for once per sweep point, or once per frame by
 # run_trial; a small LRU serves the repeats without growing per trial

@@ -218,9 +218,9 @@ def log_noncentral_chi2_pdf(x, n: int, lam):
     """Log density of the noncentral chi-square (n dof, noncentrality lam).
 
     Elementwise over x and lam (broadcast; lam finite and >= 0); -inf for
-    x <= 0, and the central density where lam == 0. Evaluated as log-gamma / log-Bessel combinations
-    so large lam (up to ~1e4 and beyond) neither overflows nor underflows
-    prematurely.
+    x <= 0, and the central density where lam == 0. Evaluated as log-gamma /
+    log-Bessel combinations so large lam (up to ~1e4 and beyond) neither
+    overflows nor underflows prematurely.
     """
     _check_dof(n)
     x = np.asarray(x, dtype=np.float64)

@@ -13,8 +13,6 @@ from cpscatter.analysis import ber_approx, ber_exact, pdf_curves
 from cpscatter.detector import (
     decide,
     detection_snr,
-    log_pdf_h0,
-    log_pdf_h1,
     pdf_h0,
     pdf_h1,
     threshold_exact,

@@ -223,7 +223,10 @@ def threshold_for(config: SystemConfig, gamma):
     together) or a scalar (one threshold, a float: the one-element case,
     served from a small LRU keyed on (config, gamma)). With gamma == 0 the
     two hypotheses coincide and any positive threshold yields chance-level
-    decisions; the H0 mean keeps the detector runnable.
+    decisions; the H0 mean keeps the detector runnable. Accuracy floor: at
+    tiny gamma log f0 - log f1 cancels, so the exact root is off by 4.9e-7 at
+    W=246 complex, gamma=1e-8, and 3.3e-3 at W=3, gamma=1e-12 (50-digit
+    reference); sweeps stay far above (kernel-drawn from-Ps gamma >~ 0.37).
     """
     if np.ndim(gamma) == 0:
         return _scalar_threshold(config, float(gamma))

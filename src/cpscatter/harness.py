@@ -11,25 +11,19 @@ Two execution paths exist:
     N+C frame (full-length source symbol, full-frame noise, all three
     channels) and pushes it through the receiver and detector.
   * the batch kernel used by run_experiment: per trial it draws only what
-    the statistic depends on and forms the W DFT bins directly. With
-    w1 - w2 the cancelled noise (T+1 samples of CN(0, 2Nw)) and
+    the statistic reads and forms the W DFT bins directly. With
     omega = exp(-2 pi j / (R+1)), the folded bins p < W are
         Z_p = eta sqrt(Ps) F_p U_p,   F_p = sum_k f_k omega^(p k),
         N_p = sqrt(2 Nw) (sqrt(R+1) a_p + sum_{i<K} b_i omega^(p i)),
-    where U = DFT of the tag signal u on the gated window [Q, C-K) (a tag
-    FIR over the first C-K source samples; the circular convolution with f
-    is exactly what the fold produces), a are W and b are K complex
-    normals CN(0, 1). No FIR runs: with S the DFT of the source window
-    s[Q:C-K] and G_p = sum_m g_m omega^(p m),
-        U_p = G_p S_p + sum_{j<M} c_j omega^(p j),
-        c_j = sum_{m-i=j, 1<=i<=m<=M} g_m d_i,   d_i = s[Q-i] - s[C-K-i],
-    as the FIR reads the M samples before the window, not its circular tail.
-    The DFT of the first R+1 noise samples is i.i.d. across bins, and the
-    fold adds the last K samples with fixed phases, so N_p has the law of
-    the full chain's noise bins: exact in law, with no covariance factor.
-    The direct source->reader path is omitted because the Phase 2/4
-    subtraction removes it exactly (an invariant the test suite checks to
-    1e-10).
+    a (W) and b (K) CN(0, 1), as the DFT of R+1 i.i.d. noise samples is
+    i.i.d. and the fold adds the last K with fixed phases. U, the DFT of
+    the tag signal on the gated window s[Q:Q+R+1], needs no tag FIR:
+        U_p = G_p S_p + sum_{j<M} c_j omega^(p j),   G_p = sum_m g_m omega^(p m),
+        c_j = sum_{m-i=j, 1<=i<=m<=M} g_m d_i,   d_i = s[Q-i] - s[Q+R+1-i],
+    with S the window's DFT. Nor is the window drawn: the S_p are i.i.d.
+    CN(0, (R+1) Ps), and _edge_map draws the d_i given S, so the bins are
+    exact in law. The direct source->reader path is omitted because the
+    Phase 2/4 subtraction removes it exactly (checked to 1e-10).
 
 A sweep point is one SystemConfig: the base config at the point's W and,
 in direct-gamma mode, its gamma_db (ExperimentSpec.points). Both paths
@@ -52,16 +46,9 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis
-# detection_snr and threshold_exact are no longer called here, but
-# perfbench/spans.py traces them through this namespace, so the names stay
-# importable
-from .detector import (
-    detection_gamma,
-    detection_snr,
-    threshold_exact,
-    threshold_for,
-    decide,
-)
+# detection_snr and threshold_exact are not called here, but perfbench
+# traces them through this namespace, so the names stay importable
+from .detector import decide, detection_gamma, detection_snr, threshold_exact, threshold_for
 from .numerics import RngStream, as_generator
 from .phy import SystemConfig, draw_channels, simulate_frame
 from .receiver import noise_power, process, test_statistic
@@ -185,6 +172,26 @@ def run_trial(config: SystemConfig, rng):
     return bit, decide(stat, threshold_for(config, gamma))
 
 
+def _edge_map(W: int, m: int, nb: int) -> np.ndarray:
+    """E with the edge samples s[Q+nb-i], i = 1..M, = [s_bins | pre | z] @ E.
+
+    Window samples are i.i.d. CN(0, 2), S = sqrt(nb) s_bins are its bins p < W
+    and pre[i-1] = s[Q-i] lie before it. The tail t_i = s[Q+nb-i], i <= mt =
+    min(M, nb), has Cov(t_i, S_p) = 2 omega^(p i) = 2 phi_ip, so t = phi S / nb
+    + root z, z i.i.d. CN(0, 2), root the symmetric root of I - phi phi^H / nb
+    (PSD; eigenvalues clipped at 0, so 0 at W = nb). For i > nb, s[Q+nb-i] is
+    pre[i-nb-1].
+    """
+    mt = min(m, nb)
+    phi = np.exp(-2j * np.pi / nb * np.outer(np.arange(1, mt + 1), np.arange(W)))
+    lam, vec = np.linalg.eigh(np.eye(mt) - phi @ phi.conj().T / nb)
+    emap = np.zeros((W + m + mt, m), dtype=complex)
+    emap[:W, :mt] = phi.T / math.sqrt(nb)
+    emap[W : W + m - mt, mt:] = np.eye(m - mt)
+    emap[W + m :, :mt] = ((vec * np.sqrt(np.clip(lam, 0.0, None))) @ vec.conj().T).T
+    return emap
+
+
 def _run_chunk(point: SystemConfig, threshold: float | None, point_index: int,
                start: int, count: int, collect: bool = False,
                force_bit: int | None = None):
@@ -195,25 +202,19 @@ def _run_chunk(point: SystemConfig, threshold: float | None, point_index: int,
     solve) or once. Returns the error count, or (bits, statistics) arrays
     when collect is set.
 
-    Per trial the stream yields, as (re, im) pairs of standard normals,
-    the complex blocks g (M+1), f (K+1), s (C-K source samples), b (K) and
-    a (W), then one normal for the bit. Only a and the bit sit at offsets
-    that depend on W, and the bins of a smaller W are a prefix of those of
-    a larger one; the bit comes last so one complex view covers every block.
-    The tag bins are G S + M edge terms (module docstring): no tag FIR runs.
+    Per trial the stream yields (re, im) pairs of standard normals for the
+    complex blocks g (M+1), f (K+1), S (W), pre (M), z (min(M, R+1)), b (K)
+    and a (W), then one normal for the bit; no source window (module docstring).
     """
-    W, m, k, q = point.W, point.M, point.K, point.Q
+    W, m, k = point.W, point.M, point.K
     m1, k1, nb = m + 1, k + 1, point.R + 1  # nb: the gated window length
-    n_src = point.C - k  # source samples the gated window reads
-    dim = 2 * (m1 + k1 + n_src + k + W) + 1
-
-    v = np.empty((count, dim))
-    seed = point.seed % _U64
+    ends = np.cumsum([m1, k1, W, m, min(m, nb), k, W])  # the blocks above
+    v = np.empty((count, 2 * ends[-1] + 1))
     base = point_index << _TRIAL_BITS
     # per-trial Philox streams keyed (seed, point<<40 | trial): st is a fresh
     # Philox's state (counter 0, buffer empty), so setting its second key word
     # and assigning it back is bit-identical to constructing Philox(key=...)
-    bitgen = np.random.Philox(key=[seed, 0])
+    bitgen = np.random.Philox(key=[point.seed % _U64, 0])
     gen = np.random.Generator(bitgen)
     st = bitgen.state
     for j in range(count):
@@ -221,32 +222,28 @@ def _run_chunk(point: SystemConfig, threshold: float | None, point_index: int,
         bitgen.state = st
         gen.standard_normal(out=v[j])
 
-    # each complex entry is re + j*im of two standard normals: CN(0, 2);
-    # the 1/sqrt(2) factors are applied to the W-bin results below
+    # each complex entry is re + j*im of two standard normals: CN(0, 2), the
+    # law of one source sample; the 1/sqrt(2) factors are applied below
     cv = v[:, :-1].view(np.complex128)
-    g, f, s, b, a = np.split(cv, np.cumsum([m1, k1, n_src, k]), axis=1)
+    g, f, s_bins, pre, _, b, a = np.split(cv, ends[:-1], axis=1)
     sum_g2 = 0.5 * np.sum(v[:, : 2 * m1] ** 2, axis=1)
     sum_f2 = 0.5 * np.sum(v[:, 2 * m1 : 2 * (m1 + k1)] ** 2, axis=1)
     ps, gamma = _operating_point(point, sum_g2, sum_f2)
 
     # omega^(p i) for bins p < W and tap / fold / edge offsets i <= max(M, K)
     phase = np.exp(-2j * np.pi / nb * np.outer(np.arange(W), np.arange(max(m1, k1))))
-    # tag FIR bins U_p = G_p S_p + edge terms (module docstring), with
-    # d_i = s[Q-i] - s[Q+nb-i] for i = 1..M (Q >= M keeps them in range)
-    u_bins = (np.sum(g[:, None, :] * phase[:, :m1], axis=2)
-              * np.fft.fft(s[:, q : q + nb], axis=1)[:, :W])
-    d = (s[:, q - m : q] - s[:, n_src - m : n_src])[:, ::-1]
-    c = np.zeros_like(d)
-    for i in range(1, m1):
-        c[:, : m1 - i] += g[:, i:] * d[:, i - 1 : i]
-    u_bins += np.sum(c[:, None, :] * phase[:, :m], axis=2)
+    # tag FIR bins U_p = G_p S_p + sum_{1<=i<=m<=M} g_m d_i omega^(p (m-i)),
+    # d_i = s[Q-i] - s[Q+nb-i]; gsum[:, p, i] = sum_{m>=i} g_m omega^(p m)
+    gsum = np.cumsum((g[:, None, :] * phase[:, :m1])[:, :, ::-1], axis=2)[:, :, ::-1]
+    # einsum, not @: a BLAS matmul leaves OpenBLAS threads spinning per worker
+    d = pre - np.einsum("tj,je->te", cv[:, ends[1] : ends[4]], _edge_map(W, m, nb))
+    u_bins = (gsum[:, :, 0] * (math.sqrt(nb) * s_bins)
+              + np.sum(d[:, None, :] * gsum[:, :, 1:] * phase[:, 1:m1].conj(), axis=2))
     f_bins = np.sum(f[:, None, :] * phase[:, :k1], axis=2)
     noise = math.sqrt(nb) * a + np.sum(b[:, None, :] * phase[:, :k], axis=2)
 
-    if force_bit is None:
-        bits = (v[:, -1] > 0).astype(np.int64)
-    else:
-        bits = np.full(count, int(force_bit), dtype=np.int64)
+    bits = (v[:, -1] > 0) if force_bit is None else np.full(count, force_bit == 1)
+    bits = bits.astype(np.int64)
 
     # back to CN(0, 1) scales: f, a and b each carry a factor sqrt(2), and
     # the product of g and s a factor 2

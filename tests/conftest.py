@@ -1,5 +1,6 @@
 """Shared fixtures: the two acceptance sweeps and the discrepancy report sink."""
 
+import re
 import time
 from pathlib import Path
 
@@ -29,12 +30,39 @@ class ReportSink:
         self.lines.append(line)
 
 
+def _by_criterion(lines):
+    """Report lines grouped by the criterion number each one names."""
+    groups = {}
+    for line in lines:
+        num = int(re.search(r"criterion (\d+)", line).group(1))
+        groups.setdefault(num, []).append(line)
+    return groups
+
+
+def merge_report(old, new):
+    """The report after a run that recorded `new`, merged by criterion.
+
+    A criterion's new lines replace its old ones, unless fewer of its tests
+    ran (one W of a parametrized criterion), so a partial run (-k, a node
+    id) updates what it ran and truncates nothing.
+    """
+    def results(lines):  # one "[PASS]" or "[FAIL]" line per test that ran
+        return sum(line.startswith("[") for line in lines)
+
+    merged = _by_criterion(old)
+    for num, lines in _by_criterion(new).items():
+        if results(lines) >= results(merged.get(num, [])):
+            merged[num] = lines
+    return [line for num in sorted(merged) for line in merged[num]]
+
+
 @pytest.fixture(scope="session")
 def report():
     sink = ReportSink()
     yield sink
+    old = REPORT_PATH.read_text().splitlines() if REPORT_PATH.exists() else []
     REPORT_PATH.parent.mkdir(parents=True, exist_ok=True)
-    REPORT_PATH.write_text("\n".join(sink.lines) + "\n")
+    REPORT_PATH.write_text("\n".join(merge_report(old, sink.lines)) + "\n")
 
 
 @pytest.fixture(scope="session")

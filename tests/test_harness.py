@@ -19,6 +19,7 @@ from cpscatter.harness import (
     ExperimentSpec,
     _operating_point,
     _point_setup,
+    _edge_map,
     _run_chunk,
     build_spec,
     collect_statistics,
@@ -164,44 +165,86 @@ def test_kernel_reproducible_and_chunk_invariant():
     assert whole == split == again
 
 
-def test_kernel_streams_match_fresh_philox():
-    # the kernel rekeys one Philox from a template state and forms the bins
-    # from the window's FFT plus M edge terms; its statistics must equal
-    # those rebuilt from Philox(key=[seed, stream]) constructed fresh per
-    # trial, read in the layout [g | f | s | b | a | bit] and pushed through
-    # a time-domain tag FIR, a linear convolution with f, the fold and an
-    # explicit W-bin DFT sum, at geometries with no, short and long edges
-    from cpscatter.receiver import fold as fold_op, noise_power
+# no, short and long edges, edges longer than the window (M > R+1), and
+# each W up to R+1, where the window tail is a function of the bins
+_ORACLE_GEOMETRIES = [{}, {"M": 0}, {"L": 9, "M": 11, "K": 8},
+                      {"N": 64, "C": 32, "L": 2, "M": 7, "K": 3},
+                      {"N": 64, "C": 32, "L": 0, "M": 20, "K": 0}]
 
-    geometries = [{}, {"M": 0}, {"L": 9, "M": 11, "K": 8},
-                  {"N": 64, "C": 32, "L": 2, "M": 7, "K": 3}]
-    for geometry in geometries:
-        for w in (1, 3, 12):
+
+def _oracle_ws(geometry):
+    return sorted({1, 3, 12, SystemConfig(**geometry).R + 1})
+
+
+def test_kernel_streams_match_fresh_philox():
+    # keying half: the kernel rekeys one Philox from a template state; its
+    # statistics must equal those rebuilt from Philox(key=[seed, stream])
+    # constructed fresh per trial, read in the layout
+    # [g | f | S | pre | z | b | a | bit], with the edge samples from
+    # _edge_map (checked by the window half below) and explicit W-bin sums
+    # for the tap DFTs G and F, the edge terms and the noise bins
+    from cpscatter.receiver import noise_power
+
+    for geometry in _ORACLE_GEOMETRIES:
+        for w in _oracle_ws(geometry):
             cfg = SystemConfig(seed=12, eta=1.0, snr_mode="from-Ps", Nw=1.5, W=w,
                                **geometry)
             _, stats = collect_statistics(cfg, 4, force_bit=1, point_index=3)
-            m1, k1, k, q, nb = cfg.M + 1, cfg.K + 1, cfg.K, cfg.Q, cfg.R + 1
-            n_src = cfg.C - k
-            sizes = [m1, k1, n_src, k, w]
-            omega = np.exp(-2j * np.pi / nb)
+            m, k, nb = cfg.M, cfg.K, cfg.R + 1
+            sizes = [m + 1, k + 1, w, m, min(m, nb), k, w]
+            emap = _edge_map(w, m, nb)
             for i in range(4):
                 fresh = np.random.Generator(
                     np.random.Philox(key=[12, (3 << 40) | i])
                 ).standard_normal(2 * sum(sizes) + 1)
                 cn = (fresh[0:-1:2] + 1j * fresh[1:-1:2]) / np.sqrt(2.0)  # CN(0, 1)
-                g, f, s, b, a = np.split(cn, np.cumsum(sizes[:-1]))
-                x = np.zeros(n_src, dtype=complex)
-                for n in range(q, n_src):
-                    x[n] = sum(g[mm] * s[n - mm] for mm in range(m1))
-                zf = fold_op(np.convolve(f, x[q:]), cfg)  # eta = 1, Ps = 1, bit = 1
+                g, f, s_bins, pre, z, b, a = np.split(cn, np.cumsum(sizes[:-1]))
+                # d_i = s[Q-i] - s[Q+nb-i], i = 1..M
+                d = pre - np.concatenate([s_bins, pre, z]) @ emap
+
+                def omega(n):
+                    return np.exp(-2j * np.pi * (n % nb) / nb)
+
                 want = 0.0
-                for p in range(w):
-                    signal = sum(zf[n] * omega ** (p * n) for n in range(nb))
+                for p in range(w):  # eta = 1, Ps = 1, bit = 1
+                    big_g = sum(g[j] * omega(p * j) for j in range(m + 1))
+                    big_f = sum(f[j] * omega(p * j) for j in range(k + 1))
+                    edge = sum(g[j] * d[i_ - 1] * omega(p * (j - i_))
+                               for j in range(1, m + 1) for i_ in range(1, j + 1))
+                    signal = big_f * (big_g * np.sqrt(nb) * s_bins[p] + edge)
                     noise = np.sqrt(2.0 * cfg.Nw) * (
-                        np.sqrt(nb) * a[p] + sum(b[j] * omega ** (p * j) for j in range(k)))
+                        np.sqrt(nb) * a[p] + sum(b[j] * omega(p * j) for j in range(k)))
                     want += abs(signal + noise) ** 2
                 assert stats[i] == pytest.approx(want / noise_power(cfg), rel=1e-12), (
                     geometry, w, i)
+
+
+def test_kernel_edge_draw_has_the_full_window_law():
+    # window half: in place of the nb-sample window the kernel draws its bins
+    # S = sqrt(nb) s_bins, the M pre-window samples and the innovations z,
+    # and maps [s_bins | pre | z] to the edge samples s[Q+nb-i], i = 1..M.
+    # All are jointly Gaussian, so the law is the covariance: that of
+    # (S, edge, pre) must equal the DFT-and-selector map's on a full window
+    # of i.i.d. samples, where edge sample i is window[nb-i] for i <= nb
+    # and pre-window sample i-nb beyond it
+    for geometry in _ORACLE_GEOMETRIES:
+        cfg = SystemConfig(**geometry)
+        m, nb = cfg.M, cfg.R + 1
+        for w in _oracle_ws(geometry):
+            mt = min(m, nb)
+            emap = _edge_map(w, m, nb)
+            drawn = np.zeros((w + 2 * m, w + m + mt), dtype=complex)
+            drawn[:w, :w] = np.sqrt(nb) * np.eye(w)
+            drawn[w : w + m] = emap.T
+            drawn[w + m :, w : w + m] = np.eye(m)
+            full = np.zeros((w + 2 * m, nb + m), dtype=complex)  # [window | pre]
+            full[:w, :nb] = np.exp(-2j * np.pi * np.outer(np.arange(w), np.arange(nb)) / nb)
+            for i in range(1, m + 1):
+                full[w + i - 1, nb - i if i <= nb else nb + i - nb - 1] = 1.0
+            full[w + m :, nb:] = np.eye(m)
+            cov_drawn = drawn @ drawn.conj().T
+            cov_full = full @ full.conj().T
+            assert np.max(np.abs(cov_drawn - cov_full)) < 1e-12 * nb, (geometry, w)
 
 
 def test_kernel_trials_are_independent_of_their_chunk():
@@ -222,21 +265,21 @@ _LAW_WS = (1, 3, 12, 246)
 
 
 @lru_cache(maxsize=None)
-def _full_frame_statistics(bit, n=2000):
+def _full_frame_statistics(bit, geometry=(), seed=7002, n=2000):
     # the full-frame chain (draw_channels -> simulate_frame -> process ->
     # test_statistic) with run_trial's direct-gamma source rescale; one
-    # frame gives the statistic at every W
+    # frame gives the statistic at every W the geometry allows
     from cpscatter.phy import draw_channels, simulate_frame
     from cpscatter.receiver import noise_power, process, test_statistic
 
-    cfg = SystemConfig(gamma_db=_LAW_GAMMA_DB, seed=7002)
-    out = {w: np.empty(n) for w in _LAW_WS}
+    cfg = SystemConfig(gamma_db=_LAW_GAMMA_DB, seed=seed, **dict(geometry))
+    out = {w: np.empty(n) for w in _LAW_WS if w <= cfg.R + 1}
     for i in range(n):
         gen = trial_stream(cfg.seed, bit, i).generator()
         ch = draw_channels(cfg, gen)
         cfg_t = replace(cfg, Ps=_operating_point(cfg, ch.sum_g2, ch.sum_f2)[0])
         zt = process(simulate_frame(cfg_t, ch, bit, gen).y, cfg_t)
-        for w in _LAW_WS:
+        for w in out:
             out[w][i] = test_statistic(zt, w, noise_power(cfg_t))
     return out
 
@@ -252,6 +295,38 @@ def test_kernel_statistic_law_matches_full_frames(w, bit):
     point = SystemConfig(W=w, gamma_db=_LAW_GAMMA_DB, seed=7001)
     _, lean = collect_statistics(point, len(frames), force_bit=bit, point_index=bit)
     assert sps.ks_2samp(lean, frames).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("bit", [0, 1])
+def test_kernel_law_matches_full_frames_when_edges_outrun_the_window(bit):
+    # at M > R+1 (here M = 20, R+1 = 12) the edge samples s[Q+R+1-i] with
+    # i > R+1 precede the window: they are pre-window samples, and drawing
+    # them as window-tail samples gives a plausible-looking wrong law
+    from scipy import stats as sps
+
+    geometry = (("N", 64), ("C", 32), ("L", 0), ("M", 20), ("K", 0))
+    frames = _full_frame_statistics(bit, geometry, seed=7012, n=4000)[3]
+    point = SystemConfig(W=3, gamma_db=_LAW_GAMMA_DB, seed=7011, **dict(geometry))
+    _, lean = collect_statistics(point, len(frames), force_bit=bit, point_index=bit)
+    assert sps.ks_2samp(lean, frames).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("w", [3, 12])
+@pytest.mark.parametrize("gamma_db", [6.0, 16.0])
+def test_no_multipath_statistic_is_a_scaled_central_gamma(w, gamma_db):
+    # at L = M = K = 0 nothing fades and each signal bin is g f S_p with S_p
+    # the DFT of a Gaussian source window, so the bins are complex Gaussian:
+    # H1 is (1+gamma) Gamma(W, 1), a scaled central law (not the model's
+    # noncentral chi-square), and H0 is Gamma(W, 1)
+    from scipy import stats as sps
+
+    point = SystemConfig(L=0, M=0, K=0, W=w, gamma_db=gamma_db,
+                         dof_convention="complex", seed=7101)
+    gamma = 10.0 ** (gamma_db / 10.0)
+    _, h0 = collect_statistics(point, 20_000, force_bit=0, point_index=0)
+    _, h1 = collect_statistics(point, 20_000, force_bit=1, point_index=1)
+    assert sps.kstest(h0, sps.gamma(w).cdf).pvalue > 1e-3
+    assert sps.kstest(h1, sps.gamma(w, scale=1.0 + gamma).cdf).pvalue > 1e-3
 
 
 def test_kernel_agrees_with_run_trial_statistically():

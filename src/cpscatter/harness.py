@@ -175,12 +175,11 @@ def run_trial(config: SystemConfig, rng):
 def _edge_map(W: int, m: int, nb: int) -> np.ndarray:
     """E with the edge samples s[Q+nb-i], i = 1..M, = [s_bins | pre | z] @ E.
 
-    Window samples are i.i.d. CN(0, 2), S = sqrt(nb) s_bins are its bins p < W
-    and pre[i-1] = s[Q-i] lie before it. The tail t_i = s[Q+nb-i], i <= mt =
-    min(M, nb), has Cov(t_i, S_p) = 2 omega^(p i) = 2 phi_ip, so t = phi S / nb
-    + root z, z i.i.d. CN(0, 2), root the symmetric root of I - phi phi^H / nb
-    (PSD; eigenvalues clipped at 0, so 0 at W = nb). For i > nb, s[Q+nb-i] is
-    pre[i-nb-1].
+    Window samples are i.i.d. CN(0, 2), S = sqrt(nb) s_bins are its bins p < W,
+    pre[i-1] = s[Q-i] precede it. The tail t_i = s[Q+nb-i], i <= mt = min(M, nb),
+    has Cov(t_i, S_p) = 2 omega^(p i) = 2 phi_ip, so t = phi S / nb + root z, z
+    i.i.d. CN(0, 2), root the symmetric root of I - phi phi^H / nb (eigenvalues
+    clipped at 0, so 0 at W = nb). For i > nb, s[Q+nb-i] is pre[i-nb-1].
     """
     mt = min(m, nb)
     phi = np.exp(-2j * np.pi / nb * np.outer(np.arange(1, mt + 1), np.arange(W)))
@@ -232,15 +231,16 @@ def _run_chunk(point: SystemConfig, threshold: float | None, point_index: int,
 
     # omega^(p i) for bins p < W and tap / fold / edge offsets i <= max(M, K)
     phase = np.exp(-2j * np.pi / nb * np.outer(np.arange(W), np.arange(max(m1, k1))))
-    # tag FIR bins U_p = G_p S_p + sum_{1<=i<=m<=M} g_m d_i omega^(p (m-i)),
-    # d_i = s[Q-i] - s[Q+nb-i]; gsum[:, p, i] = sum_{m>=i} g_m omega^(p m)
-    gsum = np.cumsum((g[:, None, :] * phase[:, :m1])[:, :, ::-1], axis=2)[:, :, ::-1]
-    # einsum, not @: a BLAS matmul leaves OpenBLAS threads spinning per worker
+    # tag FIR bins U_p = G_p S_p + edge terms, d_i = s[Q-i] - s[Q+nb-i];
+    # einsum, not @: OpenBLAS threads products this size, then spins per worker
     d = pre - np.einsum("tj,je->te", cv[:, ends[1] : ends[4]], _edge_map(W, m, nb))
-    u_bins = (gsum[:, :, 0] * (math.sqrt(nb) * s_bins)
-              + np.sum(d[:, None, :] * gsum[:, :, 1:] * phase[:, 1:m1].conj(), axis=2))
-    f_bins = np.sum(f[:, None, :] * phase[:, :k1], axis=2)
-    noise = math.sqrt(nb) * a + np.sum(b[:, None, :] * phase[:, :k], axis=2)
+    c = np.zeros_like(d)
+    for i in range(1, m1):
+        c[:, : m1 - i] += g[:, i:] * d[:, i - 1 : i]
+    u_bins = (np.einsum("tm,pm->tp", g, phase[:, :m1]) * (math.sqrt(nb) * s_bins)
+              + np.einsum("tj,pj->tp", c, phase[:, :m]))
+    f_bins = np.einsum("tk,pk->tp", f, phase[:, :k1])
+    noise = math.sqrt(nb) * a + np.einsum("tk,pk->tp", b, phase[:, :k])
 
     bits = (v[:, -1] > 0) if force_bit is None else np.full(count, force_bit == 1)
     bits = bits.astype(np.int64)

@@ -17,9 +17,9 @@ from cpscatter.harness import (
     CSV_HEADER,
     BerResult,
     ExperimentSpec,
+    _edge_map,
     _operating_point,
     _point_setup,
-    _edge_map,
     _run_chunk,
     build_spec,
     collect_statistics,
@@ -193,6 +193,10 @@ def test_kernel_streams_match_fresh_philox():
             m, k, nb = cfg.M, cfg.K, cfg.R + 1
             sizes = [m + 1, k + 1, w, m, min(m, nb), k, w]
             emap = _edge_map(w, m, nb)
+
+            def omega(n):
+                return np.exp(-2j * np.pi * (n % nb) / nb)
+
             for i in range(4):
                 fresh = np.random.Generator(
                     np.random.Philox(key=[12, (3 << 40) | i])
@@ -201,10 +205,6 @@ def test_kernel_streams_match_fresh_philox():
                 g, f, s_bins, pre, z, b, a = np.split(cn, np.cumsum(sizes[:-1]))
                 # d_i = s[Q-i] - s[Q+nb-i], i = 1..M
                 d = pre - np.concatenate([s_bins, pre, z]) @ emap
-
-                def omega(n):
-                    return np.exp(-2j * np.pi * (n % nb) / nb)
-
                 want = 0.0
                 for p in range(w):  # eta = 1, Ps = 1, bit = 1
                     big_g = sum(g[j] * omega(p * j) for j in range(m + 1))
@@ -240,7 +240,7 @@ def test_kernel_edge_draw_has_the_full_window_law():
             full = np.zeros((w + 2 * m, nb + m), dtype=complex)  # [window | pre]
             full[:w, :nb] = np.exp(-2j * np.pi * np.outer(np.arange(w), np.arange(nb)) / nb)
             for i in range(1, m + 1):
-                full[w + i - 1, nb - i if i <= nb else nb + i - nb - 1] = 1.0
+                full[w + i - 1, nb - i if i <= nb else nb + (i - nb) - 1] = 1.0
             full[w + m :, nb:] = np.eye(m)
             cov_drawn = drawn @ drawn.conj().T
             cov_full = full @ full.conj().T

@@ -1,7 +1,9 @@
 """Seeded Monte Carlo experiment driver with deterministic parallelism.
 
-Every trial draws its randomness from a dedicated Philox stream keyed by
-(seed, point_index << 40 | trial_index), so results are a pure function of
+Randomness comes from Philox streams keyed by (seed, point_index << 40 |
+index). run_trial takes one stream per trial (trial_stream); the batch
+kernel takes one per chunk, keyed by the chunk's first trial, and chunks
+start at fixed multiples of _CHUNK. So results are a pure function of
 (seed, experiment spec) no matter how many workers execute the chunks or in
 what order they finish. Error counts are integers and reduce commutatively.
 
@@ -41,6 +43,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -110,7 +113,13 @@ class ExperimentSpec:
 
 @dataclass
 class BerResult:
-    """Simulated and theoretical error rates for one sweep point."""
+    """Simulated and theoretical error rates for one sweep point.
+
+    wall_ms is the run's time from the previous point's completion (or the
+    start of the run) to this point's, chunks and theory columns included.
+    Points overlap in a pool, so this is not the point's own cost, but the
+    points' values add up to the run's wall time.
+    """
 
     snr_db: float
     W: int
@@ -172,8 +181,11 @@ def run_trial(config: SystemConfig, rng):
     return bit, decide(stat, threshold_for(config, gamma))
 
 
+@lru_cache(maxsize=64)
 def _edge_map(W: int, m: int, nb: int) -> np.ndarray:
     """E with the edge samples s[Q+nb-i], i = 1..M, = [s_bins | pre | z] @ E.
+
+    One read-only array per geometry, cached: every chunk of a point reads it.
 
     Window samples are i.i.d. CN(0, 2), S = sqrt(nb) s_bins are its bins p < W,
     pre[i-1] = s[Q-i] precede it. The tail t_i = s[Q+nb-i], i <= mt = min(M, nb),
@@ -188,38 +200,34 @@ def _edge_map(W: int, m: int, nb: int) -> np.ndarray:
     emap[:W, :mt] = phi.T / math.sqrt(nb)
     emap[W : W + m - mt, mt:] = np.eye(m - mt)
     emap[W + m :, :mt] = ((vec * np.sqrt(np.clip(lam, 0.0, None))) @ vec.conj().T).T
+    emap.flags.writeable = False
     return emap
 
 
 def _run_chunk(point: SystemConfig, threshold: float | None, point_index: int,
                start: int, count: int, collect: bool = False,
                force_bit: int | None = None):
-    """Vectorized batch of `count` trials of one point, per-trial Philox streams.
+    """Vectorized batch of `count` trials of one point, one Philox stream.
 
     threshold is the point's scalar detection threshold, or None to derive
     it from _operating_point: per trial (from-Ps genie, all in one array
     solve) or once. Returns the error count, or (bits, statistics) arrays
     when collect is set.
 
-    Per trial the stream yields (re, im) pairs of standard normals for the
-    complex blocks g (M+1), f (K+1), S (W), pre (M), z (min(M, R+1)), b (K)
-    and a (W), then one normal for the bit; no source window (module docstring).
+    The chunk's stream is keyed (seed, point_index << 40 | start) and read
+    as a (count, 2 n + 1) block of standard normals, row j for trial
+    start + j: (re, im) pairs for the complex blocks g (M+1), f (K+1), S (W),
+    pre (M), z (min(M, R+1)), b (K) and a (W), n entries in all, then one
+    normal for the bit; no source window (module docstring). A chunk is thus
+    a prefix of any longer chunk from the same start, but a trial's draws
+    depend on that start: callers keep chunks at fixed multiples of _CHUNK.
     """
     W, m, k = point.W, point.M, point.K
     m1, k1, nb = m + 1, k + 1, point.R + 1  # nb: the gated window length
     ends = np.cumsum([m1, k1, W, m, min(m, nb), k, W])  # the blocks above
     v = np.empty((count, 2 * ends[-1] + 1))
-    base = point_index << _TRIAL_BITS
-    # per-trial Philox streams keyed (seed, point<<40 | trial): st is a fresh
-    # Philox's state (counter 0, buffer empty), so setting its second key word
-    # and assigning it back is bit-identical to constructing Philox(key=...)
-    bitgen = np.random.Philox(key=[point.seed % _U64, 0])
-    gen = np.random.Generator(bitgen)
-    st = bitgen.state
-    for j in range(count):
-        st["state"]["key"][1] = base | (start + j)
-        bitgen.state = st
-        gen.standard_normal(out=v[j])
+    key = [point.seed % _U64, (point_index << _TRIAL_BITS) | start]
+    np.random.Generator(np.random.Philox(key=key)).standard_normal(out=v)
 
     # each complex entry is re + j*im of two standard normals: CN(0, 2), the
     # law of one source sample; the 1/sqrt(2) factors are applied below
@@ -289,27 +297,38 @@ def _point_setup(point: SystemConfig):
 
 
 def run_experiment(spec: ExperimentSpec) -> list[BerResult]:
-    """Run every sweep point; deterministic for fixed (seed, spec)."""
+    """Run every sweep point; deterministic for fixed (seed, spec).
+
+    Every point is set up first, so a bad point fails before any chunk runs.
+    With a pool, every point's chunks are then submitted at once and
+    collected in point order, so the parent works out a point's theory
+    columns while the workers run later points.
+    """
+    t0, done_ms = time.perf_counter(), 0
+    points = spec.points()
+    setups = [_point_setup(point) for point in points]
     workers = spec.workers if spec.workers > 0 else (os.cpu_count() or 1)
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     results = []
     try:
-        for point_index, point in enumerate(spec.points()):
-            snr_db, gamma, threshold = _point_setup(point)
+        tasks = []
+        for point_index, (point, (_, _, threshold)) in enumerate(zip(points, setups)):
             # a from-Ps genie point's SNR follows each trial's taps, and so
             # does its threshold: the kernel solves those per chunk
             per_trial = point.snr_mode == "from-Ps" and point.gamma_knowledge == "genie"
-            t0 = time.perf_counter()
-            tasks = []
-            for start in range(0, spec.trials_per_point, _CHUNK):
-                n = min(_CHUNK, spec.trials_per_point - start)
-                args = (point, None if per_trial else threshold, point_index, start, n)
-                tasks.append(pool.submit(_run_chunk, *args) if pool else _run_chunk(*args))
-            errors = sum(t.result() for t in tasks) if pool else sum(tasks)
-            wall_ms = int(round(1000 * (time.perf_counter() - t0)))
+            args = [(point, None if per_trial else threshold, point_index, start,
+                     min(_CHUNK, spec.trials_per_point - start))
+                    for start in range(0, spec.trials_per_point, _CHUNK)]
+            tasks.append([pool.submit(_run_chunk, *a) for a in args] if pool else args)
 
+        for point, (snr_db, gamma, threshold), chunks in zip(points, setups, tasks):
+            errors = (sum(c.result() for c in chunks) if pool
+                      else sum(_run_chunk(*a) for a in chunks))
             _, _, pe_exact = analysis.ber_exact(point, gamma, threshold)
             pe_approx = analysis.ber_approx(point, gamma, threshold)
+            # rounded on the run's clock, so the points' wall_ms add up to it
+            run_ms = int(round(1000 * (time.perf_counter() - t0)))
+            wall_ms, done_ms = run_ms - done_ms, run_ms
 
             ber = errors / spec.trials_per_point
             ci = 1.96 * math.sqrt(max(ber * (1.0 - ber), 0.0) / spec.trials_per_point)
@@ -331,8 +350,10 @@ def run_experiment(spec: ExperimentSpec) -> list[BerResult]:
                 )
             )
     finally:
+        # after a success every chunk is done; after an error this drops the
+        # chunks not yet started instead of running out the sweep
         if pool:
-            pool.shutdown()
+            pool.shutdown(cancel_futures=True)
 
     if spec.emit == "ber_vs_w":
         results.sort(key=lambda r: (r.snr_db, r.W))

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
@@ -14,6 +15,7 @@ import pytest
 import cpscatter
 from cpscatter import cli
 from cpscatter.harness import (
+    _CHUNK,
     CSV_HEADER,
     BerResult,
     ExperimentSpec,
@@ -157,12 +159,23 @@ def test_zero_noise_fails_in_every_snr_mode(mode):
 # --- batch kernel ----------------------------------------------------------------
 
 def test_kernel_reproducible_and_chunk_invariant():
+    # a point's trials are its _CHUNK-aligned chunks, one keyed stream each:
+    # repeat runs agree, collect_statistics is their concatenation, and the
+    # chunks' error counts are the statistics decided at the point threshold
     cfg = SystemConfig(gamma_db=6.0, W=3, dof_convention="complex",
                        threshold_mode="exact-root", seed=6)
-    whole = _run_chunk(cfg, None, 0, 0, 2000)
-    split = sum(_run_chunk(cfg, None, 0, s, 500) for s in (0, 500, 1000, 1500))
-    again = _run_chunk(cfg, None, 0, 0, 2000)
-    assert whole == split == again
+    n = 2 * _CHUNK + 452
+    bits, stats = collect_statistics(cfg, n)
+    again_bits, again_stats = collect_statistics(cfg, n)
+    assert np.array_equal(bits, again_bits) and np.array_equal(stats, again_stats)
+    starts = range(0, n, _CHUNK)
+    chunks = [_run_chunk(cfg, None, 0, s, min(_CHUNK, n - s), collect=True) for s in starts]
+    assert np.array_equal(bits, np.concatenate([c[0] for c in chunks]))
+    assert np.array_equal(stats, np.concatenate([c[1] for c in chunks]))
+    errors = [_run_chunk(cfg, None, 0, s, min(_CHUNK, n - s)) for s in starts]
+    assert errors == [_run_chunk(cfg, None, 0, s, min(_CHUNK, n - s)) for s in starts]
+    _, _, threshold = _point_setup(cfg)
+    assert sum(errors) == int(np.sum((stats >= threshold) != bits))
 
 
 # no, short and long edges, edges longer than the window (M > R+1), and
@@ -177,19 +190,17 @@ def _oracle_ws(geometry):
 
 
 def test_kernel_streams_match_fresh_philox():
-    # keying half: the kernel rekeys one Philox from a template state; its
-    # statistics must equal those rebuilt from Philox(key=[seed, stream])
-    # constructed fresh per trial, read in the layout
-    # [g | f | S | pre | z | b | a | bit], with the edge samples from
-    # _edge_map (checked by the window half below) and explicit W-bin sums
-    # for the tap DFTs G and F, the edge terms and the noise bins
+    # keying half: a chunk's statistics must equal those rebuilt from
+    # Philox(key=[seed, point << 40 | start]), its block of normals read row
+    # by row in the layout [g | f | S | pre | z | b | a | bit], with the edge
+    # samples from _edge_map (checked by the window half below) and explicit
+    # W-bin sums for the tap DFTs G and F, the edge terms and the noise bins
     from cpscatter.receiver import noise_power
 
     for geometry in _ORACLE_GEOMETRIES:
         for w in _oracle_ws(geometry):
             cfg = SystemConfig(seed=12, eta=1.0, snr_mode="from-Ps", Nw=1.5, W=w,
                                **geometry)
-            _, stats = collect_statistics(cfg, 4, force_bit=1, point_index=3)
             m, k, nb = cfg.M, cfg.K, cfg.R + 1
             sizes = [m + 1, k + 1, w, m, min(m, nb), k, w]
             emap = _edge_map(w, m, nb)
@@ -197,10 +208,13 @@ def test_kernel_streams_match_fresh_philox():
             def omega(n):
                 return np.exp(-2j * np.pi * (n % nb) / nb)
 
-            for i in range(4):
-                fresh = np.random.Generator(
-                    np.random.Philox(key=[12, (3 << 40) | i])
-                ).standard_normal(2 * sum(sizes) + 1)
+            rows, stats = [], []
+            for start in (0, 3 * _CHUNK):
+                stats.extend(_run_chunk(cfg, None, 3, start, 2, collect=True, force_bit=1)[1])
+                rows.extend(np.random.Generator(
+                    np.random.Philox(key=[12, (3 << 40) | start])
+                ).standard_normal((2, 2 * sum(sizes) + 1)))
+            for i, fresh in enumerate(rows):
                 cn = (fresh[0:-1:2] + 1j * fresh[1:-1:2]) / np.sqrt(2.0)  # CN(0, 1)
                 g, f, s_bins, pre, z, b, a = np.split(cn, np.cumsum(sizes[:-1]))
                 # d_i = s[Q-i] - s[Q+nb-i], i = 1..M
@@ -247,17 +261,26 @@ def test_kernel_edge_draw_has_the_full_window_law():
             assert np.max(np.abs(cov_drawn - cov_full)) < 1e-12 * nb, (geometry, w)
 
 
-def test_kernel_trials_are_independent_of_their_chunk():
-    # every trial starts from a freshly keyed stream: a chunk's statistics
-    # are bit-identical to single-trial chunks and to a chunk starting
-    # mid-way, so no buffer or counter state leaks from one trial to the next
+def test_kernel_chunk_is_a_prefix_of_any_longer_chunk():
+    # the chunk's stream fills its block row by row, so trial start + j reads
+    # the same normals whatever the chunk's length: _run_chunk(p, s, n) is
+    # bit for bit the first n rows of _run_chunk(p, s, n + k)
     cfg = SystemConfig(seed=23, W=12, gamma_db=9.0)
-    bits, stats = _run_chunk(cfg, None, 2, 0, 8, collect=True)
-    for j in range(8):
-        one_bit, one_stat = _run_chunk(cfg, None, 2, j, 1, collect=True)
-        assert one_bit[0] == bits[j] and one_stat[0] == stats[j]
-    mid_bits, mid_stats = _run_chunk(cfg, None, 2, 3, 5, collect=True)
-    assert np.array_equal(mid_bits, bits[3:]) and np.array_equal(mid_stats, stats[3:])
+    for start in (0, 2 * _CHUNK):
+        bits, stats = _run_chunk(cfg, None, 2, start, 40, collect=True)
+        for n in (1, 7, 39):
+            head_bits, head_stats = _run_chunk(cfg, None, 2, start, n, collect=True)
+            assert np.array_equal(head_bits, bits[:n]), (start, n)
+            assert np.array_equal(head_stats, stats[:n]), (start, n)
+
+
+def test_edge_map_is_cached_read_only_and_fresh():
+    emap = _edge_map(3, 5, 246)
+    assert _edge_map(3, 5, 246) is emap
+    assert not emap.flags.writeable
+    with pytest.raises(ValueError):
+        emap[0, 0] = 0.0
+    assert np.array_equal(emap, _edge_map.__wrapped__(3, 5, 246))
 
 
 _LAW_GAMMA_DB = 13.0
@@ -442,15 +465,65 @@ def test_snr_trend_with_noise_allowance():
 
 
 def test_worker_count_invariance(tmp_path):
-    base = SystemConfig(seed=9)
-    csvs = []
-    for workers in (1, 3):
-        spec = ExperimentSpec(base=base, snr_db_list=(9.0,), W_list=(3, 12),
-                              trials_per_point=3000, workers=workers,
-                              output_path=str(tmp_path / f"w{workers}.csv"))
-        emit_csv(run_experiment(spec), spec.output_path)
-        csvs.append((tmp_path / f"w{workers}.csv").read_bytes())
-    assert csvs[0] == csvs[1]
+    # direct-gamma, and from-Ps genie exact-root, whose thresholds are solved
+    # per chunk; 3000 trials leave a short last chunk
+    from_ps = dict(snr_mode="from-Ps", gamma_knowledge="genie",
+                   dof_convention="complex", threshold_mode="exact-root")
+    for mode, base in (("direct", SystemConfig(seed=9)),
+                       ("from-ps", SystemConfig(seed=9, **from_ps))):
+        csvs = []
+        for workers in (1, 3):
+            spec = ExperimentSpec(base=base, snr_db_list=(9.0,), W_list=(3, 12),
+                                  trials_per_point=3000, workers=workers,
+                                  output_path=str(tmp_path / f"{mode}-w{workers}.csv"))
+            emit_csv(run_experiment(spec), spec.output_path)
+            csvs.append(Path(spec.output_path).read_bytes())
+        assert csvs[0] == csvs[1], mode
+
+
+class _ChunkFailure(RuntimeError):
+    pass
+
+
+def _chunk_failing_at_point_1(point, threshold, point_index, start, count, **kw):
+    # module level, so the pool can pickle it; fork workers inherit the patch
+    if point_index == 1:
+        raise _ChunkFailure(f"chunk {start} of point 1")
+    if point_index > 1:
+        time.sleep(0.25)
+        return 0
+    return _run_chunk(point, threshold, point_index, start, count, **kw)
+
+
+def test_chunk_failure_propagates_and_cancels_later_chunks(monkeypatch):
+    # every chunk is submitted up front; when one fails, the error must
+    # reach the caller without waiting for the later points' 20 chunks
+    # (2.5 s of sleeps on two workers)
+    from cpscatter import harness
+
+    monkeypatch.setattr(harness, "_run_chunk", _chunk_failing_at_point_1)
+    spec = ExperimentSpec(base=SystemConfig(seed=4), snr_db_list=(6.0, 9.0, 13.0, 16.0),
+                          W_list=(3,), trials_per_point=10 * _CHUNK, workers=2)
+    t0 = time.perf_counter()
+    with pytest.raises(_ChunkFailure):
+        run_experiment(spec)
+    assert time.perf_counter() - t0 < 1.5
+
+
+def test_point_wall_times_add_up_to_the_run(monkeypatch):
+    # wall_ms runs from the previous point's completion (or the run's start)
+    # to this point's, rounded on the run's clock: rounding each interval
+    # alone would give 10, 11, 14, 4 here, 39 ms against a 40 ms run
+    from types import SimpleNamespace
+
+    from cpscatter import harness
+
+    clock = iter([0.0, 0.0104, 0.0213, 0.0356, 0.0401])  # start, then each point
+    monkeypatch.setattr(harness, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+    spec = ExperimentSpec(base=SystemConfig(seed=4), snr_db_list=(6.0, 9.0),
+                          W_list=(3, 12), trials_per_point=64, workers=1)
+    walls = {(r.snr_db, r.W): r.wall_ms for r in run_experiment(spec)}
+    assert walls == {(6.0, 3): 10, (6.0, 12): 11, (9.0, 3): 15, (9.0, 12): 4}
 
 
 def test_from_ps_mode_reports_ensemble_snr():

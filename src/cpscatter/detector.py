@@ -21,13 +21,16 @@ The ML threshold is where the two densities cross. threshold_paper
 evaluates the closed form obtained by pulling the Bessel kernel's
 exponentials apart (which is what makes it solvable, at the cost of an
 approximation); threshold_exact finds the true crossing by a safeguarded
-Newton iteration on the log-density difference, whose slope is a closed-form
-Bessel ratio. The iteration runs on an array of gammas at once, with the
-densities evaluated elementwise (log I_r via scipy's ive), so a batch of
-per-trial thresholds costs one array solve of a handful of density passes
-(about 7 for one of the kernel's 1024-trial chunks). threshold_for picks
-the mode once, for an array of gammas; a scalar gamma is its one-element
-case, cached in a small bounded LRU keyed on (config, gamma).
+Newton iteration on the log-density difference D = log f0 - log f1, whose
+slope is a closed-form Bessel ratio. threshold_for picks the mode once, for
+an array of gammas solved together; a scalar gamma is its one-element case,
+cached in a small bounded LRU keyed on (config, gamma).
+
+D falls strictly in x, so a statistic reaches the exact-root threshold
+exactly where D at the statistic is <= 0. decide_array uses that to decide
+a batch of trials, each at its own gamma, with one elementwise density pass
+(log I_r via scipy's ive) and no threshold solve: the kernel's from-Ps genie
+chunks decide this way.
 """
 
 from __future__ import annotations
@@ -137,11 +140,29 @@ def threshold_paper(W: int, gamma):
     return log_arg ** 2 / (W * gamma)
 
 
+def _log_ratio(x, config: SystemConfig, gamma):
+    """D(x) = log f0(x) - log f1(x; gamma), elementwise: > 0 where H0 is likelier.
+
+    The one function whose root is the exact-root threshold and whose sign
+    decides a trial against it.
+    """
+    return log_pdf_h0(x, config) - log_pdf_h1(x, config, gamma)
+
+
+def _gammas(gamma) -> np.ndarray:
+    """gamma as a float64 array; non-finite or negative values raise ValueError."""
+    gamma = np.asarray(gamma, dtype=np.float64)
+    bad = ~((gamma >= 0) & (gamma < math.inf))
+    if np.any(bad):
+        raise ValueError(f"gamma must be finite and >= 0, got {gamma[bad][0]}")
+    return gamma
+
+
 def _solve_crossing(config: SystemConfig, gamma: np.ndarray) -> np.ndarray:
     """Density crossing at config for each gamma (all > 0), by safeguarded Newton.
 
-    D(x) = log f0(x) - log f1(x) falls strictly through the crossing, with
-    the closed-form slope
+    D(x) = _log_ratio(x) falls strictly through the crossing, with the
+    closed-form slope
 
         D'(x) = -(s/2) sqrt(lam / (s x)) I_{nu+1}(u) / I_nu(u)
               = -u I_{nu+1}(u) / (2 x I_nu(u)),
@@ -157,7 +178,7 @@ def _solve_crossing(config: SystemConfig, gamma: np.ndarray) -> np.ndarray:
     W = config.W
 
     def diff(x, idx):
-        return log_pdf_h0(x, config) - log_pdf_h1(x, config, gamma[idx])
+        return _log_ratio(x, config, gamma[idx])
 
     # f0 dominates below the crossing, f1 above; expand each end, starting
     # from the H0 mode and the H1 mean, until the sign change is bracketed
@@ -224,16 +245,14 @@ def threshold_for(config: SystemConfig, gamma):
     served from a small LRU keyed on (config, gamma)). With gamma == 0 the
     two hypotheses coincide and any positive threshold yields chance-level
     decisions; the H0 mean keeps the detector runnable. Accuracy floor: at
-    tiny gamma log f0 - log f1 cancels, so the exact root is off by 4.9e-7 at
-    W=246 complex, gamma=1e-8, and 3.3e-3 at W=3, gamma=1e-12 (50-digit
-    reference); sweeps stay far above (kernel-drawn from-Ps gamma >~ 0.37).
+    tiny gamma D = log f0 - log f1 cancels, so the exact root is off by
+    4.9e-7 at W=246 complex, gamma=1e-8, and 3.3e-3 at W=3, gamma=1e-12
+    (50-digit reference), and decide_array's sign of D is as uncertain
+    there; sweeps stay far above (kernel-drawn from-Ps gamma >~ 0.37).
     """
     if np.ndim(gamma) == 0:
         return _scalar_threshold(config, float(gamma))
-    gamma = np.asarray(gamma, dtype=np.float64)
-    bad = ~((gamma >= 0) & (gamma < math.inf))
-    if np.any(bad):
-        raise ValueError(f"gamma must be finite and >= 0, got {gamma[bad][0]}")
+    gamma = _gammas(gamma)
     out = np.full(gamma.shape, float(config.W))
     pos = gamma > 0
     if np.any(pos):
@@ -247,6 +266,27 @@ def threshold_for(config: SystemConfig, gamma):
 @lru_cache(maxsize=_SCALAR_CACHE_SIZE)
 def _scalar_threshold(config: SystemConfig, gamma: float) -> float:
     return float(threshold_for(config, np.array([gamma]))[0])
+
+
+def decide_array(config: SystemConfig, stats, gamma) -> np.ndarray:
+    """Decisions (True for bit 1) of stats, each against its own gamma's threshold.
+
+    stats and gamma are arrays of one shape. The result is
+    stats >= threshold_for(config, gamma), gamma validated the same way,
+    without solving the thresholds: gamma == 0 decides stat >= W,
+    closed-form compares with threshold_paper, and exact-root decides 1
+    where D(stat) <= 0, as D falls strictly through its root (its slope
+    -u I_{nu+1}(u) / (2 x I_nu(u)) is negative for x > 0).
+    """
+    gamma = _gammas(gamma)
+    out = stats >= config.W
+    pos = gamma > 0
+    if np.any(pos):
+        if config.threshold_mode == "closed-form":
+            out[pos] = stats[pos] >= threshold_paper(config.W, gamma[pos])
+        else:
+            out[pos] = _log_ratio(stats[pos], config, gamma[pos]) <= 0
+    return out
 
 
 def decide(statistic: float, threshold: float) -> int:

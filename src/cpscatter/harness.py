@@ -51,12 +51,18 @@ import numpy as np
 from . import analysis
 # detection_snr and threshold_exact are not called here, but perfbench
 # traces them through this namespace, so the names stay importable
-from .detector import decide, detection_gamma, detection_snr, threshold_exact, threshold_for
+from .detector import (
+    decide,
+    decide_array,
+    detection_gamma,
+    detection_snr,
+    threshold_exact,
+    threshold_for,
+)
 from .numerics import RngStream, as_generator
 from .phy import SystemConfig, draw_channels, simulate_frame
 from .receiver import noise_power, process, test_statistic
 
-_U64 = 1 << 64
 _TRIAL_BITS = 40  # trial index width inside a stream id
 _CHUNK = 1024  # fixed batch size; keeps the working set cache-resident
 _EMIT_MODES = ("ber_vs_snr", "ber_vs_w", "pdf_curves")
@@ -210,9 +216,10 @@ def _run_chunk(point: SystemConfig, threshold: float | None, point_index: int,
     """Vectorized batch of `count` trials of one point, one Philox stream.
 
     threshold is the point's scalar detection threshold, or None to derive
-    it from _operating_point: per trial (from-Ps genie, all in one array
-    solve) or once. Returns the error count, or (bits, statistics) arrays
-    when collect is set.
+    it from _operating_point: once, or per trial (from-Ps genie), where
+    decide_array decides each trial by the sign of the log-density ratio at
+    its statistic instead of solving its threshold. Returns the error count,
+    or (bits, statistics) arrays when collect is set.
 
     The chunk's stream is keyed (seed, point_index << 40 | start) and read
     as a (count, 2 n + 1) block of standard normals, row j for trial
@@ -226,7 +233,7 @@ def _run_chunk(point: SystemConfig, threshold: float | None, point_index: int,
     m1, k1, nb = m + 1, k + 1, point.R + 1  # nb: the gated window length
     ends = np.cumsum([m1, k1, W, m, min(m, nb), k, W])  # the blocks above
     v = np.empty((count, 2 * ends[-1] + 1))
-    key = [point.seed % _U64, (point_index << _TRIAL_BITS) | start]
+    key = np.array([point.seed, (point_index << _TRIAL_BITS) | start], dtype=np.uint64)
     np.random.Generator(np.random.Philox(key=key)).standard_normal(out=v)
 
     # each complex entry is re + j*im of two standard normals: CN(0, 2), the
@@ -262,9 +269,10 @@ def _run_chunk(point: SystemConfig, threshold: float | None, point_index: int,
     if collect:
         return bits, stats
 
-    if threshold is None:
-        threshold = threshold_for(point, gamma)
-    decisions = (stats >= threshold).astype(np.int64)
+    if threshold is None and np.ndim(gamma):
+        decisions = decide_array(point, stats, gamma)
+    else:
+        decisions = stats >= (threshold_for(point, gamma) if threshold is None else threshold)
     return int(np.sum(decisions != bits))
 
 
@@ -314,7 +322,7 @@ def run_experiment(spec: ExperimentSpec) -> list[BerResult]:
         tasks = []
         for point_index, (point, (_, _, threshold)) in enumerate(zip(points, setups)):
             # a from-Ps genie point's SNR follows each trial's taps, and so
-            # does its threshold: the kernel solves those per chunk
+            # does its threshold: the kernel decides each trial against it
             per_trial = point.snr_mode == "from-Ps" and point.gamma_knowledge == "genie"
             args = [(point, None if per_trial else threshold, point_index, start,
                      min(_CHUNK, spec.trials_per_point - start))

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, ive, logsumexp
 
-_U64 = 1 << 64
 _LN2 = math.log(2.0)
 
 # below this, scipy's ive is at (or next to) its underflow to zero and the
@@ -49,7 +48,7 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         """Materialize the stream as a Philox4x64-backed Generator."""
         return np.random.Generator(
-            np.random.Philox(key=[self.seed % _U64, self.stream % _U64])
+            np.random.Philox(key=np.array([self.seed, self.stream], dtype=np.uint64))
         )
 
 

@@ -47,7 +47,7 @@ class SystemConfig:
     Ps: source sample variance (used directly in from-Ps mode)
     Nw: AWGN variance at the reader
     W: number of DFT bins averaged into one test statistic
-    seed: master seed for all derived random streams
+    seed: master seed for all derived random streams, in [0, 2^64)
     snr_mode: "direct-gamma" rescales Ps per trial so the realized detection
         SNR equals 10^(gamma_db/10); "from-Ps" uses Ps as given and lets the
         per-trial SNR float with the channel draw
@@ -94,6 +94,10 @@ class SystemConfig:
             raise ValueError(f"Ps must be > 0, got {self.Ps}")
         if self.Nw < 0:
             raise ValueError(f"Nw must be >= 0, got {self.Nw}")
+        # the seed is one 64-bit Philox key word; outside that range numpy
+        # would alias it onto another seed's stream
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError(f"seed must be in [0, 2^64), got {self.seed}")
         if self.snr_mode not in _SNR_MODES:
             raise ValueError(f"snr_mode must be one of {_SNR_MODES}")
         if self.dof_convention not in _DOF_CONVENTIONS:

@@ -12,6 +12,7 @@ from cpscatter import detector, harness
 from cpscatter.analysis import ber_approx, ber_exact, pdf_curves
 from cpscatter.detector import (
     decide,
+    decide_array,
     detection_snr,
     pdf_h0,
     pdf_h1,
@@ -76,6 +77,8 @@ def test_negative_gamma_rejected():
                      lambda: threshold_for(point, np.array([1.0, gamma])),
                      lambda: threshold_for(closed, gamma),
                      lambda: threshold_for(closed, np.array([1.0, gamma])),
+                     lambda: decide_array(point, np.array([2.0, 2.0]), np.array([1.0, gamma])),
+                     lambda: decide_array(closed, np.array([2.0, 2.0]), np.array([1.0, gamma])),
                      lambda: ber_exact(point, gamma, 1.0),
                      lambda: ber_approx(point, gamma, 1.0),
                      lambda: pdf_curves(point, gamma, np.array([1.0, 2.0]))):
@@ -264,10 +267,12 @@ def test_threshold_array_solve_matches_scalar(conv, w):
 
 
 def _kernel_gammas(monkeypatch, point):
-    # the per-trial genie gammas of one 1024-trial chunk, as the kernel draws them
+    # the per-trial genie gammas of one 1024-trial chunk, as the kernel hands
+    # them to its per-trial decision
     drawn = []
     with monkeypatch.context() as m:
-        m.setattr(harness, "threshold_for", lambda cfg, g: drawn.append(g) or float(cfg.W))
+        m.setattr(harness, "decide_array",
+                  lambda cfg, stats, g: drawn.append(g) or stats >= cfg.W)
         harness._run_chunk(point, None, 0, 0, 1024)
     (gammas,) = drawn
     assert gammas.shape == (1024,)
@@ -293,6 +298,55 @@ def test_threshold_solve_density_passes(monkeypatch, w, conv, gammas):
     assert len(calls) <= 12
     # each element iterates on its own: the array solve is the scalar one
     assert np.array_equal(got, [threshold_exact(point, float(g)) for g in gammas])
+
+
+@pytest.mark.parametrize("mode", ["exact-root", "closed-form"])
+@pytest.mark.parametrize("conv", ["paper", "complex"])
+@pytest.mark.parametrize("w", [1, 3, 12, 246])
+def test_kernel_decisions_match_per_trial_thresholds(monkeypatch, w, conv, mode):
+    # a from-Ps genie chunk decides each trial by decide_array, never by a
+    # threshold solve; every decision is the statistic against its own
+    # threshold (the array threshold equals the per-trial scalar one)
+    point = SystemConfig(W=w, snr_mode="from-Ps", dof_convention=conv,
+                         threshold_mode=mode, gamma_knowledge="genie", seed=417)
+    seen = []
+
+    def spy(cfg, stats, g):
+        seen.append((stats, g, decide_array(cfg, stats, g)))
+        return seen[-1][2]
+
+    def no_solve(*args):
+        raise AssertionError("the per-trial path solved a threshold")
+
+    monkeypatch.setattr(harness, "decide_array", spy)
+    monkeypatch.setattr(harness, "threshold_for", no_solve)
+    if w == 1 and mode == "closed-form":  # the closed form needs W >= 2
+        with pytest.raises(ValueError):
+            harness._run_chunk(point, None, 0, 0, 1024)
+        with pytest.raises(ValueError):
+            threshold_for(point, np.array([1.0]))
+        return
+    errors = harness._run_chunk(point, None, 0, 0, 1024)
+    ((stats, gammas, got),) = seen
+    assert gammas.shape == stats.shape == (1024,) and np.all(gammas > 0)
+    want = stats >= threshold_for(point, gammas)
+    assert np.array_equal(got, want)
+    assert 0 < np.sum(got) < 1024
+    bits, _ = collect_statistics(point, 1024)
+    assert errors == int(np.sum(want != bits))
+
+
+@pytest.mark.parametrize("mode", ["exact-root", "closed-form"])
+def test_decide_array_at_zero_gamma_and_on_bad_gamma(mode):
+    point = SystemConfig(W=5, dof_convention="complex", threshold_mode=mode)
+    stats = np.array([0.5, 4.999, 5.0, 7.0, 3.0, 30.0])
+    gammas = np.array([0.0, 0.0, 0.0, 0.0, 2.0, 2.0])
+    got = decide_array(point, stats, gammas)
+    assert got.tolist()[:4] == [False, False, True, True]  # stat >= W where gamma == 0
+    assert np.array_equal(got, stats >= threshold_for(point, gammas))
+    for bad in (math.nan, math.inf, -math.inf, -1.0, -1e-300):
+        with pytest.raises(ValueError, match="gamma"):
+            decide_array(point, stats, np.where(gammas > 0, bad, gammas))
 
 
 def test_threshold_for_array_closed_form_matches_scalar():

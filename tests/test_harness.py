@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
@@ -35,7 +36,7 @@ from cpscatter.harness import (
     trial_stream,
     write_pdf_csv,
 )
-from cpscatter.detector import threshold_exact, threshold_for
+from cpscatter.detector import decide_array, threshold_exact, threshold_for
 from cpscatter.phy import SystemConfig
 
 
@@ -117,6 +118,57 @@ def test_run_trial_golden_sequence(gamma_db, w, point, sent, decided):
     as_hex = lambda bits: format(int("".join(map(str, bits)), 2), "064x")
     assert as_hex([b for b, _ in seq]) == sent
     assert as_hex([d for _, d in seq]) == decided
+
+
+# per-point errors of a from-Ps genie exact-root sweep (seed 1313, 4096
+# trials, W 3/12, workers 1), recorded while the kernel still solved each
+# trial's threshold; deciding by the sign of the log-density ratio must not
+# change one decision
+FROM_PS_GOLDEN = {"paper": [(3, 1010), (12, 823)], "complex": [(3, 1030), (12, 831)]}
+
+
+@pytest.mark.parametrize("conv", sorted(FROM_PS_GOLDEN))
+def test_from_ps_genie_errors_golden(conv):
+    base = SystemConfig(snr_mode="from-Ps", gamma_knowledge="genie", dof_convention=conv,
+                        threshold_mode="exact-root", seed=1313)
+    spec = ExperimentSpec(base=base, W_list=(3, 12), trials_per_point=4096, workers=1)
+    assert [(r.W, r.bit_errors) for r in run_experiment(spec)] == FROM_PS_GOLDEN[conv]
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 64])
+def test_seed_outside_64_bits_fails_before_any_work(seed, tmp_path, capsys):
+    # numpy would alias such a seed onto another one's Philox key
+    with pytest.raises(ValueError, match="seed"):
+        SystemConfig(seed=seed)
+    out = tmp_path / "never.csv"
+    rc = cli.main(["run", "--seed", str(seed), "--trials", "8", "--out", str(out)])
+    assert rc == 1
+    assert "seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_seeds_above_2_63_get_their_own_streams():
+    # 2^63 and 2^63 + 1 once collapsed onto the same float64 key word
+    draws = {}
+    for seed in (1 << 63, (1 << 63) + 1):
+        cfg = SystemConfig(W=3, seed=seed)
+        _, stats = collect_statistics(cfg, 64)
+        frame = trial_stream(seed, 0, 0).generator().standard_normal(8)
+        draws[seed] = stats, frame, [run_trial(cfg, trial_stream(seed, 0, i)) for i in range(64)]
+    (s0, f0, t0), (s1, f1, t1) = draws.values()
+    assert not np.array_equal(s0, s1)
+    assert not np.array_equal(f0, f1)
+    assert t0 != t1
+
+
+def test_largest_seed_runs_without_warnings():
+    seed = (1 << 64) - 1
+    cfg = SystemConfig(W=3, seed=seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        collect_statistics(cfg, 16)
+        _run_chunk(cfg, None, 0, 0, 16)
+        run_trial(cfg, trial_stream(seed, 0, 0))
 
 
 def test_run_trial_direct_gamma_requires_eta():
@@ -364,7 +416,7 @@ def test_kernel_agrees_with_run_trial_statistically():
 
 
 def test_from_ps_chunk_matches_scalar_threshold_loop(monkeypatch):
-    # the per-trial thresholds of a from-Ps chunk come from one array solve;
+    # a from-Ps chunk decides each trial at its own gamma in one array pass;
     # per-trial scalar solves must decide every trial the same way
     from cpscatter import harness
 
@@ -372,11 +424,11 @@ def test_from_ps_chunk_matches_scalar_threshold_loop(monkeypatch):
                        threshold_mode="exact-root", W=12, seed=14)
     seen = []
 
-    def spy(config, gamma):
+    def spy(config, stats, gamma):
         seen.append(np.array(gamma))
-        return threshold_for(config, gamma)
+        return decide_array(config, stats, gamma)
 
-    monkeypatch.setattr(harness, "threshold_for", spy)
+    monkeypatch.setattr(harness, "decide_array", spy)
     errors = _run_chunk(cfg, None, 0, 0, 1024)
     (gammas,) = seen
     bits, stats = collect_statistics(cfg, 1024)

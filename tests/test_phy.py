@@ -63,6 +63,25 @@ def test_config_validation(bad):
         cfg(**bad)
 
 
+@pytest.mark.parametrize("bad", [
+    dict(seed=1.5),  # the Philox key would truncate it onto seed 1
+    dict(seed=True),  # a bool is an int subclass: it would key as seed 1
+    dict(W=3.0),  # these three failed with a TypeError inside the kernel
+    dict(M=2.0),
+    dict(K=1.5),
+    dict(C=200.5),  # ran to a plausible-looking wrong BER
+])
+def test_non_integer_config_values_fail(bad):
+    (name,) = bad
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        cfg(**bad)
+
+
+def test_numpy_integer_config_values_accepted():
+    c = cfg(W=np.int64(3), seed=np.uint64(7), M=np.int32(2))
+    assert (c.W, c.seed, c.M) == (3, 7, 2)
+
+
 def test_zero_noise_allowed():
     assert cfg(Nw=0.0).Nw == 0.0
 

@@ -238,9 +238,11 @@ def threshold_for(config: SystemConfig, gamma: float) -> float:
     two hypotheses coincide and any positive threshold yields chance-level
     decisions; the H0 mean keeps the detector runnable. Accuracy floor: at
     tiny gamma D = log f0 - log f1 cancels, so the exact root is off by
-    4.9e-7 at W=246 complex, gamma=1e-8, and 3.3e-3 at W=3, gamma=1e-12
-    (50-digit reference), and decide_array's sign of D is as uncertain
-    there; sweeps stay far above (kernel-drawn from-Ps gamma >~ 0.37).
+    2.9e-5 (complex) and 2.4e-4 (paper) at W=246, gamma=1e-8, where D
+    reads log_bessel_i's hyp0f1 form (good to ~1e-12 absolute), and by
+    3.3e-3 at W=3 complex, gamma=1e-12 (50-digit reference).
+    decide_array's sign of D is as uncertain there; sweeps stay far above
+    (kernel-drawn from-Ps gamma >~ 0.37).
     """
     gamma = float(_gammas(gamma))
     if gamma == 0:

@@ -41,6 +41,7 @@ statistically.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -92,6 +93,11 @@ class ExperimentSpec:
             raise ValueError("sweep lists must be non-empty")
         if not all(math.isfinite(snr) for snr in self.snr_db_list):
             raise ValueError(f"snr_db_list must be finite, got {self.snr_db_list}")
+        # a bool or float count would run, then report or fail mid-sweep
+        for name in ("trials_per_point", "workers"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.trials_per_point < 1:
             raise ValueError("trials_per_point must be >= 1")
         if self.trials_per_point >= (1 << _TRIAL_BITS):
@@ -220,8 +226,8 @@ def _chunk_statistics(point: SystemConfig, point_index: int, start: int, count: 
     trial for a from-Ps genie point. force_bit, if set, replaces the drawn
     bits (the bit's normal is still drawn).
 
-    The chunk's stream is keyed (seed, point_index << 40 | start) and read
-    as a (count, 2 n + 1) block of standard normals, row j for trial
+    The chunk's stream is trial_stream(seed, point_index, start), read as
+    a (count, 2 n + 1) block of standard normals, row j for trial
     start + j: (re, im) pairs for the complex blocks g (M+1), f (K+1), S (W),
     pre (M), z (min(M, R+1)), b (K) and a (W), n entries in all, then one
     normal for the bit; no source window (module docstring). A chunk is thus
@@ -232,8 +238,7 @@ def _chunk_statistics(point: SystemConfig, point_index: int, start: int, count: 
     m1, k1, nb = m + 1, k + 1, point.R + 1  # nb: the gated window length
     ends = np.cumsum([m1, k1, W, m, min(m, nb), k, W])  # the blocks above
     v = np.empty((count, 2 * ends[-1] + 1))
-    key = np.array([point.seed, (point_index << _TRIAL_BITS) | start], dtype=np.uint64)
-    np.random.Generator(np.random.Philox(key=key)).standard_normal(out=v)
+    trial_stream(point.seed, point_index, start).generator().standard_normal(out=v)
 
     # each complex entry is re + j*im of two standard normals: CN(0, 2), the
     # law of one source sample; the 1/sqrt(2) factors are applied below
@@ -425,7 +430,7 @@ def run_pdf_curves(spec: ExperimentSpec, n_points: int = 800) -> np.ndarray:
 def write_pdf_csv(table: np.ndarray, path) -> None:
     """Write a pdf_curves table as x,f0,f1 rows."""
     lines = ["x,f0,f1"]
-    for x, f0, f1 in table:
+    for x, f0, f1 in table.tolist():
         lines.append(f"{x!r},{f0!r},{f1!r}")
     try:
         Path(path).write_text("\n".join(lines) + "\n")

@@ -11,8 +11,8 @@ Numerical conventions:
     arrays, so a detector can evaluate one density per trial in one call;
   * densities with large noncentrality are evaluated in the log domain:
     log I_r(u) = log(ive(r, u)) + u with scipy's exponentially scaled
-    Bessel function, and a log-domain power series where ive underflows,
-    so nothing overflows for noncentralities up to ~1e4 and beyond;
+    Bessel function, and from scipy's hyp0f1 where ive underflows, so
+    nothing overflows for noncentralities up to ~1e4 and beyond;
   * random streams are Philox4x64 counter-based generators keyed by
     (seed, stream) pairs, which makes every draw sequence a pure function
     of those two integers on any platform and worker count.
@@ -24,13 +24,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, ive, logsumexp
+from scipy.special import gammaln, hyp0f1, ive
 
 _LN2 = math.log(2.0)
 
-# below this, scipy's ive is at (or next to) its underflow to zero and the
-# log-domain series takes over; the series needs few terms there
-_IVE_SERIES_BELOW = 1e-280
+# below this, scipy's ive is at (or next to) its underflow to zero and
+# log_bessel_i switches to the hyp0f1 form
+_IVE_UNDERFLOW = 1e-280
 
 
 @dataclass(frozen=True)
@@ -126,9 +126,11 @@ def log_bessel_i(r, u):
     r >= -1/2 (the 1-dof noncentral chi-square needs -1/2) and u >= 0.
     Evaluated as log(ive(r, u)) + u with scipy's exponentially scaled
     Bessel function, so large u never overflows. Where ive underflows
-    (large order, small argument: r = 245 at u = 1) the power series is
-    summed in the log domain instead. At u == 0 the result is 0 for r == 0,
-    -inf for r > 0 and +inf for r < 0.
+    (large order, small argument: r = 245 at u = 1) it is
+        r log(u/2) - lnGamma(r+1) + log 0F1(; r+1; u^2/4)
+    with scipy's hyp0f1, which is near 1 there. At u == 0 the result is 0
+    for r == 0, -inf for r > 0 and +inf for r < 0. Beyond order ~1500 the
+    hyp0f1 factor can overflow, which raises (the detector needs <= 245).
     """
     r_arr = np.asarray(r, dtype=np.float64)
     u_arr = np.asarray(u, dtype=np.float64)
@@ -140,33 +142,18 @@ def log_bessel_i(r, u):
     with np.errstate(divide="ignore"):
         out = np.log(scaled) + u_arr
     # ive underflowed, or is 0 or nan at u == 0
-    redo = ~(scaled >= _IVE_SERIES_BELOW)
-    if redo.any():
+    under = ~(scaled >= _IVE_UNDERFLOW)
+    if under.any():
         out = np.array(out, dtype=np.float64)
-        r_b = np.broadcast_to(r_arr, out.shape)[redo]
-        u_b = np.broadcast_to(u_arr, out.shape)[redo]
-        vals = np.where(r_b > 0, -np.inf, np.inf)  # the u == 0 limits
-        series = u_b > 0
-        if series.any():
-            vals[series] = _log_bessel_i_series(r_b[series], u_b[series])
-        out[redo] = vals
+        r_b = np.broadcast_to(r_arr, out.shape)[under]
+        u_b = np.broadcast_to(u_arr, out.shape)[under]
+        with np.errstate(divide="ignore"):
+            vals = (r_b * np.log(0.5 * u_b) - gammaln(r_b + 1.0)
+                    + np.log(hyp0f1(r_b + 1.0, 0.25 * u_b * u_b)))
+        if np.isposinf(vals[r_b > 0]).any():
+            raise ValueError(f"log I_r(u) overflows hyp0f1 at order {r_b.max()}")
+        out[under] = vals
     return float(out) if np.ndim(out) == 0 else out
-
-
-def _log_bessel_i_series(r: np.ndarray, u: np.ndarray) -> np.ndarray:
-    # sum_k (u/2)^(2k+r) / (k! Gamma(k+r+1)) in the log domain, one row per
-    # element; the term ratio reaches 1 near k*, so extend past it until
-    # every row's tail is negligible
-    r = r[:, None]
-    log_half_u = np.log(0.5 * u)[:, None]
-    k_star = 0.5 * (-(r + 2.0) + np.sqrt(r * r + u[:, None] ** 2))
-    k_max = int(max(k_star.max(), 0.0)) + 32
-    while True:
-        k = np.arange(k_max + 1, dtype=np.float64)
-        log_terms = (2.0 * k + r) * log_half_u - gammaln(k + 1.0) - gammaln(k + r + 1.0)
-        if np.all(log_terms[:, -1] < log_terms.max(axis=1) - 40.0):
-            return logsumexp(log_terms, axis=1)
-        k_max *= 2
 
 
 def bessel_i(r: float, u: float) -> float:

@@ -162,7 +162,6 @@ class Frame:
     x: np.ndarray
     gate: np.ndarray
     y: np.ndarray
-    bit: int
     noise: np.ndarray | None = None
 
 
@@ -229,8 +228,7 @@ def simulate_frame(config: SystemConfig, channels: ChannelSet, bit: int, rng) ->
     gate = tag_gate(config, bit)
     direct, backscatter = observe_components(s, x, gate, channels, config)
     noise = complex_gaussian(gen, config.Nw, config.frame_len)
-    return Frame(s=s, x=x, gate=gate, y=direct + backscatter + noise,
-                 bit=bit, noise=noise)
+    return Frame(s=s, x=x, gate=gate, y=direct + backscatter + noise, noise=noise)
 
 
 def legacy_demodulate(y_clean: np.ndarray, config: SystemConfig) -> np.ndarray:

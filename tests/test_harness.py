@@ -634,6 +634,13 @@ def test_spec_validation():
         ExperimentSpec(emit="nope")
     with pytest.raises(ValueError):
         ExperimentSpec(W_list=(500,))
+    # a bool count ran one trial; a float count failed only inside the run
+    for bad in ({"trials_per_point": True}, {"trials_per_point": 100.5},
+                {"workers": 1.5}, {"workers": False}):
+        with pytest.raises(ValueError, match="must be an integer"):
+            ExperimentSpec(**bad)
+    spec = ExperimentSpec(trials_per_point=np.int64(64), workers=np.int32(1))
+    assert spec.trials_per_point == 64 and spec.workers == 1
 
 
 @pytest.mark.parametrize("cfg_text", [
@@ -777,6 +784,8 @@ def test_run_pdf_curves_table(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "x,f0,f1"
     assert len(lines) == 401
+    # plain float reprs, not numpy's np.float64(...), so the table reads back exactly
+    assert np.array_equal(np.loadtxt(path, delimiter=",", skiprows=1), table)
 
 
 def test_run_pdf_curves_from_ps_uses_ensemble_snr():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 from scipy.integrate import quad
+from scipy.special import ive
 
 from cpscatter.numerics import (
     RngStream,
@@ -215,11 +216,33 @@ def test_log_bessel_elementwise():
         assert g == log_bessel_i(float(rv), float(uv))
     assert got[1] == -math.inf
     assert log_bessel_i(-0.5, 0.0) == math.inf
-    # ive(245, 1) underflows to 0; the log-domain series takes over
+    # ive(245, 1) underflows to 0; the hyp0f1 form takes over
     want = float(mpmath.log(mpmath.besseli(245, 1)))
     assert got[3] == pytest.approx(want, rel=1e-12)
     assert got[4] == pytest.approx(math.log(math.sqrt(2 / (math.pi * 2.0)) * math.cosh(2.0)),
                                    rel=1e-13)
+
+
+def test_log_bessel_where_ive_underflows_vs_mpmath():
+    # the hyp0f1 branch: every grid point where ive < 1e-280, plus the first
+    # points past the switch, where ive's own path is back
+    u = np.logspace(-12, 4, 161)
+    checked = 0
+    for r in (30.0, 60.0, 122.0, 245.0, 1000.0):
+        under = np.flatnonzero(ive(r, u) < 1e-280)
+        assert under.size and under[-1] + 3 < u.size
+        keep = u[: under[-1] + 4]
+        got = log_bessel_i(r, keep)
+        with mpmath.workdps(50):
+            for uv, g in zip(keep, got):
+                want = float(mpmath.log(mpmath.besseli(r, mpmath.mpf(float(uv)))))
+                assert abs(g - want) <= 1e-13 * max(1.0, abs(want)), (r, uv, g, want)
+                checked += 1
+    assert checked > 400
+    # far beyond the detector's orders the hyp0f1 factor overflows: an error,
+    # not a +inf log density
+    with pytest.raises(ValueError, match="overflows"):
+        log_bessel_i(2000.0, 2600.0)
 
 
 def test_bessel_domain_errors():

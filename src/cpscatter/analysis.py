@@ -25,6 +25,9 @@ from .detector import dof_scaling, pdf_h0, pdf_h1
 from .numerics import gaussian_q
 from .phy import SystemConfig
 
+# log(2^-1075): a probability below it rounds to 0.0 in float64
+_LOG_FLOOR = -1075.0 * math.log(2.0)
+
 
 def _check(gamma: float, threshold: float) -> None:
     if not (0 <= gamma < math.inf and threshold > 0):
@@ -48,18 +51,32 @@ def ber_exact(point: SystemConfig, gamma: float, threshold: float):
     convention's scaling from detector.dof_scaling. Both agree with a
     60-digit Poisson-mixture sum to about 2e-14 relative at the sweep
     points. chndtr returns 0 for a p1 below about 1e-142 (W=246, complex,
-    from 9.25 dB); there p1 is that Poisson mixture summed in the log
-    domain instead. P_e is 0.0 only where both tails fall below the
-    float64 floor (W=246, complex, 13 dB: the true p1 is 4.1e-425).
+    from 9.25 dB), and nan from about 165 dB; there p1 is 0.0 if its
+    Chernoff bound is below the float64 floor, and otherwise that Poisson
+    mixture summed in the log domain. P_e is 0.0 only where both tails fall
+    below the floor (W=246, complex, 13 dB: the true p1 is 4.1e-425).
     """
     _check(gamma, threshold)
     s, d = dof_scaling(point)
     x, nc = s * threshold, s * (point.W * gamma)
     p0 = float(chdtrc(d, x))
     p1 = float(chndtr(x, d, nc))
-    if p1 == 0.0 and nc > 0:
-        p1 = _ncx2_cdf_mixture(x, d, nc)
+    if not p1 > 0 and nc > 0:
+        below = x < d + nc and _log_chernoff_cdf(x, d, nc) < _LOG_FLOOR
+        p1 = 0.0 if below else _ncx2_cdf_mixture(x, d, nc)
     return p0, p1, 0.5 * (p0 + p1)
+
+
+def _log_chernoff_cdf(x: float, d: int, nc: float) -> float:
+    """log of the Chernoff bound on the noncentral chi-square CDF at x < d + nc.
+
+    min over t > 0 of t x + log E[e^(-t X)]; with v = 1/(1 + 2t) the
+    minimum is at v = (-d + sqrt(d^2 + 4 nc x)) / (2 nc), written here
+    without the cancellation. The bound needs no terms, whatever nc.
+    """
+    v = 2.0 * x / (d + math.sqrt(d * d + 4.0 * nc * x))
+    t = 0.5 * (1.0 / v - 1.0)
+    return t * x + 0.5 * d * math.log(v) - nc * t * v
 
 
 def _ncx2_cdf_mixture(x: float, d: int, nc: float) -> float:

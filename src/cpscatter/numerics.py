@@ -92,17 +92,6 @@ def dft(v) -> np.ndarray:
     return np.fft.fft(arr)
 
 
-def gamma_fn(x: float) -> float:
-    """Gamma function for x > 0.
-
-    Values above x ~ 171.6 exceed the float64 range; use log_gamma for
-    anything that large.
-    """
-    if not x > 0:
-        raise ValueError(f"gamma_fn requires x > 0, got {x}")
-    return math.gamma(x)
-
-
 def log_gamma(x: float) -> float:
     """Natural log of the Gamma function for x > 0."""
     if not x > 0:
@@ -156,11 +145,6 @@ def log_bessel_i(r, u):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def bessel_i(r: float, u: float) -> float:
-    """Modified Bessel function of the first kind, I_r(u), r >= -1/2, u >= 0."""
-    return float(np.exp(log_bessel_i(r, u)))
-
-
 def sin_power_integral(w: int) -> float:
     """Integral of exp(cos(theta)) * sin(theta)^(w-2) over [0, pi].
 
@@ -195,11 +179,6 @@ def log_chi2_pdf(x, n: int):
     return float(out) if out.ndim == 0 else out
 
 
-def chi2_pdf(x: float, n: int) -> float:
-    """Central chi-square density; zero for x <= 0."""
-    return math.exp(log_chi2_pdf(x, n))
-
-
 def log_noncentral_chi2_pdf(x, n: int, lam):
     """Log density of the noncentral chi-square (n dof, noncentrality lam).
 
@@ -224,8 +203,3 @@ def log_noncentral_chi2_pdf(x, n: int, lam):
         )
     out = np.where(nc, out, log_chi2_pdf(x, n))
     return float(out) if out.ndim == 0 else out
-
-
-def noncentral_chi2_pdf(x: float, n: int, lam: float) -> float:
-    """Noncentral chi-square density; zero for x <= 0, continuous at lam -> 0."""
-    return float(np.exp(log_noncentral_chi2_pdf(x, n, lam)))

@@ -152,17 +152,13 @@ class ChannelSet:
 
 @dataclass(eq=False)
 class Frame:
-    """One OFDM symbol period of the simulated link.
-
-    noise keeps the drawn AWGN realization so diagnostic code can split the
-    reader observation into signal and noise parts after the fact.
-    """
+    """One OFDM symbol period of the simulated link; y includes the drawn noise."""
 
     s: np.ndarray
     x: np.ndarray
     gate: np.ndarray
     y: np.ndarray
-    noise: np.ndarray | None = None
+    noise: np.ndarray
 
 
 def _causal_fir(signal: np.ndarray, taps: np.ndarray) -> np.ndarray:
@@ -210,15 +206,8 @@ def observe_components(s, x, gate, channels: ChannelSet, config: SystemConfig):
     return direct, backscatter
 
 
-def observe(s, x, gate, channels: ChannelSet, config: SystemConfig, rng) -> np.ndarray:
-    """Reader observation: direct path + backscatter + CN(0, Nw) noise."""
-    direct, backscatter = observe_components(s, x, gate, channels, config)
-    noise = complex_gaussian(rng, config.Nw, config.frame_len)
-    return direct + backscatter + noise
-
-
 def simulate_frame(config: SystemConfig, channels: ChannelSet, bit: int, rng) -> Frame:
-    """Build one complete frame, keeping the noise realization for diagnostics.
+    """Build one complete frame, its noise realization included.
 
     Draw order on the stream: source symbol, then reader noise.
     """

@@ -13,32 +13,15 @@ turns the linear convolution with f into a circular one of length R+1, which
 an (R+1)-point DFT diagonalizes: z_tilde = eta * f_tilde * b * x_tilde +
 w_tilde, bin by bin. process returns that z_tilde. The test statistic, a
 float, sums |z_tilde|^2 over the first W bins normalized by the per-bin
-noise power P_w = 2*(T+1)*Nw; decompose_statistic (simulation side only)
-splits it into noise, signal and cross terms.
+noise power P_w = 2*(T+1)*Nw.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .numerics import dft
-from .phy import Frame, SystemConfig
-
-
-@dataclass
-class DetectionStatistic:
-    """Genie decomposition of the test statistic (decompose_statistic).
-
-    Mt is the pure-noise part, Jt the pure-signal part, Vt the cross term;
-    gamma_t == Mt for bit 0 and Mt + Jt + Vt for bit 1.
-    """
-
-    gamma_t: float
-    Mt: float
-    Jt: float
-    Vt: float
+from .phy import SystemConfig
 
 
 def noise_power(config: SystemConfig) -> float:
@@ -89,23 +72,3 @@ def test_statistic(z_tilde: np.ndarray, W: int, Pw: float) -> float:
     if W > len(z_tilde):
         raise ValueError(f"W={W} bins out of range for {len(z_tilde)} bins")
     return float(np.sum(np.abs(z_tilde[:W]) ** 2)) / Pw
-
-
-def decompose_statistic(frame: Frame, config: SystemConfig) -> DetectionStatistic:
-    """Genie decomposition of the statistic into noise/signal/cross parts.
-
-    Needs the frame's recorded noise realization; simulation-side only.
-    """
-    if frame.noise is None:
-        raise ValueError("frame carries no noise record; decomposition needs one")
-    pw = noise_power(config)
-    w = config.W
-
-    z_tilde = process(frame.y, config)
-    noise_tilde = process(frame.noise, config)
-    signal_tilde = z_tilde - noise_tilde
-
-    vt = float(np.sum(2.0 * np.real(signal_tilde[:w] * np.conj(noise_tilde[:w])))) / pw
-    return DetectionStatistic(gamma_t=test_statistic(z_tilde, w, pw),
-                              Mt=test_statistic(noise_tilde, w, pw),
-                              Jt=test_statistic(signal_tilde, w, pw), Vt=vt)

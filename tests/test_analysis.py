@@ -1,11 +1,16 @@
 """Error-probability theory: approximation, chi-square-tail BER, density tables."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
+import cpscatter
 from cpscatter.analysis import ber_approx, ber_exact, pdf_curves
 from cpscatter.detector import threshold_exact
 from cpscatter.phy import SystemConfig
@@ -155,6 +160,32 @@ def test_ber_exact_where_chndtr_underflows(conv, snr_db):
     assert p0 == pytest.approx(want0, rel=1e-10, abs=0)
     assert p1 == pytest.approx(want1, rel=1e-10, abs=0)
     assert pe == pytest.approx(0.5 * (want0 + want1), rel=1e-10, abs=0)
+
+
+def test_ber_exact_bounded_at_high_snr():
+    # where chndtr gives no positive p1 (0, or nan from ~165 dB) a Chernoff
+    # bound below the float64 floor settles p1 = 0.0 before any Poisson
+    # mixture is built; the grid runs in a child that caps its own address
+    # space, so a mixture that grows with gamma fails the child, not the host
+    code = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from cpscatter.analysis import ber_exact
+from cpscatter.detector import threshold_paper
+from cpscatter.phy import SystemConfig
+for w in (3, 12, 246):
+    for conv in ("paper", "complex"):
+        for db in (45, 60, 100, 150, 300):
+            gamma = 10 ** (db / 10)
+            got = ber_exact(SystemConfig(W=w, dof_convention=conv), gamma,
+                            threshold_paper(w, gamma))
+            assert all(0.0 <= v <= 1.0 for v in got), (w, conv, db, got)
+"""
+    src = str(Path(cpscatter.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_ber_identity_half_sum():

@@ -489,6 +489,14 @@ def test_single_trial_ber_is_degenerate():
     assert res.trials == 1 and res.bit_errors in (0, 1)
 
 
+def test_theory_column_finite_at_300_db():
+    # chndtr returns nan for p1 here; the Chernoff bound puts p1 at 0.0
+    spec = ExperimentSpec(base=SystemConfig(dof_convention="complex"), snr_db_list=(300.0,),
+                          W_list=(3,), trials_per_point=64, workers=1)
+    (res,) = run_experiment(spec)
+    assert math.isfinite(res.ber_theory_exact)
+
+
 def test_w_trend_at_high_snr():
     spec = ExperimentSpec(
         base=SystemConfig(dof_convention="complex", threshold_mode="exact-root", seed=7),

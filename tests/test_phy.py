@@ -10,7 +10,6 @@ from cpscatter.phy import (
     draw_channels,
     generate_source_symbol,
     legacy_demodulate,
-    observe,
     observe_components,
     simulate_frame,
     tag_gate,
@@ -203,7 +202,7 @@ def test_tag_receive_vs_bruteforce():
     assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
 
-# --- observe -----------------------------------------------------------------
+# --- observe_components ------------------------------------------------------
 
 def test_observe_zero_gate_is_direct_path_only():
     c = cfg(Nw=0.0)
@@ -211,8 +210,8 @@ def test_observe_zero_gate_is_direct_path_only():
     gen = RngStream(32).generator()
     s = generate_source_symbol(c, gen)
     x = tag_receive(s, ch.g)
-    gate = tag_gate(c, 0)
-    y = observe(s, x, gate, ch, c, gen)
+    direct, backscatter = observe_components(s, x, tag_gate(c, 0), ch, c)
+    y = direct + backscatter
     want = _fir_oracle(s, ch.h)
     assert np.max(np.abs(y - want)) < 1e-12 * np.max(np.abs(want))
 
@@ -235,7 +234,8 @@ def test_observe_vs_bruteforce_full_model():
     s = generate_source_symbol(c, gen)
     x = tag_receive(s, ch.g)
     gate = tag_gate(c, 1)
-    y = observe(s, x, gate, ch, c, gen)
+    direct, backscatter = observe_components(s, x, gate, ch, c)
+    y = direct + backscatter
     want = _fir_oracle(s, ch.h) + c.eta * _fir_oracle(gate * x, ch.f)
     assert np.max(np.abs(y - want)) < 1e-12 * np.max(np.abs(want))
 
@@ -244,7 +244,7 @@ def test_observe_length_mismatch():
     c = cfg()
     ch = draw_channels(c, RngStream(37))
     with pytest.raises(ValueError):
-        observe(np.zeros(10), np.zeros(10), np.zeros(10), ch, c, RngStream(1))
+        observe_components(np.zeros(10), np.zeros(10), np.zeros(10), ch, c)
 
 
 def test_backscatter_confined_to_cp():
@@ -266,7 +266,7 @@ def test_simulate_frame_invariants():
     ch = draw_channels(c, RngStream(41))
     fr = simulate_frame(c, ch, 1, RngStream(42))
     assert np.array_equal(fr.s[: c.C], fr.s[c.N :])
-    assert fr.noise is not None and len(fr.noise) == c.frame_len
+    assert len(fr.noise) == c.frame_len
     assert set(np.unique(fr.gate)) <= {0, 1}
     direct, backscatter = observe_components(fr.s, fr.x, fr.gate, ch, c)
     assert np.max(np.abs(fr.y - direct - backscatter - fr.noise)) < 1e-12

@@ -14,7 +14,6 @@ from cpscatter.phy import (
 )
 from cpscatter.receiver import (
     cancel,
-    decompose_statistic,
     extract_windows,
     fold,
     noise_power,
@@ -235,46 +234,3 @@ def test_noise_only_statistic_mean():
         acc_bins += float(np.mean(np.abs(zt) ** 2))
     assert acc / n == pytest.approx(c.W, rel=0.03)
     assert acc_bins / n == pytest.approx(pw, rel=0.03)
-
-
-# --- decomposition ----------------------------------------------------------------
-
-def test_decompose_bit0_is_pure_noise_term():
-    c = cfg()
-    gen = RngStream(11).generator()
-    ch = draw_channels(c, gen)
-    fr = simulate_frame(c, ch, 0, gen)
-    stat = decompose_statistic(fr, c)
-    assert stat.gamma_t == pytest.approx(stat.Mt, rel=1e-12)
-    assert stat.Jt == pytest.approx(0.0, abs=1e-20)
-
-
-def test_decompose_eta_zero():
-    c = cfg(eta=0.0, snr_mode="from-Ps")
-    gen = RngStream(12).generator()
-    ch = draw_channels(c, gen)
-    fr = simulate_frame(c, ch, 1, gen)
-    stat = decompose_statistic(fr, c)
-    assert stat.Jt == pytest.approx(0.0, abs=1e-18)
-    assert abs(stat.Vt) < 1e-9
-
-
-def test_decompose_identity_bit1():
-    c = cfg()
-    gen = RngStream(13).generator()
-    for _ in range(10):
-        ch = draw_channels(c, gen)
-        fr = simulate_frame(c, ch, 1, gen)
-        stat = decompose_statistic(fr, c)
-        assert stat.Jt >= 0 and stat.Mt >= 0
-        total = stat.Jt + stat.Mt + stat.Vt
-        assert abs(stat.gamma_t - total) < 1e-9 * stat.gamma_t
-
-
-def test_decompose_requires_noise_record():
-    c = cfg()
-    ch = draw_channels(c, RngStream(14))
-    fr = simulate_frame(c, ch, 1, RngStream(15))
-    fr.noise = None
-    with pytest.raises(ValueError):
-        decompose_statistic(fr, c)

@@ -27,6 +27,8 @@ from .phy import SystemConfig
 
 # log(2^-1075): a probability below it rounds to 0.0 in float64
 _LOG_FLOOR = -1075.0 * math.log(2.0)
+# log(2^-54): a probability closer than that to 1 rounds to 1.0 in float64
+_LOG_CEIL = -54.0 * math.log(2.0)
 
 
 def _check(gamma: float, threshold: float) -> None:
@@ -51,10 +53,12 @@ def ber_exact(point: SystemConfig, gamma: float, threshold: float):
     convention's scaling from detector.dof_scaling. Both agree with a
     60-digit Poisson-mixture sum to about 2e-14 relative at the sweep
     points. chndtr returns 0 for a p1 below about 1e-142 (W=246, complex,
-    from 9.25 dB), and nan from about 165 dB; there p1 is 0.0 if its
-    Chernoff bound is below the float64 floor, and otherwise that Poisson
-    mixture summed in the log domain. P_e is 0.0 only where both tails fall
-    below the floor (W=246, complex, 13 dB: the true p1 is 4.1e-425).
+    from 9.25 dB), and nan from about 165 dB. There p1 is 0.0 if its
+    Chernoff bound is below the float64 floor, 1.0 if the bound on 1 - p1
+    (a threshold above the H1 mean) is below 2^-54, and otherwise that
+    Poisson mixture summed in the log domain. P_e is 0.0 only where both
+    tails fall below the floor (W=246, complex, 13 dB: the true p1 is
+    4.1e-425).
     """
     _check(gamma, threshold)
     s, d = dof_scaling(point)
@@ -62,17 +66,24 @@ def ber_exact(point: SystemConfig, gamma: float, threshold: float):
     p0 = float(chdtrc(d, x))
     p1 = float(chndtr(x, d, nc))
     if not p1 > 0 and nc > 0:
-        below = x < d + nc and _log_chernoff_cdf(x, d, nc) < _LOG_FLOOR
-        p1 = 0.0 if below else _ncx2_cdf_mixture(x, d, nc)
+        log_tail = _log_chernoff_tail(x, d, nc)
+        if x < d + nc and log_tail < _LOG_FLOOR:
+            p1 = 0.0
+        elif x > d + nc and log_tail < _LOG_CEIL:
+            p1 = 1.0
+        else:
+            p1 = _ncx2_cdf_mixture(x, d, nc)
     return p0, p1, 0.5 * (p0 + p1)
 
 
-def _log_chernoff_cdf(x: float, d: int, nc: float) -> float:
-    """log of the Chernoff bound on the noncentral chi-square CDF at x < d + nc.
+def _log_chernoff_tail(x: float, d: int, nc: float) -> float:
+    """log of the Chernoff bound on the noncentral chi-square tail beyond x.
 
-    min over t > 0 of t x + log E[e^(-t X)]; with v = 1/(1 + 2t) the
-    minimum is at v = (-d + sqrt(d^2 + 4 nc x)) / (2 nc), written here
-    without the cancellation. The bound needs no terms, whatever nc.
+    That is the CDF at x below the mean d + nc, and 1 - CDF above it.
+    min over t of t x + log E[e^(-t X)], t > 0 below the mean and
+    -1/2 < t < 0 above it; with v = 1/(1 + 2t) the minimum is at
+    v = (-d + sqrt(d^2 + 4 nc x)) / (2 nc), written here without the
+    cancellation. The bound needs no terms, whatever nc.
     """
     v = 2.0 * x / (d + math.sqrt(d * d + 4.0 * nc * x))
     t = 0.5 * (1.0 / v - 1.0)

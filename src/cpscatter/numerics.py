@@ -76,7 +76,7 @@ def complex_gaussian(rng, variance: float, size: int | None = None):
     else:
         gen = as_generator(rng)
         v = gen.standard_normal(2 * n)
-        out = (v[0::2] + 1j * v[1::2]) * math.sqrt(variance / 2.0)
+        out = v.view(np.complex128) * math.sqrt(variance / 2.0)
     return out[0] if size is None else out
 
 
@@ -117,7 +117,10 @@ def log_bessel_i(r, u):
     Bessel function, so large u never overflows. Where ive underflows
     (large order, small argument: r = 245 at u = 1) it is
         r log(u/2) - lnGamma(r+1) + log 0F1(; r+1; u^2/4)
-    with scipy's hyp0f1, which is near 1 there. At u == 0 the result is 0
+    with scipy's hyp0f1, which is near 1 there. Where ive gives nan (u from
+    about 1.07e9) it is the large-argument expansion (DLMF 10.40.1)
+        u - log(2 pi u)/2 + log(1 - (mu-1)/(8u) + (mu-1)(mu-9)/(2! (8u)^2)),
+    mu = 4 r^2. At u == 0 the result is 0
     for r == 0, -inf for r > 0 and +inf for r < 0. Beyond order ~1500 the
     hyp0f1 factor can overflow, which raises (the detector needs <= 245).
     """
@@ -130,10 +133,23 @@ def log_bessel_i(r, u):
     scaled = ive(r_arr, u_arr)
     with np.errstate(divide="ignore"):
         out = np.log(scaled) + u_arr
-    # ive underflowed, or is 0 or nan at u == 0
+    # ive underflowed, or is 0 or nan at u == 0, or nan at large u
     under = ~(scaled >= _IVE_UNDERFLOW)
+    if not under.any():
+        return float(out) if np.ndim(out) == 0 else out
+    out = np.array(out, dtype=np.float64)
+    # ive is nan from u ~ 1.07e9 at every order; there the expansion's next
+    # term is below 1e-14 at the detector's orders (<= 245), under an ulp of u
+    big = under & np.isnan(scaled) & (u_arr > 0)
+    under &= ~big
+    if big.any():
+        r_b = np.broadcast_to(r_arr, out.shape)[big]
+        u_b = np.broadcast_to(u_arr, out.shape)[big]
+        mu = 4.0 * r_b * r_b
+        a1 = (mu - 1.0) / (8.0 * u_b)
+        out[big] = (u_b - 0.5 * np.log(2.0 * math.pi * u_b)
+                    + np.log1p(a1 * ((mu - 9.0) / (16.0 * u_b) - 1.0)))
     if under.any():
-        out = np.array(out, dtype=np.float64)
         r_b = np.broadcast_to(r_arr, out.shape)[under]
         u_b = np.broadcast_to(u_arr, out.shape)[under]
         with np.errstate(divide="ignore"):

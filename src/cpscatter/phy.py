@@ -162,8 +162,11 @@ class Frame:
 
 
 def _causal_fir(signal: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """y(n) = sum_m taps[m] * signal(n-m), with signal(n<0) = 0."""
-    return np.convolve(signal, taps)[: len(signal)]
+    """y(n) = sum_m taps[m] signal(n-m), signal(n<0) = 0, as y[m:] += taps[m] signal[:-m] per m."""
+    out = taps[0] * signal
+    for m in range(1, min(len(taps), len(signal))):
+        out[m:] += taps[m] * signal[:-m]
+    return out
 
 
 def draw_channels(config: SystemConfig, rng) -> ChannelSet:

@@ -188,6 +188,29 @@ for w in (3, 12, 246):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_ber_exact_threshold_above_h1_mean_at_huge_snr():
+    # chndtr gives nan at these noncentralities; with the threshold above the
+    # H1 mean the Chernoff bound on 1 - p1 settles p1 = 1.0 instead of a
+    # Poisson mixture of ~1e22 terms (in a child capped at 2 GiB, as above)
+    code = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from cpscatter.analysis import ber_exact
+from cpscatter.phy import SystemConfig
+assert ber_exact(SystemConfig(W=3), 1e20, 1e22) == (0.0, 1.0, 0.5)
+for w in (3, 12, 246):
+    for conv in ("paper", "complex"):
+        for gamma in (1e17, 1e20, 1e30):
+            got = ber_exact(SystemConfig(W=w, dof_convention=conv), gamma, 4 * w * gamma)
+            assert got == (0.0, 1.0, 0.5), (w, conv, gamma, got)
+"""
+    src = str(Path(cpscatter.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_ber_identity_half_sum():
     p = SystemConfig(W=5, dof_convention="complex")
     th = threshold_exact(p, 6.0)

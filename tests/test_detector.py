@@ -214,6 +214,21 @@ def test_thresholds_finite_over_gamma_range(w):
         assert math.isfinite(tp) and tp > 0
 
 
+@pytest.mark.parametrize("w", [1, 3, 12, 246])
+def test_exact_root_threshold_finite_at_high_snr(w, capfd):
+    # u = sqrt(lam s x) passes 1.07e9 here, where scipy's ive is nan; the
+    # threshold must still be the crossing D = log f0 - log f1 changes sign
+    # at, and nothing (hyp0f1's ignored exceptions) may reach stderr
+    p = SystemConfig(W=w, dof_convention="complex", threshold_mode="exact-root")
+    for db in range(80, 151, 10):
+        gamma = 10 ** (db / 10)
+        th = threshold_for(p, gamma)
+        assert math.isfinite(th) and th > 0, (w, db)
+        assert detector._log_ratio(th * (1 - 1e-12), p, gamma) > 0, (w, db)
+        assert detector._log_ratio(th * (1 + 1e-12), p, gamma) < 0, (w, db)
+    assert capfd.readouterr().err == ""
+
+
 def test_threshold_for_modes():
     cfg_cf = SystemConfig(threshold_mode="closed-form", W=3)
     cfg_ex = SystemConfig(threshold_mode="exact-root", dof_convention="complex", W=3)

@@ -121,6 +121,27 @@ def test_run_trial_golden_sequence(gamma_db, w, point, sent, decided):
     assert as_hex([d for _, d in seq]) == decided
 
 
+# run_trial's errors per point on the benchmark's reference-frames sweep
+# (seed 1, complex, exact-root, genie, 256 frames per point, point_index in
+# run order), recorded while phy still filtered with np.convolve
+REFERENCE_FRAMES_ERRORS = {
+    (6.0, 3): 67, (6.0, 12): 41, (9.0, 3): 47, (9.0, 12): 52,
+    (13.0, 3): 64, (13.0, 12): 45, (16.0, 3): 53, (16.0, 12): 44,
+}
+
+
+def test_run_trial_reference_frames_errors_pinned():
+    base = SystemConfig(dof_convention="complex", threshold_mode="exact-root",
+                        gamma_knowledge="genie", seed=1)
+    got = {}
+    for point, (snr, w) in enumerate(REFERENCE_FRAMES_ERRORS):
+        cfg = replace(base, gamma_db=snr, W=w)
+        got[snr, w] = sum(b != d for b, d in (run_trial(cfg, trial_stream(1, point, i))
+                                              for i in range(256)))
+    assert got == REFERENCE_FRAMES_ERRORS
+    assert sum(got.values()) == 413
+
+
 # per-point errors of a from-Ps genie exact-root sweep (seed 1313, 4096
 # trials, W 3/12, workers 1), recorded while the kernel still solved each
 # trial's threshold; deciding by the sign of the log-density ratio must not

@@ -78,6 +78,18 @@ def test_complex_gaussian_moments():
     assert abs(np.mean(v2.real * v2.imag)) < 0.01
 
 
+@pytest.mark.parametrize("variance", [1.0, 2.5])
+def test_complex_gaussian_reads_interleaved_pairs(variance):
+    # sample i is (normal 2i) + j (normal 2i+1), times sqrt(variance / 2),
+    # bitwise: the stream layout every frame and tap draw relies on
+    v = RngStream(9, 4).generator().standard_normal(2 * 257)
+    want = (v[0::2] + 1j * v[1::2]) * math.sqrt(variance / 2.0)
+    got = complex_gaussian(RngStream(9, 4), variance, 257)
+    assert got.dtype == np.complex128
+    assert np.array_equal(got.real, want.real) and np.array_equal(got.imag, want.imag)
+    assert complex_gaussian(RngStream(9, 4), variance) == want[0]
+
+
 # --- DFT ---------------------------------------------------------------------
 
 def _dft_matrix_oracle(v):
@@ -200,6 +212,20 @@ def test_log_bessel_large_argument():
     for r, u in ((0.0, 800.0), (5.0, 2500.0), (11.0, 12000.0), (2.0, 30000.0)):
         want = float(mpmath.log(mpmath.besseli(r, u)))
         assert log_bessel_i(r, u) == pytest.approx(want, rel=1e-10)
+
+
+def test_log_bessel_where_ive_gives_nan_vs_mpmath():
+    # scipy's ive is nan from u ~ 1.07e9 at every order; the large-argument
+    # expansion takes over there, and meets ive's own path at the switch
+    orders = (0.0, 0.5, 2.0, 11.0, 245.0)
+    assert np.isnan(ive(orders, 1.1e9)).all()
+    for r in orders:
+        for u in (1.073e9, 1.1e9, 1e12):
+            want = float(mpmath.log(mpmath.besseli(r, u)))
+            assert log_bessel_i(r, u) == pytest.approx(want, rel=1e-15, abs=0), (r, u)
+    got = log_bessel_i(np.array(orders), np.array([1.0, 2e9, 5.0, 1e12, 1.0]))
+    assert np.isfinite(got).all()
+    assert got[1] == log_bessel_i(0.5, 2e9) and got[3] == log_bessel_i(11.0, 1e12)
 
 
 def test_log_bessel_elementwise():

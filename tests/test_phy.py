@@ -7,6 +7,7 @@ from cpscatter.numerics import RngStream, complex_gaussian
 from cpscatter.phy import (
     ChannelSet,
     SystemConfig,
+    _causal_fir,
     draw_channels,
     generate_source_symbol,
     legacy_demodulate,
@@ -200,6 +201,19 @@ def test_tag_receive_vs_bruteforce():
     got = tag_receive(s, g)
     want = _fir_oracle(s, g)
     assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n_taps, n_samples", [(1, 64), (2, 64), (6, 2304), (9, 4)])
+def test_causal_fir_matches_truncated_convolution(n_taps, n_samples):
+    # the shifted-tap sum against numpy's full convolution, cut to the
+    # signal's length; (9, 4) has more taps than samples
+    gen = RngStream(23).generator()
+    s = complex_gaussian(gen, 1.0, n_samples)
+    taps = complex_gaussian(gen, 1.0, n_taps)
+    got = _causal_fir(s, taps)
+    want = np.convolve(s, taps)[:n_samples]
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(got))
 
 
 # --- observe_components ------------------------------------------------------

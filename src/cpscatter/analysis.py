@@ -56,9 +56,9 @@ def ber_exact(point: SystemConfig, gamma: float, threshold: float):
     from 9.25 dB), and nan from about 165 dB. There p1 is 0.0 if its
     Chernoff bound is below the float64 floor, 1.0 if the bound on 1 - p1
     (a threshold above the H1 mean) is below 2^-54, and otherwise that
-    Poisson mixture summed in the log domain. P_e is 0.0 only where both
-    tails fall below the floor (W=246, complex, 13 dB: the true p1 is
-    4.1e-425).
+    Poisson mixture summed in the log domain (which raises ValueError past
+    2^24 terms). P_e is 0.0 only where both tails fall below the floor
+    (W=246, complex, 13 dB: the true p1 is 4.1e-425).
     """
     _check(gamma, threshold)
     s, d = dof_scaling(point)
@@ -72,7 +72,7 @@ def ber_exact(point: SystemConfig, gamma: float, threshold: float):
         elif x > d + nc and log_tail < _LOG_CEIL:
             p1 = 1.0
         else:
-            p1 = _ncx2_cdf_mixture(x, d, nc)
+            p1 = _ncx2_cdf_mixture(x, d, nc, gamma, threshold)
     return p0, p1, 0.5 * (p0 + p1)
 
 
@@ -90,14 +90,18 @@ def _log_chernoff_tail(x: float, d: int, nc: float) -> float:
     return t * x + 0.5 * d * math.log(v) - nc * t * v
 
 
-def _ncx2_cdf_mixture(x: float, d: int, nc: float) -> float:
+def _ncx2_cdf_mixture(x: float, d: int, nc: float, gamma: float, threshold: float) -> float:
     """Noncentral chi-square CDF as sum_j w_j P(d/2 + j, x/2), log domain.
 
     w_j = e^(-nc/2) (nc/2)^j / j! are Poisson weights; the sum runs to
-    nc/2 + 40 sqrt(nc/2) + 100, far past the weights' bulk.
+    nc/2 + 40 sqrt(nc/2) + 100, far past the weights' bulk. Past 2^24
+    terms (128 MiB per array) it raises before allocating any.
     """
     h = 0.5 * nc
-    j = np.arange(int(h + 40.0 * math.sqrt(h) + 100.0) + 1)
+    terms = int(h + 40.0 * math.sqrt(h) + 100.0) + 1
+    if terms > 1 << 24:
+        raise ValueError(f"p1 at gamma={gamma!r}, threshold={threshold!r} needs {terms} terms")
+    j = np.arange(terms)
     log_w = -h + j * math.log(h) - gammaln(j + 1)
     with np.errstate(divide="ignore"):  # terms whose CDF underflows drop out
         log_cdf = np.log(gammainc(0.5 * d + j, 0.5 * x))

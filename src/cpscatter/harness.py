@@ -13,8 +13,8 @@ Two execution paths exist:
     N+C frame (full-length source symbol, full-frame noise, all three
     channels) and pushes it through the receiver and detector.
   * the batch kernel used by run_experiment: per trial it draws only what
-    the statistic reads and forms the W DFT bins directly. With
-    omega = exp(-2 pi j / (R+1)), the folded bins p < W are
+    the statistic reads and forms the bins test_statistic sums directly, with
+    receiver.bin_geometry's phases omega^(p i), omega = exp(-2 pi j / (R+1)):
         Z_p = eta sqrt(Ps) F_p U_p,   F_p = sum_k f_k omega^(p k),
         N_p = sqrt(2 Nw) (sqrt(R+1) a_p + sum_{i<K} b_i omega^(p i)),
     a (W) and b (K) CN(0, 1), as the DFT of R+1 i.i.d. noise samples is
@@ -23,9 +23,9 @@ Two execution paths exist:
         U_p = G_p S_p + sum_{j<M} c_j omega^(p j),   G_p = sum_m g_m omega^(p m),
         c_j = sum_{m-i=j, 1<=i<=m<=M} g_m d_i,   d_i = s[Q-i] - s[Q+R+1-i],
     with S the window's DFT. Nor is the window drawn: the S_p are i.i.d.
-    CN(0, (R+1) Ps), and _edge_map draws the d_i given S, so the bins are
-    exact in law. The direct source->reader path is omitted because the
-    Phase 2/4 subtraction removes it exactly (checked to 1e-10).
+    CN(0, (R+1) Ps), and bin_geometry's edge map draws the d_i given S, so
+    the bins are exact in law. The direct source->reader path is omitted
+    because the Phase 2/4 subtraction removes it exactly (checked to 1e-10).
 
 A sweep point is one SystemConfig: the base config at the point's W and,
 in direct-gamma mode, its gamma_db (ExperimentSpec.points). Both paths
@@ -46,7 +46,6 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -62,9 +61,9 @@ from .detector import (
     threshold_exact,
     threshold_for,
 )
-from .numerics import RngStream, as_generator
+from .numerics import RngStream
 from .phy import SystemConfig, draw_channels, simulate_frame
-from .receiver import noise_power, process, test_statistic
+from .receiver import bin_geometry, noise_power, process, test_statistic
 
 _TRIAL_BITS = 40  # trial index width inside a stream id
 _CHUNK = 1024  # fixed batch size; keeps the working set cache-resident
@@ -177,45 +176,20 @@ def _operating_point(config: SystemConfig, sum_g2, sum_f2):
     return config.Ps, detection_gamma(config, config.Ps, sum_g2, sum_f2)
 
 
-def run_trial(config: SystemConfig, rng):
-    """One full-frame trial: returns (sent_bit, decided_bit).
+def run_trial(config: SystemConfig, stream: RngStream):
+    """One full-frame trial on its own stream: returns (sent_bit, decided_bit).
 
     Stream consumption order: channel taps (h, g, f), the tag bit, the
-    source symbol, the frame noise. The source power and the threshold's
-    SNR follow _operating_point, as in the batch kernel.
+    source symbol, the frame noise. The frame's source power and the
+    threshold's SNR follow _operating_point, as in the batch kernel.
     """
-    gen = as_generator(rng)
+    gen = stream.generator()
     channels = draw_channels(config, gen)
     ps, gamma = _operating_point(config, channels.sum_g2, channels.sum_f2)
-    cfg = replace(config, Ps=ps)
     bit = int(gen.integers(0, 2))
-    frame = simulate_frame(cfg, channels, bit, gen)
-    stat = test_statistic(process(frame.y, cfg), cfg.W, noise_power(cfg))
-    # the point config, not the per-frame copy, so the threshold LRU hits
+    frame = simulate_frame(config, channels, bit, ps, gen)
+    stat = test_statistic(process(frame.y, config), config)
     return bit, decide(stat, threshold_for(config, gamma))
-
-
-@lru_cache(maxsize=64)
-def _edge_map(W: int, m: int, nb: int) -> np.ndarray:
-    """E with the edge samples s[Q+nb-i], i = 1..M, = [s_bins | pre | z] @ E.
-
-    One read-only array per geometry, cached: every chunk of a point reads it.
-
-    Window samples are i.i.d. CN(0, 2), S = sqrt(nb) s_bins are its bins p < W,
-    pre[i-1] = s[Q-i] precede it. The tail t_i = s[Q+nb-i], i <= mt = min(M, nb),
-    has Cov(t_i, S_p) = 2 omega^(p i) = 2 phi_ip, so t = phi S / nb + root z, z
-    i.i.d. CN(0, 2), root the symmetric root of I - phi phi^H / nb (eigenvalues
-    clipped at 0, so 0 at W = nb). For i > nb, s[Q+nb-i] is pre[i-nb-1].
-    """
-    mt = min(m, nb)
-    phi = np.exp(-2j * np.pi / nb * np.outer(np.arange(1, mt + 1), np.arange(W)))
-    lam, vec = np.linalg.eigh(np.eye(mt) - phi @ phi.conj().T / nb)
-    emap = np.zeros((W + m + mt, m), dtype=complex)
-    emap[:W, :mt] = phi.T / math.sqrt(nb)
-    emap[W : W + m - mt, mt:] = np.eye(m - mt)
-    emap[W + m :, :mt] = ((vec * np.sqrt(np.clip(lam, 0.0, None))) @ vec.conj().T).T
-    emap.flags.writeable = False
-    return emap
 
 
 def _chunk_statistics(point: SystemConfig, point_index: int, start: int, count: int,
@@ -248,11 +222,10 @@ def _chunk_statistics(point: SystemConfig, point_index: int, start: int, count: 
     sum_f2 = 0.5 * np.sum(v[:, 2 * m1 : 2 * (m1 + k1)] ** 2, axis=1)
     ps, gamma = _operating_point(point, sum_g2, sum_f2)
 
-    # omega^(p i) for bins p < W and tap / fold / edge offsets i <= max(M, K)
-    phase = np.exp(-2j * np.pi / nb * np.outer(np.arange(W), np.arange(max(m1, k1))))
+    phase, emap = bin_geometry(W, m, k, nb)
     # tag FIR bins U_p = G_p S_p + edge terms, d_i = s[Q-i] - s[Q+nb-i];
     # einsum, not @: OpenBLAS threads products this size, then spins per worker
-    d = pre - np.einsum("tj,je->te", cv[:, ends[1] : ends[4]], _edge_map(W, m, nb))
+    d = pre - np.einsum("tj,je->te", cv[:, ends[1] : ends[4]], emap)
     c = np.zeros_like(d)
     for i in range(1, m1):
         c[:, : m1 - i] += g[:, i:] * d[:, i - 1 : i]

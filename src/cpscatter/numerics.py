@@ -52,16 +52,7 @@ class RngStream:
         )
 
 
-def as_generator(rng) -> np.random.Generator:
-    """Accept an RngStream or a live Generator and return a Generator."""
-    if isinstance(rng, RngStream):
-        return rng.generator()
-    if isinstance(rng, np.random.Generator):
-        return rng
-    raise TypeError(f"expected RngStream or numpy Generator, got {type(rng)!r}")
-
-
-def complex_gaussian(rng, variance: float, size: int | None = None):
+def complex_gaussian(gen: np.random.Generator, variance: float, size: int | None = None):
     """Draw circularly symmetric complex Gaussian samples, CN(0, variance).
 
     Real and imaginary parts are independent N(0, variance/2). With
@@ -74,7 +65,6 @@ def complex_gaussian(rng, variance: float, size: int | None = None):
     if variance == 0.0:
         out = np.zeros(n, dtype=np.complex128)
     else:
-        gen = as_generator(rng)
         v = gen.standard_normal(2 * n)
         out = v.view(np.complex128) * math.sqrt(variance / 2.0)
     return out[0] if size is None else out

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import as_generator, complex_gaussian
+from .numerics import complex_gaussian
 
 _SNR_MODES = ("direct-gamma", "from-Ps")
 _DOF_CONVENTIONS = ("paper", "complex")
@@ -169,19 +169,18 @@ def _causal_fir(signal: np.ndarray, taps: np.ndarray) -> np.ndarray:
     return out
 
 
-def draw_channels(config: SystemConfig, rng) -> ChannelSet:
+def draw_channels(config: SystemConfig, gen: np.random.Generator) -> ChannelSet:
     """Draw i.i.d. CN(0, 1) taps for all three channels (order: h, g, f)."""
-    gen = as_generator(rng)
     h = complex_gaussian(gen, 1.0, config.L + 1)
     g = complex_gaussian(gen, 1.0, config.M + 1)
     f = complex_gaussian(gen, 1.0, config.K + 1)
     return ChannelSet(h=h, g=g, f=f)
 
 
-def generate_source_symbol(config: SystemConfig, rng) -> np.ndarray:
-    """One OFDM symbol with CP: N i.i.d. CN(0, Ps) samples, last C copied in front."""
-    gen = as_generator(rng)
-    body = complex_gaussian(gen, config.Ps, config.N)
+def generate_source_symbol(config: SystemConfig, ps: float,
+                           gen: np.random.Generator) -> np.ndarray:
+    """One OFDM symbol with CP: N i.i.d. CN(0, ps) samples, last C copied in front."""
+    body = complex_gaussian(gen, ps, config.N)
     return np.concatenate([body[config.N - config.C :], body])
 
 
@@ -209,13 +208,13 @@ def observe_components(s, x, gate, channels: ChannelSet, config: SystemConfig):
     return direct, backscatter
 
 
-def simulate_frame(config: SystemConfig, channels: ChannelSet, bit: int, rng) -> Frame:
-    """Build one complete frame, its noise realization included.
+def simulate_frame(config: SystemConfig, channels: ChannelSet, bit: int, ps: float,
+                   gen: np.random.Generator) -> Frame:
+    """Build one complete frame at source power ps, its noise realization included.
 
     Draw order on the stream: source symbol, then reader noise.
     """
-    gen = as_generator(rng)
-    s = generate_source_symbol(config, gen)
+    s = generate_source_symbol(config, ps, gen)
     x = tag_receive(s, channels.g)
     gate = tag_gate(config, bit)
     direct, backscatter = observe_components(s, x, gate, channels, config)

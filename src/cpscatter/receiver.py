@@ -12,11 +12,14 @@ occupies R+1 = T-K+1 samples, folding the last K entries of z onto its head
 turns the linear convolution with f into a circular one of length R+1, which
 an (R+1)-point DFT diagonalizes: z_tilde = eta * f_tilde * b * x_tilde +
 w_tilde, bin by bin. process returns that z_tilde. The test statistic, a
-float, sums |z_tilde|^2 over the first W bins normalized by the per-bin
-noise power P_w = 2*(T+1)*Nw.
+float, sums |z_tilde|^2 over the bins statistic_bins names (the first W)
+normalized by the per-bin noise power P_w = 2*(T+1)*Nw. bin_geometry holds
+those bins' phases and the edge map with which harness's kernel draws them.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -65,10 +68,41 @@ def process(y: np.ndarray, config: SystemConfig) -> np.ndarray:
     return dft(fold(cancel(y1, y2), config))
 
 
-def test_statistic(z_tilde: np.ndarray, W: int, Pw: float) -> float:
-    """Energy statistic over the first W DFT bins, normalized by Pw."""
-    if Pw <= 0:
-        raise ValueError(f"Pw must be > 0, got {Pw}")
-    if W > len(z_tilde):
-        raise ValueError(f"W={W} bins out of range for {len(z_tilde)} bins")
-    return float(np.sum(np.abs(z_tilde[:W]) ** 2)) / Pw
+def statistic_bins(W: int) -> np.ndarray:
+    """Indices of the DFT bins the statistic sums: the first W, 0..W-1."""
+    return np.arange(W)
+
+
+@lru_cache(maxsize=64)
+def bin_geometry(W: int, m: int, k: int, nb: int):
+    """Read-only (phase, emap) of the bins at W, M = m, K = k, R+1 = nb, cached.
+
+    phase[p, i] = omega^(b_p i), omega = exp(-2 pi j / nb), at the bins
+    b = statistic_bins(W) and offsets i = 0..max(M, K). The edge samples
+    s[Q+nb-i], i = 1..M, are [s_bins | pre | z] @ emap: the window is i.i.d.
+    CN(0, 2), S = sqrt(nb) s_bins its bins, pre[i-1] = s[Q-i] before it. Its
+    tail t_i = s[Q+nb-i], i <= mt = min(M, nb), has Cov(t_i, S_p) = 2 phi_ip,
+    phi = phase[:, 1..mt]^T, so t = phi S / nb + root z, z i.i.d. CN(0, 2), root
+    the symmetric root of I - phi phi^H / nb (eigenvalues clipped at 0, so 0
+    at W = nb). For i > nb, s[Q+nb-i] is pre[i-nb-1].
+    """
+    phase = np.exp(-2j * np.pi / nb * np.outer(statistic_bins(W), np.arange(max(m, k) + 1)))
+    mt = min(m, nb)
+    phi = phase[:, 1 : mt + 1].T
+    lam, vec = np.linalg.eigh(np.eye(mt) - phi @ phi.conj().T / nb)
+    emap = np.zeros((W + m + mt, m), dtype=complex)
+    emap[:W, :mt] = phi.T / np.sqrt(nb)
+    emap[W : W + m - mt, mt:] = np.eye(m - mt)
+    emap[W + m :, :mt] = ((vec * np.sqrt(np.clip(lam, 0.0, None))) @ vec.conj().T).T
+    phase.flags.writeable = emap.flags.writeable = False
+    return phase, emap
+
+
+def test_statistic(z_tilde: np.ndarray, config: SystemConfig) -> float:
+    """Energy statistic over the statistic's bins, normalized by noise_power."""
+    pw = noise_power(config)
+    if not pw > 0:
+        raise ValueError(f"the statistic needs noise power Nw > 0, got Nw={config.Nw}")
+    if len(z_tilde) != config.R + 1:
+        raise ValueError(f"expected {config.R + 1} bins, got {len(z_tilde)}")
+    return float(np.sum(np.abs(z_tilde[statistic_bins(config.W)]) ** 2)) / pw

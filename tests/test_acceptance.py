@@ -47,7 +47,7 @@ def test_criterion_1_exact_cancellation(report):
     worst = 0.0
     for _ in range(1000):
         ch = draw_channels(cfg, gen)
-        fr = simulate_frame(cfg, ch, 0, gen)
+        fr = simulate_frame(cfg, ch, 0, cfg.Ps, gen)
         y1, y2 = extract_windows(fr.y, cfg)
         z = cancel(y1, y2)
         worst = max(worst, float(np.max(np.abs(z)) / np.max(np.abs(y1))))
@@ -89,7 +89,7 @@ def test_criterion_3_legacy_noninterference(report):
     worst = 0.0
     for _ in range(200):
         ch = draw_channels(cfg, gen)
-        fr = simulate_frame(cfg, ch, 0, gen)
+        fr = simulate_frame(cfg, ch, 0, cfg.Ps, gen)
         outs = []
         for bit in (0, 1):
             direct, backscatter = observe_components(fr.s, fr.x, tag_gate(cfg, bit), ch, cfg)
@@ -108,7 +108,7 @@ def test_criterion_4_noise_calibration(report):
     acc, count = 0.0, 0
     while count < 100_000:
         ch = draw_channels(cfg, gen)
-        fr = simulate_frame(cfg, ch, 0, gen)
+        fr = simulate_frame(cfg, ch, 0, cfg.Ps, gen)
         zt = process(fr.y, cfg)
         acc += float(np.sum(np.abs(zt) ** 2))
         count += len(zt)

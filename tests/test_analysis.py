@@ -211,6 +211,33 @@ for w in (3, 12, 246):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_ber_exact_refuses_a_mixture_it_cannot_hold():
+    # a threshold one sigma above the H1 mean at gamma = 1e15: chndtr is nan,
+    # the Chernoff bounds settle nothing there, and the Poisson mixture would
+    # need ~1.5e15 terms (PiB); it must raise, naming gamma and the threshold,
+    # before allocating (in a child capped at 2 GiB, as above)
+    code = """
+import math, resource
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from cpscatter.analysis import ber_exact
+from cpscatter.phy import SystemConfig
+gamma, w = 1e15, 3
+nc = w * gamma  # paper convention: s = 1, d = W
+threshold = w + nc + math.sqrt(2.0 * (w + 2.0 * nc))
+try:
+    ber_exact(SystemConfig(W=w), gamma, threshold)
+except ValueError as exc:
+    assert f"gamma={gamma!r}, threshold={threshold!r}" in str(exc), exc
+else:
+    raise AssertionError("no ValueError")
+"""
+    src = str(Path(cpscatter.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_ber_identity_half_sum():
     p = SystemConfig(W=5, dof_convention="complex")
     th = threshold_exact(p, 6.0)

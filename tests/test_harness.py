@@ -20,7 +20,6 @@ from cpscatter.harness import (
     CSV_HEADER,
     BerResult,
     ExperimentSpec,
-    _edge_map,
     _operating_point,
     _chunk_statistics,
     _point_setup,
@@ -39,6 +38,7 @@ from cpscatter.harness import (
 )
 from cpscatter.detector import decide_array, threshold_exact, threshold_for
 from cpscatter.phy import SystemConfig
+from cpscatter.receiver import bin_geometry, statistic_bins
 
 
 def make_result(**kw):
@@ -196,7 +196,7 @@ def test_run_trial_direct_gamma_requires_eta():
 
 
 def test_run_trial_reuses_the_point_threshold():
-    # the per-frame config differs in Ps; the threshold is looked up at the
+    # each frame has its own source power; the threshold is looked up at the
     # point, so a direct-gamma point solves it once
     from cpscatter import detector
 
@@ -262,7 +262,7 @@ def test_kernel_streams_match_fresh_philox():
     # keying half: a chunk's statistics must equal those rebuilt from
     # Philox(key=[seed, point << 40 | start]), its block of normals read row
     # by row in the layout [g | f | S | pre | z | b | a | bit], with the edge
-    # samples from _edge_map (checked by the window half below) and explicit
+    # samples from the edge map (checked by the window half below) and explicit
     # W-bin sums for the tap DFTs G and F, the edge terms and the noise bins
     from cpscatter.receiver import noise_power
 
@@ -272,7 +272,7 @@ def test_kernel_streams_match_fresh_philox():
                                **geometry)
             m, k, nb = cfg.M, cfg.K, cfg.R + 1
             sizes = [m + 1, k + 1, w, m, min(m, nb), k, w]
-            emap = _edge_map(w, m, nb)
+            emap = bin_geometry(w, m, k, nb)[1]
 
             def omega(n):
                 return np.exp(-2j * np.pi * (n % nb) / nb)
@@ -315,7 +315,7 @@ def test_kernel_edge_draw_has_the_full_window_law():
         m, nb = cfg.M, cfg.R + 1
         for w in _oracle_ws(geometry):
             mt = min(m, nb)
-            emap = _edge_map(w, m, nb)
+            emap = bin_geometry(w, m, cfg.K, nb)[1]
             drawn = np.zeros((w + 2 * m, w + m + mt), dtype=complex)
             drawn[:w, :w] = np.sqrt(nb) * np.eye(w)
             drawn[w : w + m] = emap.T
@@ -344,12 +344,32 @@ def test_kernel_chunk_is_a_prefix_of_any_longer_chunk():
 
 
 def test_edge_map_is_cached_read_only_and_fresh():
-    emap = _edge_map(3, 5, 246)
-    assert _edge_map(3, 5, 246) is emap
-    assert not emap.flags.writeable
-    with pytest.raises(ValueError):
-        emap[0, 0] = 0.0
-    assert np.array_equal(emap, _edge_map.__wrapped__(3, 5, 246))
+    geometry = bin_geometry(3, 5, 5, 246)
+    assert bin_geometry(3, 5, 5, 246) is geometry
+    for table, fresh in zip(geometry, bin_geometry.__wrapped__(3, 5, 5, 246)):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0
+        assert np.array_equal(table, fresh)
+
+
+def test_kernel_phases_are_the_receiver_bins_dft():
+    # the kernel forms its bins from the shared phase table; column i must be
+    # the DFT of a unit impulse at offset i (mod R+1: at M > R+1 the offsets
+    # wrap), read at the bins test_statistic sums, so the paths cannot drift
+    from cpscatter.numerics import dft
+
+    for geometry in _ORACLE_GEOMETRIES:
+        cfg = SystemConfig(**geometry)
+        nb = cfg.R + 1
+        for w in _oracle_ws(geometry):
+            phase, _ = bin_geometry(w, cfg.M, cfg.K, nb)
+            assert phase.shape == (w, max(cfg.M, cfg.K) + 1), (geometry, w)
+            for i in range(phase.shape[1]):
+                impulse = np.zeros(nb)
+                impulse[i % nb] = 1.0
+                want = dft(impulse)[statistic_bins(w)]
+                assert np.max(np.abs(phase[:, i] - want)) < 1e-12, (geometry, w, i)
 
 
 _LAW_GAMMA_DB = 13.0
@@ -362,17 +382,18 @@ def _full_frame_statistics(bit, geometry=(), seed=7002, n=2000):
     # test_statistic) with run_trial's direct-gamma source rescale; one
     # frame gives the statistic at every W the geometry allows
     from cpscatter.phy import draw_channels, simulate_frame
-    from cpscatter.receiver import noise_power, process, test_statistic
+    from cpscatter.receiver import process, test_statistic
 
     cfg = SystemConfig(gamma_db=_LAW_GAMMA_DB, seed=seed, **dict(geometry))
-    out = {w: np.empty(n) for w in _LAW_WS if w <= cfg.R + 1}
+    points = {w: replace(cfg, W=w) for w in _LAW_WS if w <= cfg.R + 1}
+    out = {w: np.empty(n) for w in points}
     for i in range(n):
         gen = trial_stream(cfg.seed, bit, i).generator()
         ch = draw_channels(cfg, gen)
-        cfg_t = replace(cfg, Ps=_operating_point(cfg, ch.sum_g2, ch.sum_f2)[0])
-        zt = process(simulate_frame(cfg_t, ch, bit, gen).y, cfg_t)
-        for w in out:
-            out[w][i] = test_statistic(zt, w, noise_power(cfg_t))
+        ps = _operating_point(cfg, ch.sum_g2, ch.sum_f2)[0]
+        zt = process(simulate_frame(cfg, ch, bit, ps, gen).y, cfg)
+        for w, point in points.items():
+            out[w][i] = test_statistic(zt, point)
     return out
 
 

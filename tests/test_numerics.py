@@ -56,13 +56,13 @@ def test_distinct_streams_differ():
 
 
 def test_complex_gaussian_zero_variance():
-    assert complex_gaussian(RngStream(1), 0.0) == 0j
-    assert np.all(complex_gaussian(RngStream(1), 0.0, 50) == 0)
+    assert complex_gaussian(RngStream(1).generator(), 0.0) == 0j
+    assert np.all(complex_gaussian(RngStream(1).generator(), 0.0, 50) == 0)
 
 
 def test_complex_gaussian_rejects_negative_variance():
     with pytest.raises(ValueError):
-        complex_gaussian(RngStream(1), -1.0)
+        complex_gaussian(RngStream(1).generator(), -1.0)
 
 
 def test_complex_gaussian_moments():
@@ -84,10 +84,10 @@ def test_complex_gaussian_reads_interleaved_pairs(variance):
     # bitwise: the stream layout every frame and tap draw relies on
     v = RngStream(9, 4).generator().standard_normal(2 * 257)
     want = (v[0::2] + 1j * v[1::2]) * math.sqrt(variance / 2.0)
-    got = complex_gaussian(RngStream(9, 4), variance, 257)
+    got = complex_gaussian(RngStream(9, 4).generator(), variance, 257)
     assert got.dtype == np.complex128
     assert np.array_equal(got.real, want.real) and np.array_equal(got.imag, want.imag)
-    assert complex_gaussian(RngStream(9, 4), variance) == want[0]
+    assert complex_gaussian(RngStream(9, 4).generator(), variance) == want[0]
 
 
 # --- DFT ---------------------------------------------------------------------
@@ -125,7 +125,7 @@ def test_dft_impulse_and_ones():
 
 
 def test_dft_parseval():
-    v = complex_gaussian(RngStream(3), 1.0, 246)
+    v = complex_gaussian(RngStream(3).generator(), 1.0, 246)
     lhs = np.sum(np.abs(dft(v)) ** 2)
     rhs = 246 * np.sum(np.abs(v) ** 2)
     assert lhs == pytest.approx(rhs, rel=1e-9)

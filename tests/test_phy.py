@@ -90,7 +90,7 @@ def test_zero_noise_allowed():
 
 def test_draw_channels_shapes_and_derived():
     c = cfg()
-    ch = draw_channels(c, RngStream(11))
+    ch = draw_channels(c, RngStream(11).generator())
     assert (len(ch.h), len(ch.g), len(ch.f)) == (6, 6, 6)
     assert ch.sum_g2 == pytest.approx(float(np.sum(np.abs(ch.g) ** 2)))
 
@@ -120,14 +120,14 @@ def test_draw_channels_moment():
 
 def test_cp_is_bit_identical():
     c = cfg()
-    s = generate_source_symbol(c, RngStream(7))
+    s = generate_source_symbol(c, c.Ps, RngStream(7).generator())
     assert len(s) == c.frame_len
     assert np.array_equal(s[: c.C], s[c.N : c.N + c.C])
 
 
 def test_small_frame_cp_layout():
     c = cfg(N=8, C=4, L=0, M=0, K=0, W=2)
-    s = generate_source_symbol(c, RngStream(8))
+    s = generate_source_symbol(c, c.Ps, RngStream(8).generator())
     assert len(s) == 12
     assert np.array_equal(s[0:4], s[8:12])
 
@@ -136,7 +136,7 @@ def test_source_variance():
     c = cfg(Ps=4.0)
     gen = RngStream(9).generator()
     samples = np.concatenate(
-        [generate_source_symbol(c, gen)[c.C :] for _ in range(500)]
+        [generate_source_symbol(c, c.Ps, gen)[c.C :] for _ in range(500)]
     )
     assert len(samples) >= 1_000_000
     assert np.mean(np.abs(samples) ** 2) == pytest.approx(4.0, rel=0.02)
@@ -169,7 +169,7 @@ def test_gate_rejects_bad_bit():
 # --- tag_receive -------------------------------------------------------------
 
 def test_tag_receive_identity_channel():
-    s = complex_gaussian(RngStream(1), 1.0, 64)
+    s = complex_gaussian(RngStream(1).generator(), 1.0, 64)
     g = np.zeros(6, dtype=complex)
     g[0] = 1.0
     assert np.array_equal(tag_receive(s, g), s)
@@ -220,9 +220,9 @@ def test_causal_fir_matches_truncated_convolution(n_taps, n_samples):
 
 def test_observe_zero_gate_is_direct_path_only():
     c = cfg(Nw=0.0)
-    ch = draw_channels(c, RngStream(31))
+    ch = draw_channels(c, RngStream(31).generator())
     gen = RngStream(32).generator()
-    s = generate_source_symbol(c, gen)
+    s = generate_source_symbol(c, c.Ps, gen)
     x = tag_receive(s, ch.g)
     direct, backscatter = observe_components(s, x, tag_gate(c, 0), ch, c)
     y = direct + backscatter
@@ -232,9 +232,9 @@ def test_observe_zero_gate_is_direct_path_only():
 
 def test_observe_eta_zero_kills_backscatter():
     c = cfg(eta=0.0, Nw=0.0, snr_mode="from-Ps")
-    ch = draw_channels(c, RngStream(33))
+    ch = draw_channels(c, RngStream(33).generator())
     gen = RngStream(34).generator()
-    s = generate_source_symbol(c, gen)
+    s = generate_source_symbol(c, c.Ps, gen)
     x = tag_receive(s, ch.g)
     direct, backscatter = observe_components(s, x, tag_gate(c, 1), ch, c)
     assert not backscatter.any()
@@ -243,9 +243,9 @@ def test_observe_eta_zero_kills_backscatter():
 
 def test_observe_vs_bruteforce_full_model():
     c = cfg(N=32, C=16, L=2, M=3, K=1, Nw=0.0, W=3)
-    ch = draw_channels(c, RngStream(35))
+    ch = draw_channels(c, RngStream(35).generator())
     gen = RngStream(36).generator()
-    s = generate_source_symbol(c, gen)
+    s = generate_source_symbol(c, c.Ps, gen)
     x = tag_receive(s, ch.g)
     gate = tag_gate(c, 1)
     direct, backscatter = observe_components(s, x, gate, ch, c)
@@ -256,7 +256,7 @@ def test_observe_vs_bruteforce_full_model():
 
 def test_observe_length_mismatch():
     c = cfg()
-    ch = draw_channels(c, RngStream(37))
+    ch = draw_channels(c, RngStream(37).generator())
     with pytest.raises(ValueError):
         observe_components(np.zeros(10), np.zeros(10), np.zeros(10), ch, c)
 
@@ -264,9 +264,9 @@ def test_observe_length_mismatch():
 def test_backscatter_confined_to_cp():
     # gate support ends at C-K-1, so the reflected path is silent after the CP
     c = cfg(Nw=0.0)
-    ch = draw_channels(c, RngStream(38))
+    ch = draw_channels(c, RngStream(38).generator())
     gen = RngStream(39).generator()
-    s = generate_source_symbol(c, gen)
+    s = generate_source_symbol(c, c.Ps, gen)
     x = tag_receive(s, ch.g)
     _, backscatter = observe_components(s, x, tag_gate(c, 1), ch, c)
     assert not backscatter[c.C :].any()
@@ -277,8 +277,8 @@ def test_backscatter_confined_to_cp():
 
 def test_simulate_frame_invariants():
     c = cfg()
-    ch = draw_channels(c, RngStream(41))
-    fr = simulate_frame(c, ch, 1, RngStream(42))
+    ch = draw_channels(c, RngStream(41).generator())
+    fr = simulate_frame(c, ch, 1, c.Ps, RngStream(42).generator())
     assert np.array_equal(fr.s[: c.C], fr.s[c.N :])
     assert len(fr.noise) == c.frame_len
     assert set(np.unique(fr.gate)) <= {0, 1}
@@ -293,7 +293,7 @@ def test_legacy_unaffected_by_tag_bit():
     gen = RngStream(45).generator()
     for _ in range(20):
         ch = draw_channels(c, gen)
-        s = generate_source_symbol(c, gen)
+        s = generate_source_symbol(c, c.Ps, gen)
         x = tag_receive(s, ch.g)
         outs = []
         for bit in (0, 1):
@@ -308,7 +308,7 @@ def test_legacy_impulse_channel_is_dft():
     h = np.zeros(6, dtype=complex)
     h[0] = 1.0
     ch = ChannelSet(h=h, g=h.copy(), f=h.copy())
-    s = generate_source_symbol(c, RngStream(46))
+    s = generate_source_symbol(c, c.Ps, RngStream(46).generator())
     direct, _ = observe_components(s, s, tag_gate(c, 0), ch, c)
     got = legacy_demodulate(direct, c)
     assert np.allclose(got, np.fft.fft(s[c.C :]), atol=1e-9)

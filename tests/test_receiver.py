@@ -65,7 +65,7 @@ def test_noise_free_cancellation_is_exact():
     gen = RngStream(2).generator()
     for _ in range(50):
         ch = draw_channels(c, gen)
-        fr = simulate_frame(c, ch, 0, gen)
+        fr = simulate_frame(c, ch, 0, c.Ps, gen)
         y1, y2 = extract_windows(fr.y, c)
         z = cancel(y1, y2)
         assert np.max(np.abs(z)) <= 1e-10 * np.max(np.abs(y1))
@@ -81,7 +81,7 @@ def test_samples_before_q_are_never_read(geometry):
     c = cfg(**geometry)
     gen = RngStream(12).generator()
     for bit in (0, 1):
-        fr = simulate_frame(c, draw_channels(c, gen), bit, gen)
+        fr = simulate_frame(c, draw_channels(c, gen), bit, c.Ps, gen)
         y = fr.y.copy()
         y[: c.Q] = complex_gaussian(gen, 1e6, c.Q)
         assert np.array_equal(process(y, c), process(fr.y, c))
@@ -92,7 +92,7 @@ def test_samples_before_q_are_never_read(geometry):
 
 def test_fold_no_tail_when_k_zero():
     c = cfg(L=2, M=2, K=0, W=3)
-    z = complex_gaussian(RngStream(3), 1.0, c.T + 1)
+    z = complex_gaussian(RngStream(3).generator(), 1.0, c.T + 1)
     assert np.array_equal(fold(z, c), z)
 
 
@@ -109,7 +109,7 @@ def test_fold_small_example():
 def test_fold_output_length():
     for kw in (dict(), dict(L=1, M=2, K=3, W=2), dict(L=0, M=0, K=0, W=2)):
         c = cfg(**kw)
-        z = complex_gaussian(RngStream(4), 1.0, c.T + 1)
+        z = complex_gaussian(RngStream(4).generator(), 1.0, c.T + 1)
         assert len(fold(z, c)) == c.R + 1
 
 
@@ -180,7 +180,7 @@ def test_single_path_constant_gate_diagonalizes():
     c = cfg(L=2, M=2, K=0, Nw=0.0, W=3)
     gen = RngStream(7).generator()
     ch = draw_channels(c, gen)
-    fr = simulate_frame(c, ch, 1, gen)
+    fr = simulate_frame(c, ch, 1, c.Ps, gen)
     zt = process(fr.y, c)
     x_win = fr.x[c.Q : c.C - c.K] if c.K else fr.x[c.Q : c.C]
     want = c.eta * ch.f[0] * np.fft.fft(x_win)
@@ -195,7 +195,7 @@ def test_chain_matches_dense_matrix_path():
     gen = RngStream(8).generator()
     for _ in range(10):
         ch = draw_channels(c, gen)
-        fr = simulate_frame(c, ch, 1, gen)
+        fr = simulate_frame(c, ch, 1, c.Ps, gen)
         zt = process(fr.y, c)
         x_win = fr.x[c.Q : c.C - c.K]
         dense = c.eta * (F @ (_circulant_from_taps(ch.f, n) @ x_win))
@@ -205,18 +205,20 @@ def test_chain_matches_dense_matrix_path():
 # --- statistic -------------------------------------------------------------------
 
 def test_statistic_trivials():
-    assert energy_statistic(np.zeros(246, dtype=complex), 12, Pw=3.0) == 0.0
+    assert energy_statistic(np.zeros(246, dtype=complex), cfg(Nw=3.0)) == 0.0
+    c = cfg(W=1, Nw=7.0)
     z = np.zeros(246, dtype=complex)
-    z[0] = np.sqrt(7.0)
-    assert energy_statistic(z, 1, Pw=7.0) == pytest.approx(1.0, rel=1e-12)
+    z[0] = np.sqrt(noise_power(c))
+    z[1] = 5.0  # outside the W=1 statistic
+    assert energy_statistic(z, c) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_statistic_window_errors():
-    z = np.zeros(10, dtype=complex)
-    with pytest.raises(ValueError):
-        energy_statistic(z, 11, Pw=1.0)
-    with pytest.raises(ValueError):
-        energy_statistic(z, 4, Pw=0.0)
+    # the statistic reads R+1 = 246 bins, at the point's noise power
+    with pytest.raises(ValueError, match="246 bins"):
+        energy_statistic(np.zeros(10, dtype=complex), cfg(W=4))
+    with pytest.raises(ValueError, match="Nw"):
+        energy_statistic(np.zeros(246, dtype=complex), cfg(W=4, Nw=0.0))
 
 
 def test_noise_only_statistic_mean():
@@ -230,7 +232,7 @@ def test_noise_only_statistic_mean():
         w1 = complex_gaussian(gen, c.Nw, c.T + 1)
         w2 = complex_gaussian(gen, c.Nw, c.T + 1)
         zt = dft(fold(cancel(w1, w2), c))
-        acc += energy_statistic(zt, c.W, pw)
+        acc += energy_statistic(zt, c)
         acc_bins += float(np.mean(np.abs(zt) ** 2))
     assert acc / n == pytest.approx(c.W, rel=0.03)
     assert acc_bins / n == pytest.approx(pw, rel=0.03)

@@ -40,7 +40,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      dest="threshold_mode", help="detection threshold mode")
     run.add_argument("--dof", choices=_DOF_CONVENTIONS,
                      dest="dof_convention", help="degree-of-freedom convention")
-    run.add_argument("--workers", type=int, help="worker processes (0 = all CPUs)")
+    run.add_argument("--workers", type=int,
+                     help="worker threads (0 = one per CPU this process may use)")
     run.add_argument("--print-config", action="store_true",
                      help="print the effective configuration and exit")
     run.add_argument("--debug", action="store_true",

@@ -4,8 +4,10 @@ Randomness comes from Philox streams keyed by (seed, point_index << 40 |
 index). run_trial takes one stream per trial (trial_stream); the batch
 kernel takes one per chunk, keyed by the chunk's first trial, and chunks
 start at fixed multiples of _CHUNK. So results are a pure function of
-(seed, experiment spec) no matter how many workers execute the chunks or in
-what order they finish. Error counts are integers and reduce commutatively.
+(seed, experiment spec) no matter how many worker threads execute the
+chunks or in what order they finish. Error counts are integers and reduce
+commutatively. A chunk's heavy steps (the Philox fill, einsum and the
+numpy/scipy ufuncs) release the GIL, so the threads run them in parallel.
 
 Two execution paths exist:
 
@@ -44,8 +46,9 @@ import math
 import numbers
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -66,7 +69,8 @@ from .phy import SystemConfig, draw_channels, simulate_frame
 from .receiver import bin_geometry, noise_power, process, test_statistic
 
 _TRIAL_BITS = 40  # trial index width inside a stream id
-_CHUNK = 1024  # fixed batch size; keeps the working set cache-resident
+_CHUNK = 1024  # trials per keyed stream and per task
+_ROWS = 512  # trials reduced at once: bounds the arrays a worker thread holds
 _EMIT_MODES = ("ber_vs_snr", "ber_vs_w", "pdf_curves")
 
 CSV_HEADER = (
@@ -85,7 +89,7 @@ class ExperimentSpec:
     trials_per_point: int = 100_000
     output_path: str = "results.csv"
     emit: str = "ber_vs_snr"
-    workers: int = 0  # 0 = use all available CPUs
+    workers: int = 0  # threads; 0 = one per CPU this process may run on
 
     def __post_init__(self):
         if not self.snr_db_list or not self.W_list:
@@ -130,8 +134,8 @@ class BerResult:
 
     wall_ms is the run's time from the previous point's completion (or the
     start of the run) to this point's, chunks and theory columns included.
-    Points overlap in a pool, so this is not the point's own cost, but the
-    points' values add up to the run's wall time.
+    Points overlap on the worker threads, so this is not the point's own
+    cost, but the points' values add up to the run's wall time.
     """
 
     snr_db: float
@@ -207,12 +211,29 @@ def _chunk_statistics(point: SystemConfig, point_index: int, start: int, count: 
     normal for the bit; no source window (module docstring). A chunk is thus
     a prefix of any longer chunk from the same start, but a trial's draws
     depend on that start: callers keep chunks at fixed multiples of _CHUNK.
+
+    The block is drawn and reduced _ROWS rows at a time: the same normals in
+    the same order, and each row's statistic reads its own row alone, so the
+    values do not depend on _ROWS, while a worker thread holds the arrays of
+    only _ROWS trials at once.
     """
+    gen = trial_stream(point.seed, point_index, start).generator()
+    parts = [_row_statistics(point, gen, min(_ROWS, count - i), force_bit)
+             for i in range(0, count, _ROWS)]
+    bits, stats, gamma = zip(*parts)
+    # the point's scalar SNR in every part, or one array per part
+    gamma = np.concatenate(gamma) if np.ndim(gamma[0]) else gamma[0]
+    return np.concatenate(bits), np.concatenate(stats), gamma
+
+
+def _row_statistics(point: SystemConfig, gen: np.random.Generator, count: int,
+                    force_bit: int | None):
+    """(bits, statistics, gamma) of the next `count` rows of gen's block."""
     W, m, k = point.W, point.M, point.K
     m1, k1, nb = m + 1, k + 1, point.R + 1  # nb: the gated window length
     ends = np.cumsum([m1, k1, W, m, min(m, nb), k, W])  # the blocks above
     v = np.empty((count, 2 * ends[-1] + 1))
-    trial_stream(point.seed, point_index, start).generator().standard_normal(out=v)
+    gen.standard_normal(out=v)
 
     # each complex entry is re + j*im of two standard normals: CN(0, 2), the
     # law of one source sample; the 1/sqrt(2) factors are applied below
@@ -285,23 +306,41 @@ def _point_setup(point: SystemConfig):
     return snr_db, gamma, threshold_for(point, gamma)
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@lru_cache(maxsize=1)
+def _thread_pool(workers: int) -> ThreadPoolExecutor:
+    """The worker threads, kept from one run to the next.
+
+    A pool per run starts new threads while the last run's are still
+    exiting, and glibc gives each new thread its own malloc arena, so
+    back-to-back runs in one process grow its peak RSS by several MB.
+    """
+    return ThreadPoolExecutor(max_workers=workers)
+
+
 def run_experiment(spec: ExperimentSpec) -> list[BerResult]:
     """Run every sweep point; deterministic for fixed (seed, spec).
 
     Every point is set up first, so a bad point fails before any chunk runs,
-    and its threshold is in threshold_for's LRU before any pool worker is
-    forked. With a pool, every point's chunks are then submitted at once and
-    collected in point order, so the parent works out a point's theory
-    columns while the workers run later points.
+    and its threshold is in threshold_for's LRU before any chunk reads it.
+    With more than one worker, every point's chunks are then submitted at
+    once to _thread_pool and collected in point order, so the calling
+    thread works out a point's theory columns while the workers run later
+    points; with one, the chunks run in the calling thread.
     """
     t0, done_ms = time.perf_counter(), 0
     points = spec.points()
     setups = [_point_setup(point) for point in points]
-    workers = spec.workers if spec.workers > 0 else (os.cpu_count() or 1)
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    results = []
+    workers = spec.workers or _available_cpus()
+    pool = _thread_pool(workers) if workers > 1 else None
+    results, tasks = [], []
     try:
-        tasks = []
         for point_index, point in enumerate(points):
             args = [(point, point_index, start, min(_CHUNK, spec.trials_per_point - start))
                     for start in range(0, spec.trials_per_point, _CHUNK)]
@@ -339,7 +378,9 @@ def run_experiment(spec: ExperimentSpec) -> list[BerResult]:
         # after a success every chunk is done; after an error this drops the
         # chunks not yet started instead of running out the sweep
         if pool:
-            pool.shutdown(cancel_futures=True)
+            for chunks in tasks:
+                for chunk in chunks:
+                    chunk.cancel()
 
     if spec.emit == "ber_vs_w":
         results.sort(key=lambda r: (r.snr_db, r.W))

@@ -97,6 +97,15 @@ class SystemConfig:
         # a NaN or infinite value would run to a plausible-looking wrong BER row
         if not np.all(np.isfinite([self.Ps, self.Nw, self.eta, self.gamma_db])):
             raise ValueError("Ps, Nw, eta and gamma_db must be finite")
+        # direct-gamma reads gamma = 10^(gamma_db/10) as a float, which
+        # overflows above 10 log10(DBL_MAX), about 3082.5 dB (a numpy scalar
+        # would give inf, hence the Python float)
+        gamma_db = float(self.gamma_db)
+        try:
+            10.0 ** (gamma_db / 10.0)
+        except OverflowError:
+            raise ValueError(f"gamma_db={gamma_db!r} dB is out of range: "
+                             "10^(gamma_db/10) overflows") from None
         if not self.Ps > 0:
             raise ValueError(f"Ps must be > 0, got {self.Ps}")
         if self.Nw < 0:

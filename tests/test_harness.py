@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import time
 import warnings
 from dataclasses import replace
@@ -330,6 +331,23 @@ def test_kernel_edge_draw_has_the_full_window_law():
             assert np.max(np.abs(cov_drawn - cov_full)) < 1e-12 * nb, (geometry, w)
 
 
+@pytest.mark.parametrize("rows", [1, 100, _CHUNK])
+def test_chunk_statistics_do_not_depend_on_the_row_block(monkeypatch, rows):
+    # a chunk is drawn and reduced _ROWS rows at a time; any block size gives
+    # the same bits, statistics and SNRs (a scalar, or one per genie trial)
+    from cpscatter import harness
+
+    points = [SystemConfig(seed=31, W=12, gamma_db=9.0),
+              SystemConfig(seed=31, W=3, snr_mode="from-Ps", dof_convention="complex",
+                           threshold_mode="exact-root")]
+    want = [_chunk_statistics(p, 1, _CHUNK, _CHUNK - 24) for p in points]
+    monkeypatch.setattr(harness, "_ROWS", rows)
+    for point, expected in zip(points, want):
+        got = _chunk_statistics(point, 1, _CHUNK, _CHUNK - 24)
+        for g, e in zip(got, expected):
+            assert np.shape(g) == np.shape(e) and np.array_equal(g, e), (point.snr_mode, rows)
+
+
 def test_kernel_chunk_is_a_prefix_of_any_longer_chunk():
     # the chunk's stream fills its block row by row, so trial start + j reads
     # the same normals whatever the chunk's length: _run_chunk(p, s, n) is
@@ -565,19 +583,92 @@ def test_snr_trend_with_noise_allowance():
 
 def test_worker_count_invariance(tmp_path):
     # direct-gamma, and from-Ps genie exact-root, whose trials are each
-    # decided at their own SNR; 3000 trials leave a short last chunk
+    # decided at their own SNR; 3000 trials leave a short last chunk, and 8
+    # workers are more threads than the 3 chunks of a point
     from_ps = dict(snr_mode="from-Ps", gamma_knowledge="genie",
                    dof_convention="complex", threshold_mode="exact-root")
     for mode, base in (("direct", SystemConfig(seed=9)),
                        ("from-ps", SystemConfig(seed=9, **from_ps))):
         csvs = []
-        for workers in (1, 3):
+        for workers in (1, 2, 8):
             spec = ExperimentSpec(base=base, snr_db_list=(9.0,), W_list=(3, 12),
                                   trials_per_point=3000, workers=workers,
                                   output_path=str(tmp_path / f"{mode}-w{workers}.csv"))
             emit_csv(run_experiment(spec), spec.output_path)
             csvs.append(Path(spec.output_path).read_bytes())
-        assert csvs[0] == csvs[1], mode
+        assert csvs[1:] == [csvs[0]] * 2, mode
+
+
+_SEEN_CHUNKS = []
+
+
+def _chunk_spy(point, point_index, start, count):
+    errors = _run_chunk(point, point_index, start, count)
+    _SEEN_CHUNKS.append((point_index, start, count, errors, threading.current_thread()))
+    return errors
+
+
+def test_pooled_chunks_run_in_this_process_on_threads_kept_across_runs(monkeypatch):
+    # the worker threads call the module's _run_chunk, so a patch of it sees
+    # every chunk of every point exactly once, and its counts are the row's;
+    # a chunk run in another process would append to that process's list.
+    # The second run reuses the first run's two threads
+    from cpscatter import harness
+
+    seen, threads = _SEEN_CHUNKS, set()
+    monkeypatch.setattr(harness, "_run_chunk", _chunk_spy)
+    spec = ExperimentSpec(base=SystemConfig(seed=6), snr_db_list=(6.0, 16.0), W_list=(3,),
+                          trials_per_point=2500, workers=2)
+    for _ in range(2):
+        seen.clear()
+        rows = run_experiment(spec)
+        assert sorted(s[:3] for s in seen) == [(i, start, min(_CHUNK, 2500 - start))
+                                               for i in (0, 1) for start in (0, 1024, 2048)]
+        for i, row in enumerate(rows):
+            assert row.bit_errors == sum(s[3] for s in seen if s[0] == i)
+        threads |= {s[4] for s in seen}
+    assert len(threads) <= 2 and threading.main_thread() not in threads
+
+
+def test_threads_racing_on_a_cold_geometry_cache_give_the_serial_counts():
+    # more threads than CPUs on a short switch interval, with bin_geometry's
+    # LRU cold, so chunks race on its misses; a torn or lost entry would
+    # move an error count
+    spec = ExperimentSpec(base=SystemConfig(seed=8, M=7, K=3), snr_db_list=(6.0, 9.0),
+                          W_list=(3, 12), trials_per_point=4 * _CHUNK, workers=1)
+    want = [r.bit_errors for r in run_experiment(spec)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        bin_geometry.cache_clear()
+        got = [r.bit_errors for r in run_experiment(replace(spec, workers=8))]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
+
+
+@pytest.mark.parametrize("affinity, want", [({0}, 1), ({0, 2, 5}, 3), (None, 5)])
+def test_default_workers_are_the_cpus_this_process_may_use(monkeypatch, affinity, want):
+    # workers=0 counts the affinity mask, not every CPU of the machine;
+    # os.cpu_count() only where the OS has no affinity call
+    from cpscatter import harness
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(affinity))
+    pools, thread_pool = [], harness._thread_pool
+
+    def spy_pool(workers):
+        pools.append(workers)
+        return thread_pool(workers)
+
+    monkeypatch.setattr(harness, "_thread_pool", spy_pool)
+    spec = ExperimentSpec(base=SystemConfig(seed=6), snr_db_list=(6.0,), W_list=(3,),
+                          trials_per_point=64, workers=0)
+    run_experiment(spec)
+    assert pools == ([] if want == 1 else [want])  # one worker runs in this thread
 
 
 class _ChunkFailure(RuntimeError):
@@ -585,7 +676,7 @@ class _ChunkFailure(RuntimeError):
 
 
 def _chunk_failing_at_point_1(point, point_index, start, count):
-    # module level, so the pool can pickle it; fork workers inherit the patch
+    # point 1 fails at once; the later points' chunks only sleep
     if point_index == 1:
         raise _ChunkFailure(f"chunk {start} of point 1")
     if point_index > 1:
@@ -706,6 +797,8 @@ def test_spec_validation():
     "snr_db_list = 6 nan\n",
     "snr_db_list = inf\n",
     "snr_db_list = -inf 6\n",
+    "gamma_db = 3090\n",  # 10^(gamma_db/10) overflowed with a bare OverflowError
+    "snr_db_list = 6 3090\n",
 ])
 def test_degenerate_sweeps_fail_before_any_chunk(monkeypatch, tmp_path, cfg_text):
     from cpscatter import harness
@@ -920,7 +1013,8 @@ def test_cli_import_loads_no_scipy_integrate_or_stats():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = ("import sys, cpscatter.cli; "
-            "print(sorted(m for m in ('scipy.integrate', 'scipy.stats') if m in sys.modules))")
+            "print(sorted(m for m in ('multiprocessing', 'scipy.integrate', 'scipy.stats')"
+            " if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"

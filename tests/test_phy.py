@@ -77,6 +77,19 @@ def test_non_integer_config_values_fail(bad):
         cfg(**bad)
 
 
+@pytest.mark.parametrize("gamma_db", [3090.0, 1e6, np.float64(3090.0)])
+def test_gamma_db_whose_linear_snr_overflows_fails(gamma_db):
+    # 10^(gamma_db/10) raised a bare OverflowError that named neither, or
+    # for a numpy scalar gave gamma = inf
+    with pytest.raises(ValueError, match=f"gamma_db={float(gamma_db)!r} dB"):
+        cfg(gamma_db=gamma_db)
+
+
+def test_gamma_db_just_below_overflow_accepted():
+    # 10 log10(DBL_MAX) = 3082.547...; 10^(gamma_db/10) is finite below it
+    assert cfg(gamma_db=3082.5).gamma_db == 3082.5
+
+
 def test_numpy_integer_config_values_accepted():
     c = cfg(W=np.int64(3), seed=np.uint64(7), M=np.int32(2))
     assert (c.W, c.seed, c.M) == (3, 7, 2)

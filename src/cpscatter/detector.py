@@ -7,6 +7,9 @@ noncentrality lambda = W * gamma, where gamma is the detection SNR
     gamma = |eta|^2 * Px * Pf / Pw
           = (R+1) |eta|^2 Ps (sum_m |g_m|^2)(sum_k |f_k|^2) / (2 (T+1) Nw).
 
+detection_snr is the one rule that turns a point's tap energies into
+(source power, gamma), for the batch kernel and run_trial alike.
+
 Two degree-of-freedom conventions are supported. "paper" models the
 statistic directly as chi-square with W dof (and noncentral chi-square with
 lambda = W*gamma under H1). "complex" uses the statistically exact scaling
@@ -48,7 +51,7 @@ from .numerics import (
     log_noncentral_chi2_pdf,
     sin_power_integral,
 )
-from .phy import ChannelSet, SystemConfig
+from .phy import SystemConfig
 from .receiver import noise_power
 
 # the exact-root iteration stops once its step is within _XTOL, or within
@@ -77,11 +80,26 @@ def detection_gamma(config: SystemConfig, ps, sum_g2, sum_f2):
     )
 
 
-def detection_snr(channels: ChannelSet, config: SystemConfig) -> float:
-    """Detection SNR gamma of one channel draw at the configured Ps."""
+def detection_snr(config: SystemConfig, sum_g2, sum_f2):
+    """(source power, detection SNR) of a point for the drawn tap energies.
+
+    sum_g2 and sum_f2 are scalars or per-trial arrays. direct-gamma rescales the source power so that
+    gamma = 10^(gamma_db/10). from-Ps keeps Ps, with the SNR of the drawn
+    taps (genie; an array in the kernel) or of the mean tap energies M+1
+    and K+1 (ensemble; one scalar).
+    """
+    # with no noise the statistic is 0/0 and the BER would be noise, not a
+    # measurement; SystemConfig itself allows Nw=0 for noiseless frames
     if config.Nw == 0:
-        raise ValueError("detection SNR undefined for zero noise power")
-    return detection_gamma(config, config.Ps, channels.sum_g2, channels.sum_f2)
+        raise ValueError("the detection SNR needs noise power Nw > 0")
+    if config.snr_mode == "direct-gamma":
+        if config.eta == 0:
+            raise ValueError("direct-gamma mode needs eta != 0")
+        gamma = 10.0 ** (config.gamma_db / 10.0)
+        return gamma / detection_gamma(config, 1.0, sum_g2, sum_f2), gamma
+    if config.gamma_knowledge == "ensemble":
+        sum_g2, sum_f2 = config.M + 1, config.K + 1
+    return config.Ps, detection_gamma(config, config.Ps, sum_g2, sum_f2)
 
 
 def dof_scaling(config: SystemConfig) -> tuple[float, int]:
@@ -162,8 +180,8 @@ def _gammas(gamma) -> np.ndarray:
     return gamma
 
 
-def _solve_crossing(config: SystemConfig, gamma: float) -> float:
-    """Density crossing at config for one gamma > 0, by safeguarded Newton.
+def threshold_exact(config: SystemConfig, gamma: float) -> float:
+    """ML threshold: the true H0/H1 density crossing for one gamma > 0.
 
     D(x) = _log_ratio(x) falls strictly through the crossing, with the
     closed-form slope
@@ -178,6 +196,9 @@ def _solve_crossing(config: SystemConfig, gamma: float) -> float:
     stops once its step is within _XTOL or a few ulps of x (or D is
     exactly 0).
     """
+    if not gamma > 0:
+        raise ValueError(f"threshold requires gamma > 0, got {gamma}")
+    gamma = float(gamma)
     W = config.W
     # f0 dominates below the crossing, f1 above; expand each end, starting
     # from the H0 mode and the H1 mean, until the sign change is bracketed
@@ -223,13 +244,6 @@ def _solve_crossing(config: SystemConfig, gamma: float) -> float:
     return float(x)
 
 
-def threshold_exact(config: SystemConfig, gamma: float) -> float:
-    """ML threshold as the true crossing of the H0/H1 densities (safeguarded Newton)."""
-    if not gamma > 0:
-        raise ValueError(f"threshold requires gamma > 0, got {gamma}")
-    return _solve_crossing(config, float(gamma))
-
-
 @lru_cache(maxsize=_THRESHOLD_CACHE_SIZE)
 def threshold_for(config: SystemConfig, gamma: float) -> float:
     """Threshold at config.W for one SNR per the configured mode; gamma == 0 gives W.
@@ -249,7 +263,7 @@ def threshold_for(config: SystemConfig, gamma: float) -> float:
         return float(config.W)
     if config.threshold_mode == "closed-form":
         return float(threshold_paper(config.W, gamma))
-    return _solve_crossing(config, gamma)
+    return threshold_exact(config, gamma)
 
 
 def decide_array(config: SystemConfig, stats, gamma) -> np.ndarray:

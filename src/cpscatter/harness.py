@@ -31,13 +31,13 @@ Two execution paths exist:
 
 A sweep point is one SystemConfig: the base config at the point's W and,
 in direct-gamma mode, its gamma_db (ExperimentSpec.points). Both paths
-read W and the SNR from it, and _operating_point is the one rule that turns
-drawn tap energies into (source power, detection SNR), so run_trial(point,
-...) replays a kernel point. run_trial decides each frame with
-detector.decide; a kernel chunk is given only its point and trial range and
-decides all its trials with one detector.decide_array call. The two paths consume streams differently, so
-they are not bit-identical trial for trial; the suite checks they agree
-statistically.
+read W and the SNR from it, and detector.detection_snr is the one rule that
+turns drawn tap energies into (source power, detection SNR), so
+run_trial(point, ...) replays a kernel point. run_trial decides each frame
+with detector.decide; a kernel chunk is given only its point and trial
+range and decides all its trials with one detector.decide_array call. The
+two paths consume streams differently, so they are not bit-identical trial
+for trial; the suite checks they agree statistically.
 """
 
 from __future__ import annotations
@@ -54,12 +54,10 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis
-# detection_snr and threshold_exact are not called here, but perfbench
-# traces them through this namespace, so the names stay importable
+# threshold_exact is not called here, but perfbench traces it in this namespace
 from .detector import (
     decide,
     decide_array,
-    detection_gamma,
     detection_snr,
     threshold_exact,
     threshold_for,
@@ -73,10 +71,22 @@ _CHUNK = 1024  # trials per keyed stream and per task
 _ROWS = 512  # trials reduced at once: bounds the arrays a worker thread holds
 _EMIT_MODES = ("ber_vs_snr", "ber_vs_w", "pdf_curves")
 
-CSV_HEADER = (
-    "snr_db,W,trials,errors,ber_sim,ci95,ber_theory_approx,"
-    "ber_theory_exact,threshold,dof_convention,threshold_mode,seed"
+# the fixed CSV schema, in column order: (column, BerResult attribute, parser)
+_CSV_COLUMNS = (
+    ("snr_db", "snr_db", float),
+    ("W", "W", int),
+    ("trials", "trials", int),
+    ("errors", "bit_errors", int),
+    ("ber_sim", "ber_sim", float),
+    ("ci95", "ci95_halfwidth", float),
+    ("ber_theory_approx", "ber_theory_approx", float),
+    ("ber_theory_exact", "ber_theory_exact", float),
+    ("threshold", "threshold_used", float),
+    ("dof_convention", "dof_convention", str),
+    ("threshold_mode", "threshold_mode", str),
+    ("seed", "seed", int),
 )
+CSV_HEADER = ",".join(column for column, _, _ in _CSV_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -114,7 +124,7 @@ class ExperimentSpec:
         for point in self.points():
             if point.W < 2 and point.threshold_mode == "closed-form":
                 raise ValueError(f"W={point.W}: the closed-form threshold needs W >= 2")
-            _operating_point(point, point.M + 1, point.K + 1)
+            detection_snr(point, point.M + 1, point.K + 1)
 
     def points(self) -> list[SystemConfig]:
         """The sweep points in run order, each one SystemConfig.
@@ -158,38 +168,16 @@ def trial_stream(seed: int, point_index: int, trial_index: int) -> RngStream:
     return RngStream(seed=seed, stream=(point_index << _TRIAL_BITS) | trial_index)
 
 
-def _operating_point(config: SystemConfig, sum_g2, sum_f2):
-    """(source power, detection SNR) of a point for the drawn tap energies.
-
-    sum_g2 and sum_f2 are scalars or per-trial arrays. direct-gamma rescales
-    the source power so that gamma = 10^(gamma_db/10). from-Ps keeps Ps, with
-    the SNR of the drawn taps (genie; an array in the kernel) or of the mean
-    tap energies M+1 and K+1 (ensemble; one scalar).
-    """
-    # with no noise the statistic is 0/0 and the BER would be noise, not a
-    # measurement; SystemConfig itself allows Nw=0 for noiseless frames
-    if config.Nw == 0:
-        raise ValueError("the detection SNR needs noise power Nw > 0")
-    if config.snr_mode == "direct-gamma":
-        if config.eta == 0:
-            raise ValueError("direct-gamma mode needs eta != 0")
-        gamma = 10.0 ** (config.gamma_db / 10.0)
-        return gamma / detection_gamma(config, 1.0, sum_g2, sum_f2), gamma
-    if config.gamma_knowledge == "ensemble":
-        sum_g2, sum_f2 = config.M + 1, config.K + 1
-    return config.Ps, detection_gamma(config, config.Ps, sum_g2, sum_f2)
-
-
 def run_trial(config: SystemConfig, stream: RngStream):
     """One full-frame trial on its own stream: returns (sent_bit, decided_bit).
 
     Stream consumption order: channel taps (h, g, f), the tag bit, the
     source symbol, the frame noise. The frame's source power and the
-    threshold's SNR follow _operating_point, as in the batch kernel.
+    threshold's SNR follow detection_snr, as in the batch kernel.
     """
     gen = stream.generator()
     channels = draw_channels(config, gen)
-    ps, gamma = _operating_point(config, channels.sum_g2, channels.sum_f2)
+    ps, gamma = detection_snr(config, channels.sum_g2, channels.sum_f2)
     bit = int(gen.integers(0, 2))
     frame = simulate_frame(config, channels, bit, ps, gen)
     stat = test_statistic(process(frame.y, config), config)
@@ -200,7 +188,7 @@ def _chunk_statistics(point: SystemConfig, point_index: int, start: int, count: 
                       force_bit: int | None = None):
     """(bits, statistics, gamma) of `count` trials of one point, one Philox stream.
 
-    gamma is the detection SNR from _operating_point: one scalar, or one per
+    gamma is the detection SNR from detection_snr: one scalar, or one per
     trial for a from-Ps genie point. force_bit, if set, replaces the drawn
     bits (the bit's normal is still drawn).
 
@@ -241,7 +229,7 @@ def _row_statistics(point: SystemConfig, gen: np.random.Generator, count: int,
     g, f, s_bins, pre, _, b, a = np.split(cv, ends[:-1], axis=1)
     sum_g2 = 0.5 * np.sum(v[:, : 2 * m1] ** 2, axis=1)
     sum_f2 = 0.5 * np.sum(v[:, 2 * m1 : 2 * (m1 + k1)] ** 2, axis=1)
-    ps, gamma = _operating_point(point, sum_g2, sum_f2)
+    ps, gamma = detection_snr(point, sum_g2, sum_f2)
 
     phase, emap = bin_geometry(W, m, k, nb)
     # tag FIR bins U_p = G_p S_p + edge terms, d_i = s[Q-i] - s[Q+nb-i];
@@ -278,6 +266,11 @@ def _run_chunk(point: SystemConfig, point_index: int, start: int, count: int) ->
     return int(np.sum(decide_array(point, stats, gamma) != bits))
 
 
+def _chunk_plan(trials: int) -> list[tuple[int, int]]:
+    """(start, count) of a point's chunks, each starting at a multiple of _CHUNK."""
+    return [(start, min(_CHUNK, trials - start)) for start in range(0, trials, _CHUNK)]
+
+
 def collect_statistics(point: SystemConfig, trials: int,
                        force_bit: int | None = None, point_index: int = 0):
     """Per-trial (bits, test statistics) of one point from the batch kernel."""
@@ -285,9 +278,8 @@ def collect_statistics(point: SystemConfig, trials: int,
         raise ValueError(f"trials must be in [1, 2^{_TRIAL_BITS}), got {trials}")
     if force_bit not in (None, 0, 1):
         raise ValueError(f"force_bit must be None, 0 or 1, got {force_bit!r}")
-    chunks = [_chunk_statistics(point, point_index, start, min(_CHUNK, trials - start),
-                                force_bit)
-              for start in range(0, trials, _CHUNK)]
+    chunks = [_chunk_statistics(point, point_index, start, count, force_bit)
+              for start, count in _chunk_plan(trials)]
     bits, stats, _ = zip(*chunks)
     return np.concatenate(bits), np.concatenate(stats)
 
@@ -298,7 +290,7 @@ def _point_setup(point: SystemConfig):
     The SNR is the operating point's at the mean tap energies: the pinned
     SNR in direct-gamma mode, the ensemble SNR in from-Ps mode.
     """
-    _, gamma = _operating_point(point, point.M + 1, point.K + 1)
+    _, gamma = detection_snr(point, point.M + 1, point.K + 1)
     if point.snr_mode == "direct-gamma":
         snr_db = point.gamma_db
     else:
@@ -342,8 +334,8 @@ def run_experiment(spec: ExperimentSpec) -> list[BerResult]:
     results, tasks = [], []
     try:
         for point_index, point in enumerate(points):
-            args = [(point, point_index, start, min(_CHUNK, spec.trials_per_point - start))
-                    for start in range(0, spec.trials_per_point, _CHUNK)]
+            args = [(point, point_index, start, count)
+                    for start, count in _chunk_plan(spec.trials_per_point)]
             tasks.append([pool.submit(_run_chunk, *a) for a in args] if pool else args)
 
         for point, (snr_db, gamma, threshold), chunks in zip(points, setups, tasks):
@@ -389,20 +381,19 @@ def run_experiment(spec: ExperimentSpec) -> list[BerResult]:
     return results
 
 
-def emit_csv(results, path) -> None:
-    """Write results as CSV with the fixed 12-column schema, full precision."""
-    lines = [CSV_HEADER]
-    for res in results:
-        lines.append(
-            f"{res.snr_db!r},{res.W},{res.trials},{res.bit_errors},"
-            f"{res.ber_sim!r},{res.ci95_halfwidth!r},{res.ber_theory_approx!r},"
-            f"{res.ber_theory_exact!r},{res.threshold_used!r},"
-            f"{res.dof_convention},{res.threshold_mode},{res.seed}"
-        )
+def _write_csv(path, header: str, rows, what: str) -> None:
+    """Write header and rows as CSV lines; str() of a Python float is its repr."""
+    lines = [header] + [",".join(str(v) for v in row) for row in rows]
     try:
         Path(path).write_text("\n".join(lines) + "\n")
     except OSError as exc:
-        raise OSError(f"cannot write results to {path!r}: {exc}") from exc
+        raise OSError(f"cannot write {what} to {path!r}: {exc}") from exc
+
+
+def emit_csv(results, path) -> None:
+    """Write results as CSV with the fixed 12-column schema, full precision."""
+    rows = ([getattr(res, attr) for _, attr, _ in _CSV_COLUMNS] for res in results)
+    _write_csv(path, CSV_HEADER, rows, "results")
 
 
 def parse_csv(path) -> list[BerResult]:
@@ -411,18 +402,13 @@ def parse_csv(path) -> list[BerResult]:
     if not text or text[0] != CSV_HEADER:
         raise ValueError(f"unexpected CSV header in {path!r}")
     out = []
-    for line in text[1:]:
-        c = line.split(",")
-        out.append(
-            BerResult(
-                snr_db=float(c[0]), W=int(c[1]), trials=int(c[2]),
-                bit_errors=int(c[3]), ber_sim=float(c[4]),
-                ci95_halfwidth=float(c[5]), ber_theory_approx=float(c[6]),
-                ber_theory_exact=float(c[7]), threshold_used=float(c[8]),
-                wall_ms=0, dof_convention=c[9], threshold_mode=c[10],
-                seed=int(c[11]),
-            )
-        )
+    for lineno, line in enumerate(text[1:], 2):
+        cells = line.split(",")
+        if len(cells) != len(_CSV_COLUMNS):
+            raise ValueError(f"{path}:{lineno}: expected {len(_CSV_COLUMNS)} columns, "
+                             f"got {len(cells)}")
+        out.append(BerResult(wall_ms=0, **{attr: parse(cell) for (_, attr, parse), cell
+                                           in zip(_CSV_COLUMNS, cells)}))
     return out
 
 
@@ -434,7 +420,7 @@ def run_pdf_curves(spec: ExperimentSpec, n_points: int = 800) -> np.ndarray:
     in from-Ps mode.
     """
     point = spec.points()[0]
-    _, gamma = _operating_point(point, point.M + 1, point.K + 1)
+    _, gamma = detection_snr(point, point.M + 1, point.K + 1)
     w = point.W
     hi = w * (1.0 + gamma) + 8.0 * math.sqrt(2.0 * w * (1.0 + 2.0 * gamma))
     grid = np.linspace(hi / n_points, hi, n_points)
@@ -443,13 +429,7 @@ def run_pdf_curves(spec: ExperimentSpec, n_points: int = 800) -> np.ndarray:
 
 def write_pdf_csv(table: np.ndarray, path) -> None:
     """Write a pdf_curves table as x,f0,f1 rows."""
-    lines = ["x,f0,f1"]
-    for x, f0, f1 in table.tolist():
-        lines.append(f"{x!r},{f0!r},{f1!r}")
-    try:
-        Path(path).write_text("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise OSError(f"cannot write pdf table to {path!r}: {exc}") from exc
+    _write_csv(path, "x,f0,f1", table.tolist(), "pdf table")
 
 
 # --- flat key=value configuration files -----------------------------------
@@ -468,7 +448,7 @@ _SPEC_FIELDS = {
 
 def load_config_file(path) -> dict:
     """Parse a flat key=value file with # comments into raw string values."""
-    values = {}
+    values, linenos = {}, {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -479,7 +459,10 @@ def load_config_file(path) -> dict:
         key, val = key.strip(), val.strip()
         if key not in _CONFIG_FIELDS and key not in _SPEC_FIELDS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = val
+        if key in values:
+            raise ValueError(f"{path}:{lineno}: key {key!r} already given on line "
+                             f"{linenos[key]}")
+        values[key], linenos[key] = val, lineno
     return values
 
 
@@ -487,10 +470,12 @@ def build_spec(file_values: dict | None = None, overrides: dict | None = None) -
     """Assemble an ExperimentSpec from file values plus typed overrides."""
     cfg_kwargs, spec_kwargs = {}, {}
     for key, raw in (file_values or {}).items():
-        if key in _CONFIG_FIELDS:
-            cfg_kwargs[key] = _CONFIG_FIELDS[key](raw)
-        else:
-            spec_kwargs[key] = _SPEC_FIELDS[key](raw)
+        kwargs, parse = ((cfg_kwargs, _CONFIG_FIELDS[key]) if key in _CONFIG_FIELDS
+                         else (spec_kwargs, _SPEC_FIELDS[key]))
+        try:
+            kwargs[key] = parse(raw)
+        except ValueError as exc:
+            raise ValueError(f"{key} = {raw!r}: {exc}") from exc
     for key, val in (overrides or {}).items():
         if val is None:
             continue

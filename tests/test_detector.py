@@ -1,6 +1,7 @@
 """Detection SNR, hypothesis densities, thresholds, and the decision rule."""
 
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -22,45 +23,73 @@ from cpscatter.detector import (
 )
 from cpscatter.harness import collect_statistics
 from cpscatter.numerics import RngStream
-from cpscatter.phy import ChannelSet, SystemConfig
+from cpscatter.phy import SystemConfig
 from cpscatter.receiver import noise_power
 
 mpmath.mp.dps = 40
 
 
-def unit_channelset(l=5, m=5, k=5):
-    # taps of magnitude 1 so the energy sums are exactly the tap counts
-    return ChannelSet(
-        h=np.ones(l + 1, dtype=complex),
-        g=np.ones(m + 1, dtype=complex),
-        f=np.ones(k + 1, dtype=complex),
-    )
+# six taps of magnitude 1 on g and on f: tap energies equal to the tap counts
+UNIT_TAPS = (6.0, 6.0)
 
 
 # --- detection SNR ------------------------------------------------------------
 
 def test_detection_snr_reference_arithmetic():
-    cfg = SystemConfig()
+    cfg = SystemConfig(snr_mode="from-Ps")
     assert noise_power(cfg) == pytest.approx(502.0)
-    gamma = detection_snr(unit_channelset(), cfg)
+    ps, gamma = detection_snr(cfg, *UNIT_TAPS)
+    assert ps == cfg.Ps
     assert gamma == pytest.approx(246.0 * 0.25 * 36.0 / 502.0, rel=1e-12)
 
 
 def test_detection_snr_eta_zero():
     cfg = SystemConfig(eta=0.0, snr_mode="from-Ps")
-    assert detection_snr(unit_channelset(), cfg) == 0.0
+    assert detection_snr(cfg, *UNIT_TAPS) == (cfg.Ps, 0.0)
+    # direct-gamma cannot rescale the source to reach a target SNR through eta = 0
+    with pytest.raises(ValueError, match="eta"):
+        detection_snr(replace(cfg, snr_mode="direct-gamma"), *UNIT_TAPS)
 
 
 def test_detection_snr_linear_in_ps():
-    ch = unit_channelset()
-    g1 = detection_snr(ch, SystemConfig(Ps=1.0))
-    g2 = detection_snr(ch, SystemConfig(Ps=2.0))
+    _, g1 = detection_snr(SystemConfig(snr_mode="from-Ps", Ps=1.0), *UNIT_TAPS)
+    _, g2 = detection_snr(SystemConfig(snr_mode="from-Ps", Ps=2.0), *UNIT_TAPS)
     assert g2 == pytest.approx(2.0 * g1, rel=1e-12)
 
 
 def test_detection_snr_zero_noise_error():
     with pytest.raises(ValueError):
-        detection_snr(unit_channelset(), SystemConfig(Nw=0.0))
+        detection_snr(SystemConfig(Nw=0.0), *UNIT_TAPS)
+
+
+@pytest.mark.parametrize("taps", [
+    (3.5, 7.25),
+    (np.array([1.0, 3.5, 12.0, 0.25]), np.array([7.25, 0.5, 2.0, 9.0])),
+], ids=["scalar", "array"])
+@pytest.mark.parametrize("mode", ["direct-gamma", "genie", "ensemble"])
+def test_detection_snr_modes(mode, taps):
+    # direct-gamma pins gamma and rescales Ps; from-Ps keeps Ps, with the
+    # drawn taps' SNR (genie, one per trial) or the mean taps' (ensemble)
+    cfg = SystemConfig(snr_mode="direct-gamma" if mode == "direct-gamma" else "from-Ps",
+                       gamma_knowledge="ensemble" if mode == "ensemble" else "genie",
+                       gamma_db=9.0, Ps=2.0, eta=0.3 - 0.4j, Nw=1.5)
+    sum_g2, sum_f2 = taps
+    ps, gamma = detection_snr(cfg, sum_g2, sum_f2)
+    scale = (cfg.R + 1) * abs(cfg.eta) ** 2 / noise_power(cfg)
+    if mode == "direct-gamma":
+        assert gamma == 10.0 ** (9.0 / 10.0)
+        assert np.shape(ps) == np.shape(sum_g2)
+        np.testing.assert_allclose(scale * ps * sum_g2 * sum_f2, gamma, rtol=1e-13)
+    elif mode == "genie":
+        assert ps == cfg.Ps
+        assert np.shape(gamma) == np.shape(sum_g2)
+        np.testing.assert_allclose(gamma, scale * cfg.Ps * sum_g2 * sum_f2, rtol=1e-13)
+    else:
+        assert ps == cfg.Ps and np.ndim(gamma) == 0
+        assert gamma == pytest.approx(scale * cfg.Ps * (cfg.M + 1) * (cfg.K + 1), rel=1e-13)
+        assert detection_snr(cfg, 2.0 * sum_g2, sum_f2 + 1.0) == (ps, gamma)
+    with pytest.raises(ValueError, match="Nw"):
+        detection_snr(replace(cfg, Nw=0.0), sum_g2, sum_f2)
 
 
 # --- operating point and densities ---------------------------------------------
@@ -327,7 +356,7 @@ def test_kernel_decisions_match_per_trial_thresholds(monkeypatch, w, conv, mode)
     with monkeypatch.context() as m:
         m.setattr(harness, "decide_array", spy)
         m.setattr(detector, "threshold_for", no_solve)
-        m.setattr(detector, "_solve_crossing", no_solve)
+        m.setattr(detector, "threshold_exact", no_solve)
         if w == 1 and mode == "closed-form":  # the closed form needs W >= 2
             with pytest.raises(ValueError):
                 harness._run_chunk(point, 0, 0, 1024)

@@ -21,7 +21,6 @@ from cpscatter.harness import (
     CSV_HEADER,
     BerResult,
     ExperimentSpec,
-    _operating_point,
     _chunk_statistics,
     _point_setup,
     _run_chunk,
@@ -37,7 +36,7 @@ from cpscatter.harness import (
     trial_stream,
     write_pdf_csv,
 )
-from cpscatter.detector import decide_array, threshold_exact, threshold_for
+from cpscatter.detector import decide_array, detection_snr, threshold_exact, threshold_for
 from cpscatter.phy import SystemConfig
 from cpscatter.receiver import bin_geometry, statistic_bins
 
@@ -408,7 +407,7 @@ def _full_frame_statistics(bit, geometry=(), seed=7002, n=2000):
     for i in range(n):
         gen = trial_stream(cfg.seed, bit, i).generator()
         ch = draw_channels(cfg, gen)
-        ps = _operating_point(cfg, ch.sum_g2, ch.sum_f2)[0]
+        ps = detection_snr(cfg, ch.sum_g2, ch.sum_f2)[0]
         zt = process(simulate_frame(cfg, ch, bit, ps, gen).y, cfg)
         for w, point in points.items():
             out[w][i] = test_statistic(zt, point)
@@ -739,7 +738,7 @@ def test_row_theory_columns_come_from_its_point(kw):
                           W_list=(3, 12), trials_per_point=64, workers=1)
     rows = {(r.snr_db, r.W): r for r in run_experiment(spec)}
     for point in spec.points():
-        _, gamma = _operating_point(point, point.M + 1, point.K + 1)
+        _, gamma = detection_snr(point, point.M + 1, point.K + 1)
         row = rows[(point.gamma_db, point.W)]
         assert row.threshold_used == threshold_for(point, gamma)
         assert row.ber_theory_exact == analysis.ber_exact(point, gamma, row.threshold_used)[2]
@@ -859,6 +858,20 @@ def test_csv_round_trip(tmp_path):
 def test_csv_write_error_mentions_path():
     with pytest.raises(OSError, match="no/such/dir"):
         emit_csv([], "/no/such/dir/out.csv")
+    with pytest.raises(OSError, match="pdf table.*no/such/dir"):
+        write_pdf_csv(np.zeros((2, 3)), "/no/such/dir/pdf.csv")
+
+
+@pytest.mark.parametrize("edit", [lambda row: row.rsplit(",", 1)[0],
+                                  lambda row: row + ",7"], ids=["short", "long"])
+def test_parse_csv_rejects_wrong_column_count(tmp_path, edit):
+    # a missing column would raise a bare IndexError, an extra one was dropped
+    path = tmp_path / "r.csv"
+    emit_csv([make_result(), make_result(seed=5)], path)
+    header, first, second = path.read_text().splitlines()
+    path.write_text("\n".join([header, first, edit(second)]) + "\n")
+    with pytest.raises(ValueError, match=r"r\.csv:3: expected 12 columns"):
+        parse_csv(path)
 
 
 # --- configuration files -------------------------------------------------------------
@@ -895,6 +908,26 @@ def test_config_file_rejects_unknown_key(tmp_path):
     p = tmp_path / "bad.cfg"
     p.write_text("frobnicate = 3\n")
     with pytest.raises(ValueError, match="frobnicate"):
+        load_config_file(p)
+
+
+@pytest.mark.parametrize("text, key, raw", [
+    ("seed = abc\n", "seed", "abc"),
+    ("W_list = 3, x\n", "W_list", "3, x"),
+    ("eta = 1+\n", "eta", "1+"),
+])
+def test_config_value_error_names_key(tmp_path, text, key, raw):
+    p = tmp_path / "bad.cfg"
+    p.write_text(text)
+    with pytest.raises(ValueError) as err:
+        build_spec(load_config_file(p))
+    assert str(err.value).startswith(f"{key} = {raw!r}: ")
+
+
+def test_config_file_rejects_repeated_key(tmp_path):
+    p = tmp_path / "twice.cfg"
+    p.write_text("seed = 1\n# another run\nseed = 2\n")
+    with pytest.raises(ValueError, match=r"twice\.cfg:3: key 'seed' already given on line 1"):
         load_config_file(p)
 
 
@@ -937,7 +970,7 @@ def test_run_pdf_curves_from_ps_uses_ensemble_snr():
     base = SystemConfig(snr_mode="from-Ps", Ps=10.0, dof_convention="complex")
     spec = ExperimentSpec(base=base, snr_db_list=(6.0,), W_list=(12,))
     table = run_pdf_curves(spec, n_points=200)
-    _, gamma = _operating_point(base, base.M + 1, base.K + 1)
+    _, gamma = detection_snr(base, base.M + 1, base.K + 1)
     assert gamma == pytest.approx(44.1, rel=1e-3)  # 16.4 dB, not the listed 6 dB
     (point,) = spec.points()
     assert np.array_equal(table, analysis.pdf_curves(point, gamma, table[:, 0]))

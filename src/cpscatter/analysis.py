@@ -83,9 +83,14 @@ def _log_chernoff_tail(x: float, d: int, nc: float) -> float:
     min over t of t x + log E[e^(-t X)], t > 0 below the mean and
     -1/2 < t < 0 above it; with v = 1/(1 + 2t) the minimum is at
     v = (-d + sqrt(d^2 + 4 nc x)) / (2 nc), written here without the
-    cancellation. The bound needs no terms, whatever nc.
+    cancellation. The bound needs no terms, whatever nc. Where 4 nc x
+    overflows (both near 1e154 and beyond), the root is formed as a hypot
+    of square roots instead.
     """
-    v = 2.0 * x / (d + math.sqrt(d * d + 4.0 * nc * x))
+    q = 4.0 * nc * x
+    root = (math.sqrt(d * d + q) if q < math.inf
+            else math.hypot(d, 2.0 * math.sqrt(nc) * math.sqrt(x)))
+    v = 2.0 * x / (d + root)
     t = 0.5 * (1.0 / v - 1.0)
     return t * x + 0.5 * d * math.log(v) - nc * t * v
 

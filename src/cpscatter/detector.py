@@ -32,9 +32,11 @@ against, and caches it in a small bounded LRU keyed on (config, gamma).
 D falls strictly in x, so a statistic reaches the exact-root threshold
 exactly where D at the statistic is <= 0. decide_array is the kernel's one
 decision call: at one gamma it compares with threshold_for, and for a batch
-of trials each at its own gamma (from-Ps genie) it takes the sign of D with
-one elementwise density pass (log I_r via scipy's ive) and no threshold
-solve.
+of trials each at its own gamma (from-Ps genie) it takes the sign of D
+with no threshold solve. D = lam/2 - h(u), with h the normalized log I_nu
+that numerics.log_bessel_i_bounds brackets in closed form, so the bounds
+settle the sign for nearly every trial, and the density pass (log I_nu via
+scipy's ive) runs only on the few trials they leave open.
 """
 
 from __future__ import annotations
@@ -46,6 +48,8 @@ import numpy as np
 from scipy.special import ive
 
 from .numerics import (
+    bessel_arg,
+    log_bessel_i_bounds,
     log_chi2_pdf,
     log_gamma,
     log_noncentral_chi2_pdf,
@@ -255,8 +259,9 @@ def threshold_for(config: SystemConfig, gamma: float) -> float:
     2.9e-5 (complex) and 2.4e-4 (paper) at W=246, gamma=1e-8, where D
     reads log_bessel_i's hyp0f1 form (good to ~1e-12 absolute), and by
     3.3e-3 at W=3 complex, gamma=1e-12 (50-digit reference).
-    decide_array's sign of D is as uncertain there; sweeps stay far above
-    (kernel-drawn from-Ps gamma >~ 0.37).
+    decide_array's sign of D is as uncertain there (it is D's sign as
+    _log_ratio computes it, whether the bounds or D settle it); sweeps stay
+    far above (kernel-drawn from-Ps gamma >~ 0.37).
     """
     gamma = float(_gammas(gamma))
     if gamma == 0:
@@ -274,8 +279,10 @@ def decide_array(config: SystemConfig, stats, gamma) -> np.ndarray:
     gamma's threshold without solving it: gamma == 0 decides stat >= W,
     closed-form compares with threshold_paper, and exact-root decides 1
     where D(stat) <= 0, as D falls strictly through its root (its slope
-    -u I_{nu+1}(u) / (2 x I_nu(u)) is negative for x > 0). Either way gamma
-    is validated as in threshold_for.
+    -u I_{nu+1}(u) / (2 x I_nu(u)) is negative for x > 0). The exact-root
+    signs come from closed-form bounds on D where those settle them, and
+    from D itself elsewhere (_exact_decisions); the decisions are D's signs
+    either way. Either way gamma is validated as in threshold_for.
     """
     if np.ndim(gamma) == 0:
         return stats >= threshold_for(config, gamma)
@@ -286,7 +293,39 @@ def decide_array(config: SystemConfig, stats, gamma) -> np.ndarray:
         if config.threshold_mode == "closed-form":
             out[pos] = stats[pos] >= threshold_paper(config.W, gamma[pos])
         else:
-            out[pos] = _log_ratio(stats[pos], config, gamma[pos]) <= 0
+            out[pos] = _exact_decisions(config, stats[pos], gamma[pos])
+    return out
+
+
+def _exact_decisions(config: SystemConfig, stats, gamma) -> np.ndarray:
+    """_log_ratio(stats, config, gamma) <= 0, elementwise, mostly without it.
+
+    With x = s stats, lam = s W gamma, u = sqrt(lam x) and nu = d/2 - 1,
+
+        D = lam/2 - h(u),   h(u) = log(Gamma(nu+1) (2/u)^nu I_nu(u)),
+
+    and numerics.log_bessel_i_bounds brackets h for nu >= 0. A trial is
+    decided 1 where the upper bound on D is <= -margin and 0 where the lower
+    bound is > margin; only the rest evaluate D. The margin, 1e-9 times the
+    size of D's terms (x, lam and u), is far above the rounding of D and of
+    the bounds, so each decision is the sign of D as _log_ratio computes it.
+    With nu < 0 (paper convention, W = 1) every trial evaluates D.
+    """
+    s, d = dof_scaling(config)
+    nu = 0.5 * d - 1.0
+    if nu < 0:
+        return _log_ratio(stats, config, gamma) <= 0
+    x = s * stats
+    lam = s * (config.W * gamma)
+    u = bessel_arg(lam, x)
+    h_lo, h_hi = log_bessel_i_bounds(nu, u)
+    half = 0.5 * lam
+    margin = 1e-9 * (1.0 + x + lam + u)
+    # written so that a nan or infinite term settles nothing
+    out = half - h_lo + margin <= 0
+    open_ = ~(out | (half - h_hi - margin > 0))
+    if open_.any():
+        out[open_] = _log_ratio(stats[open_], config, gamma[open_]) <= 0
     return out
 
 

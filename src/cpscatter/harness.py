@@ -70,6 +70,11 @@ _TRIAL_BITS = 40  # trial index width inside a stream id
 _CHUNK = 1024  # trials per keyed stream and per task
 _ROWS = 512  # trials reduced at once: bounds the arrays a worker thread holds
 _EMIT_MODES = ("ber_vs_snr", "ber_vs_w", "pdf_curves")
+# a point's summed bin energy, mean W (1 + gamma) P_w under H1, must stay
+# 2^20 below the float64 maximum, so squaring and summing the bins cannot
+# overflow: no trial's statistic comes near that multiple of the mean (the
+# largest of 1e5 kernel trials at W=1, from-Ps genie, was 91 times it)
+_BIN_ENERGY_MAX = np.finfo(np.float64).max / 2.0 ** 20
 
 # the fixed CSV schema, in column order: (column, BerResult attribute, parser)
 _CSV_COLUMNS = (
@@ -124,7 +129,11 @@ class ExperimentSpec:
         for point in self.points():
             if point.W < 2 and point.threshold_mode == "closed-form":
                 raise ValueError(f"W={point.W}: the closed-form threshold needs W >= 2")
-            detection_snr(point, point.M + 1, point.K + 1)
+            _, gamma = detection_snr(point, point.M + 1, point.K + 1)
+            if point.W * (1.0 + gamma) * noise_power(point) > _BIN_ENERGY_MAX:
+                raise ValueError(
+                    f"W={point.W}: detection SNR {10.0 * math.log10(gamma):.1f} dB is out "
+                    "of range: the statistic's bin energies would overflow float64")
 
     def points(self) -> list[SystemConfig]:
         """The sweep points in run order, each one SystemConfig.

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import cpscatter
-from cpscatter.analysis import ber_approx, ber_exact, pdf_curves
+from cpscatter.analysis import _log_chernoff_tail, ber_approx, ber_exact, pdf_curves
 from cpscatter.detector import threshold_exact
 from cpscatter.phy import SystemConfig
 
@@ -236,6 +236,22 @@ else:
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_chernoff_tail_where_4_nc_x_overflows():
+    # unchanged bit for bit where 4 nc x is finite; finite past it, where
+    # ber_exact at 2000 dB once raised ZeroDivisionError
+    for x, d, nc in ((7.3, 6, 9.1), (3e150, 24, 1e151), (0.4, 492, 2e-3)):
+        v = 2.0 * x / (d + math.sqrt(d * d + 4.0 * nc * x))
+        t = 0.5 * (1.0 / v - 1.0)
+        assert _log_chernoff_tail(x, d, nc) == t * x + 0.5 * d * math.log(v) - nc * t * v
+    assert _log_chernoff_tail(1e200, 6, 4e200) < -1e199
+    for conv in ("paper", "complex"):
+        for w in (3, 12, 246):
+            point = SystemConfig(W=w, dof_convention=conv, threshold_mode="exact-root")
+            for gamma in (1e200, 1e300):
+                got = ber_exact(point, gamma, threshold_exact(point, gamma))
+                assert all(0.0 <= v <= 1.0 for v in got), (conv, w, gamma, got)
 
 
 def test_ber_identity_half_sum():

@@ -396,6 +396,65 @@ def test_decide_array_at_zero_gamma_and_on_bad_gamma(mode):
             decide_array(point, stats, bad)
 
 
+# per-trial SNRs from a from-Ps chunk's range (about 0.37 up) and beyond
+EXACT_GRID_GAMMAS = (1e-3, 0.37, 1.0, 4.4, 30.0, 1e3, 1e5)
+
+
+@pytest.mark.parametrize("conv", ["paper", "complex"])
+@pytest.mark.parametrize("w", [1, 2, 3, 12, 64, 246])
+def test_decide_array_per_trial_is_the_sign_of_the_log_ratio(monkeypatch, conv, w):
+    # the bounds settle most trials; those right at the threshold, within
+    # 1e-12 of it, are left to _log_ratio, and every decision is its sign
+    point = SystemConfig(W=w, dof_convention=conv, threshold_mode="exact-root")
+    factors = np.array([1e-3, 0.1, 0.5, 0.9, 0.99, 1 - 1e-12, 1 + 1e-12, 1.01, 1.1, 2.0, 1e3])
+    stats, gammas = [], []
+    for g in EXACT_GRID_GAMMAS:
+        stats.append(threshold_for(point, g) * factors)
+        gammas.append(np.full(factors.size, g))
+    stats, gammas = np.concatenate(stats), np.concatenate(gammas)
+    opened = []
+
+    def counted(x, cfg, gamma):
+        opened.append(np.size(x))
+        return real(x, cfg, gamma)
+
+    real = detector._log_ratio
+    monkeypatch.setattr(detector, "_log_ratio", counted)
+    got = decide_array(point, stats, gammas)
+    monkeypatch.undo()
+    assert np.array_equal(got, real(stats, point, gammas) <= 0)
+    # the solved root sits between the two neighbours (from gamma 0.37: at
+    # 1e-3 the root itself is off by more, see threshold_for)
+    sides = got.reshape(len(EXACT_GRID_GAMMAS), factors.size)[1:, 5:7]
+    assert not sides[:, 0].any() and sides[:, 1].all()
+    (n_open,) = opened
+    if conv == "paper" and w == 1:  # Bessel order -1/2: no bounds
+        assert n_open == stats.size
+    else:
+        assert 2 * len(EXACT_GRID_GAMMAS) <= n_open < stats.size / 2
+
+
+def test_log_ratio_evaluated_on_few_trials_of_the_benchmark_sweep(monkeypatch):
+    # the from-Ps exact-root sweep the benchmark times (complex, genie, W 3
+    # and 12, 2048 trials a point): the bounds leave under 10% to _log_ratio
+    counts = []
+    real = detector._log_ratio
+
+    def counted(x, cfg, gamma):
+        if np.ndim(x):  # the threshold solve's scalar calls are not trials
+            counts.append(np.size(x))
+        return real(x, cfg, gamma)
+
+    monkeypatch.setattr(detector, "_log_ratio", counted)
+    base = SystemConfig(snr_mode="from-Ps", dof_convention="complex",
+                        threshold_mode="exact-root", gamma_knowledge="genie", seed=1)
+    spec = harness.ExperimentSpec(base=base, W_list=(3, 12), trials_per_point=2048, workers=1)
+    results = harness.run_experiment(spec)
+    trials = sum(r.trials for r in results)
+    assert trials == 4096 and len(counts) == 4  # one call per 1024-trial chunk
+    assert 0 < sum(counts) < 0.1 * trials
+
+
 def test_threshold_for_array_closed_form_matches_scalar():
     # decide_array compares per-trial statistics with threshold_paper on a
     # gamma array: elementwise, it is the scalar closed form threshold_for uses

@@ -1,6 +1,7 @@
 """Monte Carlo driver: determinism, trends, CSV contract, config handling, CLI."""
 
 import math
+import re
 import os
 import subprocess
 import sys
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 import cpscatter
-from cpscatter import cli
+from cpscatter import cli, harness
 from cpscatter.harness import (
     _CHUNK,
     CSV_HEADER,
@@ -143,18 +144,77 @@ def test_run_trial_reference_frames_errors_pinned():
 
 
 # per-point errors of a from-Ps genie exact-root sweep (seed 1313, 4096
-# trials, W 3/12, workers 1), recorded while the kernel still solved each
-# trial's threshold; deciding by the sign of the log-density ratio must not
-# change one decision
-FROM_PS_GOLDEN = {"paper": [(3, 1010), (12, 823)], "complex": [(3, 1030), (12, 831)]}
+# trials, W in the run order 3, 12, 1, 2, 64, 246, workers 1). W 3 and 12
+# were recorded while the kernel still solved each trial's threshold, the
+# rest while it evaluated the log-density ratio at every trial; neither the
+# sign of that ratio nor the Bessel-ratio bounds that now settle most trials
+# may change one decision
+FROM_PS_W_ORDER = (3, 12, 1, 2, 64, 246)
+FROM_PS_GOLDEN = {
+    "paper": {3: 1010, 12: 823, 1: 1339, 2: 1067, 64: 455, 246: 3},
+    "complex": {3: 1030, 12: 831, 1: 1324, 2: 1081, 64: 458, 246: 3},
+}
 
 
 @pytest.mark.parametrize("conv", sorted(FROM_PS_GOLDEN))
 def test_from_ps_genie_errors_golden(conv):
     base = SystemConfig(snr_mode="from-Ps", gamma_knowledge="genie", dof_convention=conv,
                         threshold_mode="exact-root", seed=1313)
-    spec = ExperimentSpec(base=base, W_list=(3, 12), trials_per_point=4096, workers=1)
-    assert [(r.W, r.bit_errors) for r in run_experiment(spec)] == FROM_PS_GOLDEN[conv]
+    spec = ExperimentSpec(base=base, W_list=FROM_PS_W_ORDER, trials_per_point=4096, workers=1)
+    assert {r.W: r.bit_errors for r in run_experiment(spec)} == FROM_PS_GOLDEN[conv]
+
+
+# far past the SNRs where lam * x (the density's Bessel argument squared)
+# and 4 nc x (the Chernoff tail) overflow; each point runs with the BER of
+# its row at a moderate SNR, or fails before any chunk, naming the SNR
+HIGH_SNR_REFERENCE = {"from-Ps": 1e20, "direct-gamma": 200.0}
+HIGH_SNR_POINTS = [("from-Ps", ps) for ps in (1e100, 1e160, 1e200, 1e290)] + [
+    ("direct-gamma", db) for db in (2000.0, 3000.0)]
+
+
+def _high_snr_spec(conv, mode, level, w):
+    if mode == "from-Ps":
+        base = SystemConfig(snr_mode=mode, Ps=level, dof_convention=conv,
+                            threshold_mode="exact-root", seed=29)
+        return ExperimentSpec(base=base, W_list=w, trials_per_point=1024, workers=1)
+    base = SystemConfig(dof_convention=conv, threshold_mode="exact-root", seed=29)
+    return ExperimentSpec(base=base, snr_db_list=(level,), W_list=w,
+                          trials_per_point=1024, workers=1)
+
+
+@pytest.mark.parametrize("mode,level", HIGH_SNR_POINTS)
+@pytest.mark.parametrize("conv", ["paper", "complex"])
+def test_extreme_snr_runs_true_or_fails_first(conv, mode, level):
+    w = (3, 12, 246)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ref = run_experiment(_high_snr_spec(conv, mode, HIGH_SNR_REFERENCE[mode], w))
+        try:
+            spec = _high_snr_spec(conv, mode, level, w)
+        except ValueError as exc:
+            assert mode == "direct-gamma" and f"SNR {level:.1f} dB" in str(exc)
+            return
+        got = run_experiment(spec)
+    assert mode == "from-Ps" or level < 3000
+    for r, r0 in zip(got, ref):
+        assert r.W == r0.W
+        assert abs(r.ber_sim - r0.ber_sim) <= 3 * max(r0.ci95_halfwidth, 1.0 / r0.trials)
+        assert 0.0 <= r.ber_theory_exact <= 1.0
+
+
+def test_statistic_overflow_fails_before_any_chunk(tmp_path, monkeypatch, capsys):
+    # at Ps = 1e303 the bins' energies would overflow float64 (the W = 12
+    # row moved once the decision itself no longer overflowed); the run is
+    # refused with the SNR named, and no chunk runs and no CSV is written
+    ran = []
+    monkeypatch.setattr(harness, "_run_chunk", lambda *a: ran.append(a) or 0)
+    out = tmp_path / "never.csv"
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("snr_mode=from-Ps\nPs=1e303\nthreshold_mode=exact-root\n")
+    rc = cli.main(["run", "--config", str(cfg), "--w", "3", "12", "--trials", "64",
+                   "--out", str(out)])
+    assert rc == 1 and not ran and not out.exists()
+    assert re.search(r"W=3: detection SNR 30\d\d\.\d dB is out of range", capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("seed", [-1, 1 << 64])

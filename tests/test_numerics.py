@@ -11,10 +11,12 @@ from scipy.special import ive
 
 from cpscatter.numerics import (
     RngStream,
+    bessel_arg,
     complex_gaussian,
     dft,
     gaussian_q,
     log_bessel_i,
+    log_bessel_i_bounds,
     log_chi2_pdf,
     log_gamma,
     log_noncentral_chi2_pdf,
@@ -264,6 +266,57 @@ def test_log_bessel_where_ive_underflows_vs_mpmath():
     # not a +inf log density
     with pytest.raises(ValueError, match="overflows"):
         log_bessel_i(2000.0, 2600.0)
+
+
+# the Bessel orders nu = d/2 - 1 of the detector's densities at W 1, 2, 3,
+# 12, 246 in either convention, and 11 (complex, W = 12)
+BOUND_ORDERS = (0.0, 0.5, 1.0, 2.0, 11.0, 122.5, 245.0)
+
+
+def _mp_h(nu, u):
+    """h(u) = log(Gamma(nu+1) (2/u)^nu I_nu(u)) to 40 digits."""
+    nu, u = mpmath.mpf(nu), mpmath.mpf(u)
+    return mpmath.log(mpmath.gamma(nu + 1) * (2 / u) ** nu * mpmath.besseli(nu, u))
+
+
+@pytest.mark.parametrize("nu", BOUND_ORDERS)
+def test_log_bessel_i_bounds_bracket_mpmath(nu):
+    u = np.logspace(-6, 8, 29)
+    lo, hi = log_bessel_i_bounds(nu, u)
+    for uv, lv, hv in zip(u, lo, hi):
+        # where the lower bound is tight (u << nu) it may round an ulp above h
+        h = float(_mp_h(nu, uv))
+        assert lv <= h * (1 + 1e-14) and h <= hv, (nu, uv, lv, h, hv)
+    # the bounds meet h at 0, and their gap grows with u towards its limit
+    # 1 - a log(1 + 1/(2a)), a = nu + 1/2 (under 2/3 for every order)
+    assert log_bessel_i_bounds(nu, 0.0) == (0.0, 0.0)
+    a = nu + 0.5
+    gap = hi - lo
+    assert np.all(np.diff(gap) >= -1e-15 * hi[1:])
+    assert np.all(gap <= 1.0 - a * math.log1p(0.5 / a) + 1e-15 * hi)
+
+
+def test_log_bessel_i_bounds_large_argument_and_domain():
+    # u^2 would overflow; the bounds stay finite and ordered
+    lo, hi = log_bessel_i_bounds(2.0, np.array([1e160, 1e300]))
+    assert np.all(np.isfinite(lo)) and np.all(lo <= hi)
+    with pytest.raises(ValueError, match="nu >= 0"):
+        log_bessel_i_bounds(-0.5, 1.0)
+
+
+def test_bessel_arg_exact_where_finite_and_finite_where_product_overflows():
+    lam = np.array([0.0, 3.0, 2.5, 1e200, 1e300, 7.0])
+    x = np.array([4.0, 0.0, 1.7, 1e120, 1e300, -1.0])
+    got = bessel_arg(lam, x)
+    assert got[0] == got[1] == got[5] == 0.0
+    assert got[2] == np.sqrt(2.5 * 1.7)  # bit for bit where the product is finite
+    assert got[3] == pytest.approx(1e160, rel=1e-15)
+    assert got[4] == pytest.approx(1e300, rel=1e-15)
+    # the density where lam * x passes DBL_MAX: finite (it was nan), and
+    # far below its value at the H1 mean when x sits at a quarter of lam
+    with np.errstate(all="raise"):
+        at_mean, below = log_noncentral_chi2_pdf(np.array([1e160, 2.5e159]), 4, 1e160)
+    assert np.isfinite(at_mean) and below < at_mean - 1e158
 
 
 def test_bessel_domain_errors():

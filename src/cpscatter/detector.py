@@ -24,10 +24,11 @@ The ML threshold is where the two densities cross. threshold_paper
 evaluates the closed form obtained by pulling the Bessel kernel's
 exponentials apart (which is what makes it solvable, at the cost of an
 approximation); threshold_exact finds the true crossing by a safeguarded
-Newton iteration on the log-density difference D = log f0 - log f1, whose
-slope is a closed-form Bessel ratio. threshold_for picks the mode for one
-gamma, the one threshold a sweep point, kernel chunk or frame decides
-against, and caches it in a small bounded LRU keyed on (config, gamma).
+Newton iteration on the log-density difference D = log f0 - log f1, in a
+bracket and with a slope that numerics.log_bessel_i_bounds gives in closed
+form. threshold_for picks the mode for one gamma, the one threshold a sweep
+point, kernel chunk or frame decides against, and caches it in a small
+bounded LRU keyed on (config, gamma).
 
 D falls strictly in x, so a statistic reaches the exact-root threshold
 exactly where D at the statistic is <= 0. decide_array is the kernel's one
@@ -45,7 +46,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import ive
 
 from .numerics import (
     bessel_arg,
@@ -58,17 +58,13 @@ from .numerics import (
 from .phy import SystemConfig
 from .receiver import noise_power
 
-# the exact-root iteration stops once its step is within _XTOL, or within
-# 4 ulps of x where those are larger (thresholds above about 1e5)
-_XTOL = 1e-10
+# the exact-root iteration stops once its step is within _XTOL (threshold_exact
+# says why 1e-11), or within 4 ulps of x where larger (thresholds above ~1e5)
+_XTOL = 1e-11
 # thresholds are asked for once per sweep point and kernel chunk, or once
 # per frame by run_trial; a small LRU serves the repeats without growing
 # per trial
 _THRESHOLD_CACHE_SIZE = 128
-
-
-class ThresholdBracketError(RuntimeError):
-    """No density crossing could be bracketed (degenerate SNR)."""
 
 
 def detection_gamma(config: SystemConfig, ps, sum_g2, sum_f2):
@@ -187,43 +183,36 @@ def _gammas(gamma) -> np.ndarray:
 def threshold_exact(config: SystemConfig, gamma: float) -> float:
     """ML threshold: the true H0/H1 density crossing for one gamma > 0.
 
-    D(x) = _log_ratio(x) falls strictly through the crossing, with the
-    closed-form slope
-
-        D'(x) = -(s/2) sqrt(lam / (s x)) I_{nu+1}(u) / I_nu(u)
-              = -u I_{nu+1}(u) / (2 x I_nu(u)),
-
-    nu = d/2 - 1, lam = s W gamma, u = sqrt(lam s x). The iteration starts
-    at the midpoint of the bracket and every evaluation moves one bracket
-    end to x by the sign of D. A Newton step that is non-finite or leaves
-    the open bracket is replaced by the bracket midpoint, and the iteration
-    stops once its step is within _XTOL or a few ulps of x (or D is
-    exactly 0).
+    With (s, d) = dof_scaling, nu = d/2 - 1, lam = s W gamma and
+    u = sqrt(lam s x), D(x) = _log_ratio(x) = lam/2 - h(u), with
+    h(u) = log 0F1(; nu+1; u^2/4), falls strictly in x. With a = nu + 1/2,
+    b = nu + 3/2 and e = lam (a+b)/(2b), its root lies in [W, W (1 + e/(2b))]:
+      * 0F1(; c; z) <= e^{z/c} gives h(u) <= u^2/(2d), so below the H0 mean
+        W, D(x) >= (lam/2)(1 - x/W) > 0;
+      * h is at least numerics.log_bessel_i_bounds' lower bound, itself at
+        least (sqrt(u^2 + b^2) - b) b/(a+b), which reaches lam/2 at the
+        upper end (in this form e survives tiny gamma, where (b + e) - b
+        would round it away).
+    A safeguarded Newton iteration starts at the midpoint; each evaluation
+    moves one bracket end to x by the sign of D, and a step that leaves the
+    open bracket is replaced by its midpoint. The slope -u h'(u)/(2x) takes
+    the lower bound's ratio u / (a + hypot(u, b)) for h'(u) = I_{nu+1}/I_nu:
+    exact as u -> 0 and u -> inf, finite everywhere, and off by up to about
+    7% near nu = -1/2, where convergence is then linear. So the iteration
+    stops once its step is within _XTOL = 1e-11 (at 1e-10 the paper-convention
+    root at W=1, gamma=1 was 6.3e-12 relative off) or a few ulps of x, or D
+    is exactly 0.
     """
     if not gamma > 0:
         raise ValueError(f"threshold requires gamma > 0, got {gamma}")
     gamma = float(gamma)
     W = config.W
-    # f0 dominates below the crossing, f1 above; expand each end, starting
-    # from the H0 mode and the H1 mean, until the sign change is bracketed
     s, d = dof_scaling(config)
-    lo = max(max(d - 2.0, 0.0) / s, 1e-8)
-    hi = W * (1.0 + gamma)
-    for _ in range(200):
-        if _log_ratio(lo, config, gamma) > 0:
-            break
-        lo *= 0.5
-    else:
-        raise ThresholdBracketError(f"no H0-dominant region found (W={W}, gamma={gamma})")
-    for _ in range(200):
-        if not _log_ratio(hi, config, gamma) > 0:
-            break
-        hi *= 2.0
-    else:
-        raise ThresholdBracketError(f"no H1-dominant region found (W={W}, gamma={gamma})")
-
     nu = 0.5 * d - 1.0
+    a, b = nu + 0.5, nu + 1.5
     lam = s * (W * gamma)
+    e = lam * ((a + b) / (2.0 * b))
+    lo, hi = float(W), W * (1.0 + e / (2.0 * b))
     x = 0.5 * (lo + hi)
     for _ in range(200):
         dv = _log_ratio(x, config, gamma)
@@ -231,11 +220,8 @@ def threshold_exact(config: SystemConfig, gamma: float) -> float:
             lo = x
         elif dv < 0:
             hi = x
-        u = np.sqrt(lam * s * x)
-        # ive underflows to 0 at large order and small argument: a nan step
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            slope = -0.5 * u / x * (ive(nu + 1.0, u) / ive(nu, u))
-            step = 0.0 if dv == 0 else dv / slope
+        u = bessel_arg(lam, s * x)
+        step = 0.0 if dv == 0 else dv / (-0.5 * u / x * (u / (a + np.hypot(u, b))))
         new = x - step
         tol = max(_XTOL, 4.0 * np.spacing(x))
         # a converged step may round onto the bracket end x itself
@@ -255,10 +241,11 @@ def threshold_for(config: SystemConfig, gamma: float) -> float:
     Served from a small LRU keyed on (config, gamma). With gamma == 0 the
     two hypotheses coincide and any positive threshold yields chance-level
     decisions; the H0 mean keeps the detector runnable. Accuracy floor: at
-    tiny gamma D = log f0 - log f1 cancels, so the exact root is off by
-    2.9e-5 (complex) and 2.4e-4 (paper) at W=246, gamma=1e-8, where D
-    reads log_bessel_i's hyp0f1 form (good to ~1e-12 absolute), and by
-    3.3e-3 at W=3 complex, gamma=1e-12 (50-digit reference).
+    tiny gamma D = log f0 - log f1 cancels to its rounding, so the exact
+    root is only known to lie in threshold_exact's bracket, within O(W gamma)
+    of W: it is off by 9.2e-7 (complex) and 1.2e-6 (paper) at W=246,
+    gamma=1e-8, and by 5.3e-13 at W=3 complex, gamma=1e-12 (80-digit
+    reference); below gamma ~ 1e-16 the bracket rounds to W itself.
     decide_array's sign of D is as uncertain there (it is D's sign as
     _log_ratio computes it, whether the bounds or D settle it); sweeps stay
     far above (kernel-drawn from-Ps gamma >~ 0.37).
@@ -304,17 +291,15 @@ def _exact_decisions(config: SystemConfig, stats, gamma) -> np.ndarray:
 
         D = lam/2 - h(u),   h(u) = log(Gamma(nu+1) (2/u)^nu I_nu(u)),
 
-    and numerics.log_bessel_i_bounds brackets h for nu >= 0. A trial is
-    decided 1 where the upper bound on D is <= -margin and 0 where the lower
-    bound is > margin; only the rest evaluate D. The margin, 1e-9 times the
-    size of D's terms (x, lam and u), is far above the rounding of D and of
-    the bounds, so each decision is the sign of D as _log_ratio computes it.
-    With nu < 0 (paper convention, W = 1) every trial evaluates D.
+    and numerics.log_bessel_i_bounds brackets h at every order nu >= -1/2.
+    A trial is decided 1 where the upper bound on D is <= -margin and 0
+    where the lower bound is > margin; only the rest evaluate D. The margin,
+    1e-9 times the size of D's terms (x, lam and u), is far above the
+    rounding of D and of the bounds, so each decision is the sign of D as
+    _log_ratio computes it.
     """
     s, d = dof_scaling(config)
     nu = 0.5 * d - 1.0
-    if nu < 0:
-        return _log_ratio(stats, config, gamma) <= 0
     x = s * stats
     lam = s * (config.W * gamma)
     u = bessel_arg(lam, x)

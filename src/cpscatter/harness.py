@@ -443,8 +443,11 @@ def write_pdf_csv(table: np.ndarray, path) -> None:
 
 # --- flat key=value configuration files -----------------------------------
 
-# every SystemConfig field, parsed with the type of its default
-_CONFIG_FIELDS = {f.name: type(f.default) for f in fields(SystemConfig)}
+# the SystemConfig fields each sweep point sets, and the lists they come from
+_SWEPT_FIELDS = {"W": "W_list", "gamma_db": "snr_db_list"}
+# every other SystemConfig field, parsed with the type of its default
+_CONFIG_FIELDS = {f.name: type(f.default) for f in fields(SystemConfig)
+                  if f.name not in _SWEPT_FIELDS}
 _SPEC_FIELDS = {
     "snr_db_list": lambda s: tuple(float(v) for v in s.replace(",", " ").split()),
     "W_list": lambda s: tuple(int(v) for v in s.replace(",", " ").split()),
@@ -466,7 +469,7 @@ def load_config_file(path) -> dict:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in _CONFIG_FIELDS and key not in _SPEC_FIELDS:
+        if key not in _CONFIG_FIELDS and key not in _SPEC_FIELDS and key not in _SWEPT_FIELDS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         if key in values:
             raise ValueError(f"{path}:{lineno}: key {key!r} already given on line "
@@ -476,7 +479,15 @@ def load_config_file(path) -> dict:
 
 
 def build_spec(file_values: dict | None = None, overrides: dict | None = None) -> ExperimentSpec:
-    """Assemble an ExperimentSpec from file values plus typed overrides."""
+    """Assemble an ExperimentSpec from file values plus typed overrides.
+
+    W and gamma_db are refused, as each sweep point sets them; the base
+    takes the first listed W, so only swept W values meet the R+1 check.
+    """
+    overrides = {key: val for key, val in (overrides or {}).items() if val is not None}
+    for key in (*(file_values or {}), *overrides):
+        if key in _SWEPT_FIELDS:
+            raise ValueError(f"{key} is set per sweep point: give {_SWEPT_FIELDS[key]}")
     cfg_kwargs, spec_kwargs = {}, {}
     for key, raw in (file_values or {}).items():
         kwargs, parse = ((cfg_kwargs, _CONFIG_FIELDS[key]) if key in _CONFIG_FIELDS
@@ -485,15 +496,14 @@ def build_spec(file_values: dict | None = None, overrides: dict | None = None) -
             kwargs[key] = parse(raw)
         except ValueError as exc:
             raise ValueError(f"{key} = {raw!r}: {exc}") from exc
-    for key, val in (overrides or {}).items():
-        if val is None:
-            continue
+    for key, val in overrides.items():
         if key in _CONFIG_FIELDS:
             cfg_kwargs[key] = val
         elif key in _SPEC_FIELDS:
             spec_kwargs[key] = val
         else:
             raise ValueError(f"unknown configuration key {key!r}")
+    cfg_kwargs["W"] = (spec_kwargs.get("W_list") or ExperimentSpec.W_list)[0]
     return ExperimentSpec(base=SystemConfig(**cfg_kwargs), **spec_kwargs)
 
 

@@ -154,12 +154,14 @@ def log_bessel_i(r, u):
 
 
 def _ratio_integral(a: float, b: float, u):
-    """Integral over [0, u] of t / (a + sqrt(t^2 + b^2)) dt, for a, b > 0.
+    """Integral over [0, u] of t / (a + sqrt(t^2 + b^2)) dt, for b >= a >= 0.
 
     It is e - a log(1 + e / (a + b)) with e = sqrt(u^2 + b^2) - b, and e is
     formed as u (u / (hypot(u, b) + b)): no cancellation at small u and no
-    overflow of u^2 at large u.
+    overflow of u^2 at large u. With b == 0 (so a == 0) it is u, not 0/0.
     """
+    if b == 0:
+        return np.abs(u)
     e = u * (u / (np.hypot(u, b) + b))
     return e - a * np.log1p(e / (a + b))
 
@@ -167,17 +169,17 @@ def _ratio_integral(a: float, b: float, u):
 def log_bessel_i_bounds(nu: float, u):
     """Closed-form bounds (lo, hi) on h(u) = log(Gamma(nu+1) (2/u)^nu I_nu(u)).
 
-    Elementwise over u >= 0, for orders nu >= 0. h(0) = 0 and h'(u) is the
-    ratio I_{nu+1}(u) / I_nu(u), which for nu >= 0 lies between
+    Elementwise over u >= 0, for orders nu >= -1/2. h(0) = 0 and h'(u) is
+    the ratio I_{nu+1}(u) / I_nu(u), which lies between
     u / (nu + 1/2 + sqrt(u^2 + (nu + 3/2)^2)) and
     u / (nu + 1/2 + sqrt(u^2 + (nu + 1/2)^2)) (Amos, Math. Comp. 1974;
-    Segura, JMAA 2011). Each bound integrates in closed form
-    (_ratio_integral), so lo <= h(u) <= hi, up to a few ulps of rounding,
-    costs two square roots and two logs per element, against one Bessel
-    evaluation for h itself.
+    Segura, JMAA 2011; at nu = -1/2 it is tanh u, between u / sqrt(1 + u^2)
+    and 1). Each bound integrates in closed form (_ratio_integral), so
+    lo <= h(u) <= hi, up to a few ulps of rounding, costs two square roots
+    and two logs per element, against one Bessel evaluation for h itself.
     """
-    if not nu >= 0:
-        raise ValueError(f"bounds need order nu >= 0, got {nu}")
+    if not nu >= -0.5:
+        raise ValueError(f"bounds need order nu >= -1/2, got {nu}")
     a = nu + 0.5
     return _ratio_integral(a, nu + 1.5, u), _ratio_integral(a, a, u)
 

@@ -268,11 +268,11 @@ def test_threshold_for_modes():
     assert threshold_for(SystemConfig(W=7), 0.0) == 7.0  # degenerate SNR fallback
 
 
-def _mp_root(W, gamma, conv):
-    # the true density crossing to 50 digits: the same log-density
+def _mp_root(W, gamma, conv, dps=50):
+    # the true density crossing to dps digits: the same log-density
     # difference in mpmath, bracketed by halving and doubling from the H1
     # mean, then a bracketing root finder
-    with mpmath.workdps(50):
+    with mpmath.workdps(dps):
         s = 1 if conv == "paper" else 2
         d, lam = s * W, s * W * mpmath.mpf(gamma)
         nu = mpmath.mpf(d) / 2 - 1
@@ -304,6 +304,31 @@ def test_threshold_array_solve_matches_scalar(conv, w):
         th = threshold_for(cfg, g)
         assert th == pytest.approx(threshold_exact(cfg, g), abs=1e-10, rel=1e-15)
         assert th == pytest.approx(_mp_root(w, g, conv), abs=1e-10, rel=1e-15)
+
+
+@pytest.mark.parametrize("conv", ["paper", "complex"])
+@pytest.mark.parametrize("w", [1, 2, 3, 12, 246])
+def test_threshold_exact_in_closed_form_bracket_from_tiny_to_huge_snr(conv, w, capfd):
+    # the root lies in [W, W (1 + e/(2b))], e = lam (a+b)/(2b), a = nu + 1/2,
+    # b = nu + 3/2, at every SNR; below about -80 dB D's rounding leaves it
+    # anywhere within O(W gamma) of W, so it is held to that there
+    p = SystemConfig(W=w, dof_convention=conv, threshold_mode="exact-root")
+    s, d = detector.dof_scaling(p)
+    a, b = 0.5 * d - 0.5, 0.5 * d + 0.5
+    for db in (-300, -200, -80, -20, 0, 20, 40, 60, 80, 100, 150, 300):
+        gamma = 10.0 ** (db / 10)
+        th = threshold_exact(p, gamma)
+        e = s * w * gamma * (a + b) / (2 * b)
+        assert math.isfinite(th) and w <= th <= w * (1 + e / (2 * b)), (db, th)
+        ref = _mp_root(w, gamma, conv, dps=80)
+        assert abs(th - ref) <= max(1e-10 * max(1.0, th), w * gamma), (db, th, ref)
+        if db >= 0:
+            assert detector._log_ratio(th * (1 - 1e-12), p, gamma) > 0, db
+            assert detector._log_ratio(th * (1 + 1e-12), p, gamma) < 0, db
+    # lam (a+b) overflows at W=246 here; e, lam times a ratio <= 1, does not
+    th = threshold_exact(p, 1e303)
+    assert math.isfinite(th) and detector._log_ratio(th * (1 + 1e-12), p, 1e303) < 0
+    assert capfd.readouterr().err == ""
 
 
 def _kernel_gammas(point):
@@ -428,10 +453,7 @@ def test_decide_array_per_trial_is_the_sign_of_the_log_ratio(monkeypatch, conv, 
     sides = got.reshape(len(EXACT_GRID_GAMMAS), factors.size)[1:, 5:7]
     assert not sides[:, 0].any() and sides[:, 1].all()
     (n_open,) = opened
-    if conv == "paper" and w == 1:  # Bessel order -1/2: no bounds
-        assert n_open == stats.size
-    else:
-        assert 2 * len(EXACT_GRID_GAMMAS) <= n_open < stats.size / 2
+    assert 2 * len(EXACT_GRID_GAMMAS) <= n_open < stats.size / 2
 
 
 def test_log_ratio_evaluated_on_few_trials_of_the_benchmark_sweep(monkeypatch):

@@ -856,7 +856,7 @@ def test_spec_validation():
     "snr_db_list = 6 nan\n",
     "snr_db_list = inf\n",
     "snr_db_list = -inf 6\n",
-    "gamma_db = 3090\n",  # 10^(gamma_db/10) overflowed with a bare OverflowError
+    "snr_db_list = 3090\n",  # 10^(gamma_db/10) overflowed with a bare OverflowError
     "snr_db_list = 6 3090\n",
 ])
 def test_degenerate_sweeps_fail_before_any_chunk(monkeypatch, tmp_path, cfg_text):
@@ -941,7 +941,6 @@ SAMPLE_CONFIG = """
 C = 256
 L = 5          # channel order
 eta = 0.4+0.1j
-gamma_db = 13
 snr_mode = direct-gamma
 
 # experiment
@@ -991,6 +990,25 @@ def test_config_file_rejects_repeated_key(tmp_path):
         load_config_file(p)
 
 
+def test_build_spec_refuses_the_per_point_keys(tmp_path):
+    # every sweep point replaces W and gamma_db, so a base value would do
+    # nothing; only the swept W values are checked against R+1 (10 at C=20)
+    for key, raw, val, names in (("W", "5", 5, "W_list"),
+                                 ("gamma_db", "40", 40.0, "snr_db_list")):
+        cfg = tmp_path / "swept.cfg"
+        cfg.write_text(f"{key} = {raw}\n")
+        with pytest.raises(ValueError, match=names):
+            build_spec(load_config_file(cfg))
+        with pytest.raises(ValueError, match=names):
+            build_spec(None, {key: val})
+    spec = build_spec({"C": "20", "W_list": "3"})
+    assert spec.base.W == 3 and [p.W for p in spec.points()] == [3, 3, 3, 3]
+    with pytest.raises(ValueError, match="R\\+1 = 10, got W=12"):
+        build_spec({"C": "20", "W_list": "3 12"})
+    with pytest.raises(ValueError, match="3090"):
+        build_spec({"snr_db_list": "3090"})
+
+
 def test_overrides_beat_file_values(tmp_path):
     p = tmp_path / "sim.cfg"
     p.write_text("trials_per_point = 500\nseed = 3\n")
@@ -1000,7 +1018,7 @@ def test_overrides_beat_file_values(tmp_path):
 
 
 def test_effective_config_dump_round_trips(tmp_path):
-    spec = build_spec(None, {"W_list": (2, 4), "gamma_db": 11.0})
+    spec = build_spec(None, {"W_list": (2, 4), "snr_db_list": (11.0,)})
     dump = format_effective_config(spec)
     p = tmp_path / "dump.cfg"
     p.write_text(dump)
@@ -1062,7 +1080,8 @@ def test_cli_print_config(tmp_path, capsys):
 
 # `sim run --print-config` output, recorded while _CONFIG_FIELDS was a
 # hand-written table; deriving it from the dataclass must not change a byte
-# (the removed trials field has since dropped its line)
+# (the removed trials field has since dropped its line, and so have W and
+# gamma_db, which each sweep point sets)
 PRINT_CONFIG_DEFAULT = """N=2048
 C=256
 L=5
@@ -1071,10 +1090,8 @@ K=5
 eta=(0.5+0j)
 Ps=1.0
 Nw=1.0
-W=12
 seed=1
 snr_mode=direct-gamma
-gamma_db=13.0
 dof_convention=paper
 threshold_mode=closed-form
 gamma_knowledge=genie

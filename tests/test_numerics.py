@@ -270,12 +270,14 @@ def test_log_bessel_where_ive_underflows_vs_mpmath():
 
 # the Bessel orders nu = d/2 - 1 of the detector's densities at W 1, 2, 3,
 # 12, 246 in either convention, and 11 (complex, W = 12)
-BOUND_ORDERS = (0.0, 0.5, 1.0, 2.0, 11.0, 122.5, 245.0)
+BOUND_ORDERS = (-0.5, 0.0, 0.5, 1.0, 2.0, 11.0, 122.5, 245.0)
 
 
 def _mp_h(nu, u):
-    """h(u) = log(Gamma(nu+1) (2/u)^nu I_nu(u)) to 40 digits."""
+    """h(u) = log(Gamma(nu+1) (2/u)^nu I_nu(u)) to 40 digits; log cosh u at nu = -1/2."""
     nu, u = mpmath.mpf(nu), mpmath.mpf(u)
+    if nu == -0.5:
+        return mpmath.log(mpmath.cosh(u))
     return mpmath.log(mpmath.gamma(nu + 1) * (2 / u) ** nu * mpmath.besseli(nu, u))
 
 
@@ -288,20 +290,20 @@ def test_log_bessel_i_bounds_bracket_mpmath(nu):
         h = float(_mp_h(nu, uv))
         assert lv <= h * (1 + 1e-14) and h <= hv, (nu, uv, lv, h, hv)
     # the bounds meet h at 0, and their gap grows with u towards its limit
-    # 1 - a log(1 + 1/(2a)), a = nu + 1/2 (under 2/3 for every order)
+    # 1 - a log(1 + 1/(2a)), a = nu + 1/2 (1 at a = 0, under 2/3 for a > 0)
     assert log_bessel_i_bounds(nu, 0.0) == (0.0, 0.0)
     a = nu + 0.5
     gap = hi - lo
     assert np.all(np.diff(gap) >= -1e-15 * hi[1:])
-    assert np.all(gap <= 1.0 - a * math.log1p(0.5 / a) + 1e-15 * hi)
+    assert np.all(gap <= 1.0 - (a * math.log1p(0.5 / a) if a else 0.0) + 1e-15 * hi)
 
 
 def test_log_bessel_i_bounds_large_argument_and_domain():
     # u^2 would overflow; the bounds stay finite and ordered
     lo, hi = log_bessel_i_bounds(2.0, np.array([1e160, 1e300]))
     assert np.all(np.isfinite(lo)) and np.all(lo <= hi)
-    with pytest.raises(ValueError, match="nu >= 0"):
-        log_bessel_i_bounds(-0.5, 1.0)
+    with pytest.raises(ValueError, match="nu >= -1/2"):
+        log_bessel_i_bounds(-0.6, 1.0)
 
 
 def test_bessel_arg_exact_where_finite_and_finite_where_product_overflows():

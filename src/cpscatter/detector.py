@@ -211,7 +211,7 @@ def threshold_exact(config: SystemConfig, gamma: float) -> float:
     nu = 0.5 * d - 1.0
     a, b = nu + 0.5, nu + 1.5
     lam = s * (W * gamma)
-    e = lam * ((a + b) / (2.0 * b))
+    e = lam * ((a + b) / (2.0 * b))  # a ratio <= 1: finite wherever lam is
     lo, hi = float(W), W * (1.0 + e / (2.0 * b))
     x = 0.5 * (lo + hi)
     for _ in range(200):

@@ -856,6 +856,7 @@ def test_spec_validation():
     "snr_db_list = 6 nan\n",
     "snr_db_list = inf\n",
     "snr_db_list = -inf 6\n",
+    "gamma_db = 3090\n",  # each point sets gamma_db, so a base value is refused
     "snr_db_list = 3090\n",  # 10^(gamma_db/10) overflowed with a bare OverflowError
     "snr_db_list = 6 3090\n",
 ])

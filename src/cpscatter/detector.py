@@ -34,10 +34,10 @@ D falls strictly in x, so a statistic reaches the exact-root threshold
 exactly where D at the statistic is <= 0. decide_array is the kernel's one
 decision call: at one gamma it compares with threshold_for, and for a batch
 of trials each at its own gamma (from-Ps genie) it takes the sign of D
-with no threshold solve. D = lam/2 - h(u), with h the normalized log I_nu
-that numerics.log_bessel_i_bounds brackets in closed form, so the bounds
-settle the sign for nearly every trial, and the density pass (log I_nu via
-scipy's ive) runs only on the few trials they leave open.
+with no threshold solve. D = lam/2 - h(u) (the densities' central terms
+cancel), with h the normalized log I_nu that numerics.log_bessel_i_bounds
+brackets in closed form, so the bounds settle the sign for nearly every
+trial, and h itself (scipy's ive) runs only on the few trials they leave open.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ import numpy as np
 from .numerics import (
     bessel_arg,
     log_bessel_i_bounds,
+    log_bessel_i_normalized,
     log_chi2_pdf,
     log_gamma,
     log_noncentral_chi2_pdf,
@@ -112,25 +113,17 @@ def dof_scaling(config: SystemConfig) -> tuple[float, int]:
     return 2.0, 2 * config.W
 
 
-def log_pdf_h0(x, config: SystemConfig):
-    s, d = dof_scaling(config)
-    return math.log(s) + log_chi2_pdf(s * x, d)
-
-
-def log_pdf_h1(x, config: SystemConfig, gamma):
-    s, d = dof_scaling(config)
-    return math.log(s) + log_noncentral_chi2_pdf(s * x, d, s * (config.W * gamma))
-
-
 def pdf_h0(x, config: SystemConfig):
     """Density of the statistic under H0 (bit 0), elementwise; zero for x <= 0."""
-    out = np.exp(log_pdf_h0(x, config))
+    s, d = dof_scaling(config)
+    out = np.exp(math.log(s) + log_chi2_pdf(s * x, d))
     return float(out) if np.ndim(out) == 0 else out
 
 
 def pdf_h1(x, config: SystemConfig, gamma):
     """Density of the statistic under H1 (bit 1), elementwise; zero for x <= 0."""
-    out = np.exp(log_pdf_h1(x, config, gamma))
+    s, d = dof_scaling(config)
+    out = np.exp(math.log(s) + log_noncentral_chi2_pdf(s * x, d, s * (config.W * gamma)))
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -166,9 +159,13 @@ def _log_ratio(x, config: SystemConfig, gamma):
     """D(x) = log f0(x) - log f1(x; gamma), elementwise: > 0 where H0 is likelier.
 
     The one function whose root is the exact-root threshold and whose sign
-    decides a trial against it.
+    decides a trial against it. With (s, d) = dof_scaling, nu = d/2 - 1,
+    lam = s W gamma and u = sqrt(lam s x), the densities' central terms
+    cancel, so D = lam/2 - h(u) with h = numerics.log_bessel_i_normalized.
     """
-    return log_pdf_h0(x, config) - log_pdf_h1(x, config, gamma)
+    s, d = dof_scaling(config)
+    lam = s * (config.W * gamma)
+    return 0.5 * lam - log_bessel_i_normalized(0.5 * d - 1.0, bessel_arg(lam, s * x))
 
 
 def _gammas(gamma) -> np.ndarray:
@@ -183,12 +180,10 @@ def _gammas(gamma) -> np.ndarray:
 def threshold_exact(config: SystemConfig, gamma: float) -> float:
     """ML threshold: the true H0/H1 density crossing for one gamma > 0.
 
-    With (s, d) = dof_scaling, nu = d/2 - 1, lam = s W gamma and
-    u = sqrt(lam s x), D(x) = _log_ratio(x) = lam/2 - h(u), with
-    h(u) = log 0F1(; nu+1; u^2/4), falls strictly in x. With a = nu + 1/2,
+    D(x) = _log_ratio(x) = lam/2 - h(u) falls strictly in x. With a = nu + 1/2,
     b = nu + 3/2 and e = lam (a+b)/(2b), its root lies in [W, W (1 + e/(2b))]:
-      * 0F1(; c; z) <= e^{z/c} gives h(u) <= u^2/(2d), so below the H0 mean
-        W, D(x) >= (lam/2)(1 - x/W) > 0;
+      * h(u) = log 0F1(; nu+1; u^2/4) <= u^2/(2d), as 0F1(; c; z) <= e^{z/c},
+        so below the H0 mean W, D(x) >= (lam/2)(1 - x/W) > 0;
       * h is at least numerics.log_bessel_i_bounds' lower bound, itself at
         least (sqrt(u^2 + b^2) - b) b/(a+b), which reaches lam/2 at the
         upper end (in this form e survives tiny gamma, where (b + e) - b
@@ -203,9 +198,9 @@ def threshold_exact(config: SystemConfig, gamma: float) -> float:
     root at W=1, gamma=1 was 6.3e-12 relative off) or a few ulps of x, or D
     is exactly 0.
     """
+    gamma = float(_gammas(gamma))
     if not gamma > 0:
         raise ValueError(f"threshold requires gamma > 0, got {gamma}")
-    gamma = float(gamma)
     W = config.W
     s, d = dof_scaling(config)
     nu = 0.5 * d - 1.0
@@ -213,6 +208,8 @@ def threshold_exact(config: SystemConfig, gamma: float) -> float:
     lam = s * (W * gamma)
     e = lam * ((a + b) / (2.0 * b))  # a ratio <= 1: finite wherever lam is
     lo, hi = float(W), W * (1.0 + e / (2.0 * b))
+    if not hi > lo:  # rounded to [W, W]: a Newton step would divide by ~0
+        return lo
     x = 0.5 * (lo + hi)
     for _ in range(200):
         dv = _log_ratio(x, config, gamma)
@@ -241,14 +238,14 @@ def threshold_for(config: SystemConfig, gamma: float) -> float:
     Served from a small LRU keyed on (config, gamma). With gamma == 0 the
     two hypotheses coincide and any positive threshold yields chance-level
     decisions; the H0 mean keeps the detector runnable. Accuracy floor: at
-    tiny gamma D = log f0 - log f1 cancels to its rounding, so the exact
-    root is only known to lie in threshold_exact's bracket, within O(W gamma)
-    of W: it is off by 9.2e-7 (complex) and 1.2e-6 (paper) at W=246,
+    tiny gamma D = lam/2 - h(u) cancels to the rounding of log I_nu, so the
+    exact root is only known to lie in threshold_exact's bracket, within
+    O(W gamma) of W: it is off by 1.2e-6 (either convention) at W=246,
     gamma=1e-8, and by 5.3e-13 at W=3 complex, gamma=1e-12 (80-digit
-    reference); below gamma ~ 1e-16 the bracket rounds to W itself.
-    decide_array's sign of D is as uncertain there (it is D's sign as
-    _log_ratio computes it, whether the bounds or D settle it); sweeps stay
-    far above (kernel-drawn from-Ps gamma >~ 0.37).
+    reference); below gamma ~ 1e-16 the bracket rounds to W, the result.
+    decide_array's sign of D is as uncertain there (the sign _log_ratio
+    computes, whether the bounds or D settle it); sweeps stay far above
+    (kernel-drawn from-Ps gamma >~ 0.37).
     """
     gamma = float(_gammas(gamma))
     if gamma == 0:
@@ -287,16 +284,12 @@ def decide_array(config: SystemConfig, stats, gamma) -> np.ndarray:
 def _exact_decisions(config: SystemConfig, stats, gamma) -> np.ndarray:
     """_log_ratio(stats, config, gamma) <= 0, elementwise, mostly without it.
 
-    With x = s stats, lam = s W gamma, u = sqrt(lam x) and nu = d/2 - 1,
-
-        D = lam/2 - h(u),   h(u) = log(Gamma(nu+1) (2/u)^nu I_nu(u)),
-
-    and numerics.log_bessel_i_bounds brackets h at every order nu >= -1/2.
-    A trial is decided 1 where the upper bound on D is <= -margin and 0
-    where the lower bound is > margin; only the rest evaluate D. The margin,
-    1e-9 times the size of D's terms (x, lam and u), is far above the
-    rounding of D and of the bounds, so each decision is the sign of D as
-    _log_ratio computes it.
+    numerics.log_bessel_i_bounds brackets h in D = lam/2 - h(u) (_log_ratio's
+    notation, with x = s stats) at every order nu >= -1/2. A trial is
+    decided 1 where the upper bound on D is <= -margin and 0 where the lower
+    bound is > margin; only the rest evaluate D. The margin, 1e-9 times the
+    size of D's terms (x, lam and u), is far above the rounding of D and of
+    the bounds, so each decision is the sign of D as _log_ratio computes it.
     """
     s, d = dof_scaling(config)
     nu = 0.5 * d - 1.0

@@ -9,12 +9,12 @@ Numerical conventions:
   * the DFT is the unnormalized matrix form, F[p, q] = exp(-2j*pi*p*q/n);
   * the chi-square log densities and log I_r(u) work elementwise on
     arrays, so a detector can evaluate one density per trial in one call;
-  * log_bessel_i_bounds brackets the normalized log I_nu(u) in closed
-    form, so a sign decided by it needs no Bessel evaluation;
-  * densities with large noncentrality are evaluated in the log domain:
-    log I_r(u) = log(ive(r, u)) + u with scipy's exponentially scaled
+  * log I_r(u) = log(ive(r, u)) + u with scipy's exponentially scaled
     Bessel function, and from scipy's hyp0f1 where ive underflows, so
     nothing overflows for noncentralities up to ~1e4 and beyond;
+  * h(u) = log 0F1(; nu+1; u^2/4), the normalized log I_nu, is the one
+    Bessel term of the noncentral density and of the detector's log-
+    likelihood ratio; log_bessel_i_bounds brackets it in closed form;
   * random streams are Philox4x64 counter-based generators keyed by
     (seed, stream) pairs, which makes every draw sequence a pure function
     of those two integers on any platform and worker count.
@@ -166,8 +166,21 @@ def _ratio_integral(a: float, b: float, u):
     return e - a * np.log1p(e / (a + b))
 
 
+def log_bessel_i_normalized(nu, u):
+    """h(u) = log(Gamma(nu+1) (2/u)^nu I_nu(u)) = log 0F1(; nu+1; u^2/4), elementwise.
+
+    For nu >= -1/2 and u >= 0 (a scalar gives a float), with h(0) = 0. Where
+    h is far below an ulp of log I_nu (u = 1e-6 at nu = 245) it inherits
+    log_bessel_i's rounding: detector.threshold_for's tiny-gamma floor.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):  # infinite terms at u == 0
+        h = log_bessel_i(nu, u) + math.lgamma(nu + 1.0) - nu * np.log(0.5 * u)
+    out = np.where(u > 0, h, 0.0)
+    return float(out) if out.ndim == 0 else out
+
+
 def log_bessel_i_bounds(nu: float, u):
-    """Closed-form bounds (lo, hi) on h(u) = log(Gamma(nu+1) (2/u)^nu I_nu(u)).
+    """Closed-form bounds (lo, hi) on h(u) = log_bessel_i_normalized(nu, u).
 
     Elementwise over u >= 0, for orders nu >= -1/2. h(0) = 0 and h'(u) is
     the ratio I_{nu+1}(u) / I_nu(u), which lies between
@@ -241,10 +254,9 @@ def log_noncentral_chi2_pdf(x, n: int, lam):
     """Log density of the noncentral chi-square (n dof, noncentrality lam).
 
     Elementwise over x and lam (broadcast; lam finite and >= 0); -inf for
-    x <= 0, and the central density where lam == 0. Evaluated as log-gamma /
-    log-Bessel combinations so large lam (up to ~1e4 and beyond) neither
-    overflows nor underflows prematurely; the Bessel argument comes from
-    bessel_arg, so lam * x may overflow.
+    x <= 0. It is the central log density plus h(u) - lam/2, with h from
+    log_bessel_i_normalized and u from bessel_arg (so lam * x may overflow);
+    h(0) = 0 makes lam == 0 the central density bit for bit.
     """
     _check_dof(n)
     x = np.asarray(x, dtype=np.float64)
@@ -252,13 +264,6 @@ def log_noncentral_chi2_pdf(x, n: int, lam):
     bad = ~((lam >= 0) & (lam < math.inf))
     if bad.any():
         raise ValueError(f"noncentrality must be finite and >= 0, got {lam[bad].flat[0]}")
-    nc = (x > 0) & (lam > 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = (
-            -_LN2
-            + 0.25 * (n - 2.0) * (np.log(x) - np.log(lam))
-            - 0.5 * (x + lam)
-            + log_bessel_i(0.5 * n - 1.0, bessel_arg(lam, x))
-        )
-    out = np.where(nc, out, log_chi2_pdf(x, n))
-    return float(out) if out.ndim == 0 else out
+    h = log_bessel_i_normalized(0.5 * n - 1.0, bessel_arg(lam, x))
+    out = log_chi2_pdf(x, n) - 0.5 * lam + h
+    return float(out) if np.ndim(out) == 0 else out

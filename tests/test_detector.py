@@ -1,6 +1,7 @@
 """Detection SNR, hypothesis densities, thresholds, and the decision rule."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import mpmath
@@ -145,6 +146,25 @@ def test_complex_convention_matches_scipy_scaling():
         assert pdf_h1(x, p, 4.0) == pytest.approx(
             2 * stats.ncx2.pdf(2 * x, 12, 48.0), rel=1e-8, abs=0
         )
+
+
+@pytest.mark.parametrize("conv", ["paper", "complex"])
+@pytest.mark.parametrize("w", [1, 2, 3, 12, 246])
+def test_log_ratio_is_the_log_density_difference(conv, w):
+    # D = lam/2 - h(u) is log f0 - log f1 with the central terms cancelled,
+    # around the threshold, wherever both densities are representable
+    p = SystemConfig(W=w, dof_convention=conv, threshold_mode="exact-root")
+    checked = 0
+    for gamma in (1e-3, 1.0, 1e3):
+        x = threshold_exact(p, gamma) * np.array([0.5, 0.9, 1.0, 1.1, 2.0])
+        f0, f1 = pdf_h0(x, p), pdf_h1(x, p, gamma)
+        got = detector._log_ratio(x, p, gamma)
+        for xv, a, b, dv in zip(x, f0, f1, got):
+            if min(a, b) >= 1e-300:
+                a, b = math.log(a), math.log(b)
+                assert abs(dv - (a - b)) <= 1e-14 * (1 + abs(a) + abs(b)), (gamma, xv, dv, a - b)
+                checked += 1
+    assert checked >= 10
 
 
 # --- closed-form threshold -------------------------------------------------------
@@ -311,22 +331,33 @@ def test_threshold_array_solve_matches_scalar(conv, w):
 def test_threshold_exact_in_closed_form_bracket_from_tiny_to_huge_snr(conv, w, capfd):
     # the root lies in [W, W (1 + e/(2b))], e = lam (a+b)/(2b), a = nu + 1/2,
     # b = nu + 3/2, at every SNR; below about -80 dB D's rounding leaves it
-    # anywhere within O(W gamma) of W, so it is held to that there
+    # anywhere within O(W gamma) of W, so it is held to that there. At
+    # subnormal gamma (-3200 dB, and -3233 dB, which is 5e-324) the bracket
+    # is [W, W], and no solve may warn (pytest records warnings, so capfd
+    # alone would not see them)
     p = SystemConfig(W=w, dof_convention=conv, threshold_mode="exact-root")
     s, d = detector.dof_scaling(p)
     a, b = 0.5 * d - 0.5, 0.5 * d + 0.5
-    for db in (-300, -200, -80, -20, 0, 20, 40, 60, 80, 100, 150, 300):
+    for db in (-3233, -3200, -300, -200, -80, -20, 0, 20, 40, 60, 80, 100, 150, 300):
         gamma = 10.0 ** (db / 10)
-        th = threshold_exact(p, gamma)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            th = threshold_exact(p, gamma)
         e = s * w * gamma * (a + b) / (2 * b)
         assert math.isfinite(th) and w <= th <= w * (1 + e / (2 * b)), (db, th)
+        if db < -3000:
+            # the bracket check has pinned th to W, and the root is W + O(W
+            # gamma); 80 digits cannot resolve a D of about 1e-320
+            continue
         ref = _mp_root(w, gamma, conv, dps=80)
         assert abs(th - ref) <= max(1e-10 * max(1.0, th), w * gamma), (db, th, ref)
         if db >= 0:
             assert detector._log_ratio(th * (1 - 1e-12), p, gamma) > 0, db
             assert detector._log_ratio(th * (1 + 1e-12), p, gamma) < 0, db
     # lam (a+b) overflows at W=246 here; e, lam times a ratio <= 1, does not
-    th = threshold_exact(p, 1e303)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        th = threshold_exact(p, 1e303)
     assert math.isfinite(th) and detector._log_ratio(th * (1 + 1e-12), p, 1e303) < 0
     assert capfd.readouterr().err == ""
 
@@ -345,13 +376,13 @@ def _kernel_gammas(point):
     (246, "complex", (1e-3, 1e3)), (246, "paper", (1e-3, 1e3)),
 ], ids=lambda v: "kernel" if v is None else "extremes" if isinstance(v, tuple) else str(v))
 def test_threshold_solve_density_passes(monkeypatch, w, conv, gammas):
-    # one log_pdf_h1 call per density pass, bracket ends included, for each gamma
+    # one _log_ratio call per evaluation of D, for each gamma
     point = SystemConfig(W=w, snr_mode="from-Ps", dof_convention=conv,
                          threshold_mode="exact-root", gamma_knowledge="genie", seed=401)
     gammas = _kernel_gammas(point) if gammas is None else gammas
     calls = []
-    real = detector.log_pdf_h1
-    monkeypatch.setattr(detector, "log_pdf_h1", lambda *args: calls.append(1) or real(*args))
+    real = detector._log_ratio
+    monkeypatch.setattr(detector, "_log_ratio", lambda *args: calls.append(1) or real(*args))
     passes = []
     for g in gammas:
         calls.clear()

@@ -17,6 +17,7 @@ from cpscatter.numerics import (
     gaussian_q,
     log_bessel_i,
     log_bessel_i_bounds,
+    log_bessel_i_normalized,
     log_chi2_pdf,
     log_gamma,
     log_noncentral_chi2_pdf,
@@ -285,13 +286,20 @@ def _mp_h(nu, u):
 def test_log_bessel_i_bounds_bracket_mpmath(nu):
     u = np.logspace(-6, 8, 29)
     lo, hi = log_bessel_i_bounds(nu, u)
-    for uv, lv, hv in zip(u, lo, hi):
+    got = log_bessel_i_normalized(nu, u)
+    for uv, lv, hv, gv in zip(u, lo, hi, got):
         # where the lower bound is tight (u << nu) it may round an ulp above h
-        h = float(_mp_h(nu, uv))
+        h_mp = _mp_h(nu, uv)
+        h = float(h_mp)
         assert lv <= h * (1 + 1e-14) and h <= hv, (nu, uv, lv, h, hv)
+        # h itself is log I_nu less its leading power, so it carries the
+        # rounding of log I_nu(u), not of its own (possibly tiny) size
+        log_i = float(h_mp + nu * mpmath.log(mpmath.mpf(uv) / 2) - mpmath.loggamma(nu + 1))
+        assert abs(gv - h) <= 4e-15 * max(1.0, abs(log_i)), (nu, uv, gv, h)
     # the bounds meet h at 0, and their gap grows with u towards its limit
     # 1 - a log(1 + 1/(2a)), a = nu + 1/2 (1 at a = 0, under 2/3 for a > 0)
     assert log_bessel_i_bounds(nu, 0.0) == (0.0, 0.0)
+    assert log_bessel_i_normalized(nu, 0.0) == 0.0
     a = nu + 0.5
     gap = hi - lo
     assert np.all(np.diff(gap) >= -1e-15 * hi[1:])
@@ -414,6 +422,11 @@ def test_noncentral_small_lambda_limit():
     for x in np.linspace(0.5, 50, 25):
         assert abs(math.exp(log_noncentral_chi2_pdf(float(x), 5, 1e-13))
                    - math.exp(log_chi2_pdf(float(x), 5))) < 1e-6
+    # lam == 0 is the central density bit for bit, at every order
+    x = np.array([-1.0, 0.0, 1e-6, 0.5, 2.0, 50.0, 1e4])
+    for n in (1, 2, 3, 24, 492):
+        assert np.array_equal(log_noncentral_chi2_pdf(x, n, 0.0), log_chi2_pdf(x, n))
+        assert log_noncentral_chi2_pdf(2.0, n, 0.0) == log_chi2_pdf(2.0, n)
 
 
 def test_noncentral_nonpositive_x_and_errors():

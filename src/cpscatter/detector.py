@@ -23,7 +23,9 @@ mode from the sweep point's SystemConfig, and takes gamma as an argument.
 The ML threshold is where the two densities cross. threshold_paper
 evaluates the closed form obtained by pulling the Bessel kernel's
 exponentials apart (which is what makes it solvable, at the cost of an
-approximation); threshold_exact finds the true crossing by a safeguarded
+approximation); its integral reduces to h((W-2)/2, 1), with h the
+normalized log-Bessel term numerics.log_bessel_i_normalized that both
+thresholds use. threshold_exact finds the true crossing by a safeguarded
 Newton iteration on the log-density difference D = log f0 - log f1, in a
 bracket and with a slope that numerics.log_bessel_i_bounds gives in closed
 form. threshold_for picks the mode for one gamma, the one threshold a sweep
@@ -52,9 +54,7 @@ from .numerics import (
     log_bessel_i_bounds,
     log_bessel_i_normalized,
     log_chi2_pdf,
-    log_gamma,
     log_noncentral_chi2_pdf,
-    sin_power_integral,
 )
 from .phy import SystemConfig
 from .receiver import noise_power
@@ -130,12 +130,17 @@ def pdf_h1(x, config: SystemConfig, gamma):
 def threshold_paper(W: int, gamma):
     """Closed-form detection threshold (separable-kernel approximation).
 
-    T_h = (ln( sqrt(pi) Gamma(W/2 - 1/2)
-               / (e^{-W gamma/2} Gamma(W/2) integral) ))^2 / (W gamma)
+    The paper's T_h = L^2 / (W gamma), L = ln(sqrt(pi) Gamma(W/2 - 1/2) /
+    (e^{-W gamma/2} Gamma(W/2) int_0^pi e^{cos t} sin^{W-2} t dt)). By the
+    Poisson integral of I_nu (DLMF 10.32.2), nu = (W-2)/2, the integral is
+    sqrt(pi) Gamma(W/2 - 1/2) / Gamma(W/2) e^{h(nu, 1)}, h from
+    numerics.log_bessel_i_normalized, so L = W gamma/2 - h(nu, 1) and
+    nothing overflows. gamma may be a scalar or an array (elementwise).
 
-    with integral = sin_power_integral(W). gamma may be a scalar or an
-    array (elementwise). The log argument is assembled in the log domain so
-    large W*gamma cannot overflow.
+    The paper's sqrt(W gamma T_h) = L has no root where L < 0, below
+    gamma = 2 h(nu, 1)/W; the square then grows as 1/gamma:
+    threshold_paper(3, 1e-20) = (log sinh 1)^2/(3e-20) = 8.7e17 against a
+    crossing near 3 (ROADMAP item 8).
     """
     if W < 2:
         raise ValueError(f"closed form requires W >= 2, got {W}")
@@ -143,13 +148,7 @@ def threshold_paper(W: int, gamma):
         gamma = np.asarray(gamma, dtype=np.float64)
     if np.any(gamma <= 0):
         raise ValueError(f"closed form requires gamma > 0, got {np.min(gamma)}")
-    log_arg = (
-        0.5 * math.log(math.pi)
-        + log_gamma(W / 2.0 - 0.5)
-        + W * gamma / 2.0
-        - log_gamma(W / 2.0)
-        - math.log(sin_power_integral(W))
-    )
+    log_arg = W * gamma / 2.0 - log_bessel_i_normalized(0.5 * W - 1.0, 1.0)
     # a product, not ** 2: numpy squares arrays by multiplying, while a float
     # ** 2 goes through libm's pow, so a scalar gamma could differ by an ulp
     return log_arg * log_arg / (W * gamma)

@@ -7,14 +7,13 @@ public functions return finite results on their documented domains.
 
 Numerical conventions:
   * the DFT is the unnormalized matrix form, F[p, q] = exp(-2j*pi*p*q/n);
-  * the chi-square log densities and log I_r(u) work elementwise on
-    arrays, so a detector can evaluate one density per trial in one call;
-  * log I_r(u) = log(ive(r, u)) + u with scipy's exponentially scaled
-    Bessel function, and from scipy's hyp0f1 where ive underflows, so
-    nothing overflows for noncentralities up to ~1e4 and beyond;
+  * the chi-square log densities and h(u) work elementwise on arrays, so
+    a detector can evaluate one density per trial in one call;
   * h(u) = log 0F1(; nu+1; u^2/4), the normalized log I_nu, is the one
-    Bessel term of the noncentral density and of the detector's log-
-    likelihood ratio; log_bessel_i_bounds brackets it in closed form;
+    Bessel function: the Bessel term of the noncentral density and of the
+    log-likelihood ratio, and the closed-form threshold's integral. It comes
+    from scipy's ive (hyp0f1 where ive underflows), so nothing overflows,
+    and log_bessel_i_bounds brackets it in closed form;
   * random streams are Philox4x64 counter-based generators keyed by
     (seed, stream) pairs, which makes every draw sequence a pure function
     of those two integers on any platform and worker count.
@@ -26,12 +25,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, hyp0f1, ive
+from scipy.special import hyp0f1, ive
 
 _LN2 = math.log(2.0)
 
 # below this, scipy's ive is at (or next to) its underflow to zero and
-# log_bessel_i switches to the hyp0f1 form
+# log_bessel_i_normalized switches to the hyp0f1 form
 _IVE_UNDERFLOW = 1e-280
 
 
@@ -84,13 +83,6 @@ def dft(v) -> np.ndarray:
     return np.fft.fft(arr)
 
 
-def log_gamma(x: float) -> float:
-    """Natural log of the Gamma function for x > 0."""
-    if not x > 0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
-
-
 def gaussian_q(x: float) -> float:
     """Gaussian tail probability Q(x) = P(N(0,1) > x).
 
@@ -98,59 +90,6 @@ def gaussian_q(x: float) -> float:
     to 0.0 rather than raising.
     """
     return 0.5 * math.erfc(x / math.sqrt(2.0))
-
-
-def log_bessel_i(r, u):
-    """log of the modified Bessel function of the first kind, I_r(u).
-
-    Elementwise over arrays (a scalar in gives a float out), for orders
-    r >= -1/2 (the 1-dof noncentral chi-square needs -1/2) and u >= 0.
-    Evaluated as log(ive(r, u)) + u with scipy's exponentially scaled
-    Bessel function, so large u never overflows. Where ive underflows
-    (large order, small argument: r = 245 at u = 1) it is
-        r log(u/2) - lnGamma(r+1) + log 0F1(; r+1; u^2/4)
-    with scipy's hyp0f1, which is near 1 there. Where ive gives nan (u from
-    about 1.07e9) it is the large-argument expansion (DLMF 10.40.1)
-        u - log(2 pi u)/2 + log(1 - (mu-1)/(8u) + (mu-1)(mu-9)/(2! (8u)^2)),
-    mu = 4 r^2. At u == 0 the result is 0
-    for r == 0, -inf for r > 0 and +inf for r < 0. Beyond order ~1500 the
-    hyp0f1 factor can overflow, which raises (the detector needs <= 245).
-    """
-    r_arr = np.asarray(r, dtype=np.float64)
-    u_arr = np.asarray(u, dtype=np.float64)
-    if (r_arr < -0.5).any():
-        raise ValueError(f"order must be >= -1/2, got {r}")
-    if (u_arr < 0).any():
-        raise ValueError(f"argument must be >= 0, got {u}")
-    scaled = ive(r_arr, u_arr)
-    with np.errstate(divide="ignore"):
-        out = np.log(scaled) + u_arr
-    # ive underflowed, or is 0 or nan at u == 0, or nan at large u
-    under = ~(scaled >= _IVE_UNDERFLOW)
-    if not under.any():
-        return float(out) if np.ndim(out) == 0 else out
-    out = np.array(out, dtype=np.float64)
-    # ive is nan from u ~ 1.07e9 at every order; there the expansion's next
-    # term is below 1e-14 at the detector's orders (<= 245), under an ulp of u
-    big = under & np.isnan(scaled) & (u_arr > 0)
-    under &= ~big
-    if big.any():
-        r_b = np.broadcast_to(r_arr, out.shape)[big]
-        u_b = np.broadcast_to(u_arr, out.shape)[big]
-        mu = 4.0 * r_b * r_b
-        a1 = (mu - 1.0) / (8.0 * u_b)
-        out[big] = (u_b - 0.5 * np.log(2.0 * math.pi * u_b)
-                    + np.log1p(a1 * ((mu - 9.0) / (16.0 * u_b) - 1.0)))
-    if under.any():
-        r_b = np.broadcast_to(r_arr, out.shape)[under]
-        u_b = np.broadcast_to(u_arr, out.shape)[under]
-        with np.errstate(divide="ignore"):
-            vals = (r_b * np.log(0.5 * u_b) - gammaln(r_b + 1.0)
-                    + np.log(hyp0f1(r_b + 1.0, 0.25 * u_b * u_b)))
-        if np.isposinf(vals[r_b > 0]).any():
-            raise ValueError(f"log I_r(u) overflows hyp0f1 at order {r_b.max()}")
-        out[under] = vals
-    return float(out) if np.ndim(out) == 0 else out
 
 
 def _ratio_integral(a: float, b: float, u):
@@ -166,16 +105,53 @@ def _ratio_integral(a: float, b: float, u):
     return e - a * np.log1p(e / (a + b))
 
 
-def log_bessel_i_normalized(nu, u):
+def log_bessel_i_normalized(nu: float, u):
     """h(u) = log(Gamma(nu+1) (2/u)^nu I_nu(u)) = log 0F1(; nu+1; u^2/4), elementwise.
 
-    For nu >= -1/2 and u >= 0 (a scalar gives a float), with h(0) = 0. Where
-    h is far below an ulp of log I_nu (u = 1e-6 at nu = 245) it inherits
-    log_bessel_i's rounding: detector.threshold_for's tiny-gamma floor.
+    For one order nu >= -1/2 (the 1-dof noncentral chi-square needs -1/2)
+    and u >= 0 (a scalar gives a float), with h(0) = 0. It is
+    log(ive(nu, u)) + u + lnGamma(nu+1) - nu log(u/2) with scipy's scaled
+    Bessel function, so large u never overflows; where ive underflows (nu =
+    245 at u = 1) it is log(hyp0f1(nu+1, u^2/4)). Where ive is nan (u from
+    about 1.07e9) log I_nu(u) is the expansion (DLMF 10.40.1)
+        u - log(2 pi u)/2 + log(1 - (mu-1)/(8u) + (mu-1)(mu-9)/(2! (8u)^2)),
+    mu = 4 nu^2. Beyond order ~1500 hyp0f1 can overflow, which raises (the
+    detector needs <= 245). Where h is far below 1 its error is absolute:
+    the rounding of log I_nu (7.6e-15 at nu = 11, u = 1e-6) or hyp0f1's own
+    (2.8e-14 at nu = 245, u = 0.049), detector.threshold_for's floor.
     """
+    if not nu >= -0.5:
+        raise ValueError(f"order must be >= -1/2, got {nu}")
+    u = np.asarray(u, dtype=np.float64)
+    if (u < 0).any():
+        raise ValueError(f"argument must be >= 0, got {u}")
+    scaled = ive(nu, u)
+    lgam = math.lgamma(nu + 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):  # infinite terms at u == 0
-        h = log_bessel_i(nu, u) + math.lgamma(nu + 1.0) - nu * np.log(0.5 * u)
-    out = np.where(u > 0, h, 0.0)
+        out = np.log(scaled) + u + lgam - nu * np.log(0.5 * u)
+    # ive underflowed or is nan at large u; at u == 0 it is 0, 1 or inf
+    odd = ~(scaled >= _IVE_UNDERFLOW) | (u == 0)
+    if not odd.any():
+        return float(out) if out.ndim == 0 else out
+    out = np.array(out, dtype=np.float64)
+    out[u == 0] = 0.0
+    # ive is nan from u ~ 1.07e9 at every order; there the expansion's next
+    # term is below 1e-14 at the detector's orders (<= 245), under an ulp of u
+    big = np.isnan(scaled) & (u > 0)
+    if big.any():
+        u_b = u[big]
+        mu = 4.0 * nu * nu
+        a1 = (mu - 1.0) / (8.0 * u_b)
+        out[big] = ((u_b - 0.5 * np.log(2.0 * math.pi * u_b)
+                     + np.log1p(a1 * ((mu - 9.0) / (16.0 * u_b) - 1.0)))
+                    + lgam - nu * np.log(0.5 * u_b))
+    under = (scaled < _IVE_UNDERFLOW) & (u > 0)
+    if under.any():
+        u_b = u[under]
+        vals = np.log(hyp0f1(nu + 1.0, 0.25 * u_b * u_b))
+        if np.isposinf(vals).any():
+            raise ValueError(f"h(u) overflows hyp0f1 at order {nu}")
+        out[under] = vals
     return float(out) if out.ndim == 0 else out
 
 
@@ -214,21 +190,6 @@ def bessel_arg(lam, x):
         if big.any():
             u = np.where(big, np.sqrt(lam) * np.sqrt(x), u)
     return u
-
-
-def sin_power_integral(w: int) -> float:
-    """Integral of exp(cos(theta)) * sin(theta)^(w-2) over [0, pi].
-
-    Appears in the closed-form detection threshold denominator; w >= 2.
-    By the Poisson integral of I_nu with nu = (w-2)/2 it equals
-    sqrt(pi) Gamma(nu + 1/2) 2^nu I_nu(1), assembled in the log domain.
-    """
-    if w < 2:
-        raise ValueError(f"requires w >= 2, got {w}")
-    nu = 0.5 * (w - 2)
-    return math.exp(
-        0.5 * math.log(math.pi) + math.lgamma(nu + 0.5) + nu * _LN2 + log_bessel_i(nu, 1.0)
-    )
 
 
 def _check_dof(n: int) -> None:

@@ -13,10 +13,10 @@ import pytest
 from scipy import stats
 
 from cpscatter.analysis import ber_exact
-from cpscatter.detector import threshold_exact
+from cpscatter.detector import threshold_exact, threshold_paper
 from cpscatter.harness import ExperimentSpec, collect_statistics, emit_csv, run_experiment
-from cpscatter.numerics import (RngStream, complex_gaussian, dft, gaussian_q, log_bessel_i, log_gamma,
-                                sin_power_integral)
+from cpscatter.numerics import (RngStream, complex_gaussian, dft, gaussian_q, log_bessel_i_normalized,
+                                log_chi2_pdf)
 from cpscatter.phy import SystemConfig, draw_channels, legacy_demodulate, observe_components, simulate_frame, tag_gate
 from cpscatter.receiver import cancel, extract_windows, fold, noise_power, process
 
@@ -135,12 +135,21 @@ def test_criterion_5_distribution_fit(report, w):
 
 
 def test_criterion_6_special_functions(report):
+    # each closed form read back through the function that now holds it:
+    # Gamma(1/2) and Gamma(5) from the chi-square densities with 1 and 10 dof,
+    # I_1/2(1) from h(1/2, 1) = log(Gamma(3/2) sqrt(2) I_1/2(1)) = log sinh 1,
+    # and the sin-power integral at W=3 from threshold_paper(3, 1) = L^2/3,
+    # L = 3/2 - log(integral/2)
+    x = 7.0
     checks = [
-        ("Gamma(0.5)", math.exp(log_gamma(0.5)), math.sqrt(math.pi), 1e-12),
-        ("Gamma(5)", math.exp(log_gamma(5.0)), 24.0, 1e-12),
-        ("I_1/2(1)", math.exp(log_bessel_i(0.5, 1.0)), math.sqrt(2 / math.pi) * math.sinh(1.0),
-         1e-9),
-        ("sin_power_integral(3)", sin_power_integral(3), math.e - math.exp(-1.0), 1e-9),
+        ("Gamma(0.5)", math.exp(-0.5 - 0.5 * math.log(2.0) - log_chi2_pdf(1.0, 1)),
+         math.sqrt(math.pi), 1e-12),
+        ("Gamma(5)", x ** 4 * math.exp(-x / 2) / (2 ** 5 * math.exp(log_chi2_pdf(x, 10))), 24.0,
+         1e-12),
+        ("I_1/2(1)", math.sqrt(2 / math.pi) * math.exp(log_bessel_i_normalized(0.5, 1.0)),
+         math.sqrt(2 / math.pi) * math.sinh(1.0), 1e-9),
+        ("sin_power_integral(3)", 2.0 * math.exp(1.5 - math.sqrt(3.0 * threshold_paper(3, 1.0))),
+         math.e - math.exp(-1.0), 1e-9),
         ("Q(0)", gaussian_q(0.0), 0.5, 1e-12),
     ]
     bad = [name for name, got, want, tol in checks

@@ -15,14 +15,12 @@ from cpscatter.numerics import (
     complex_gaussian,
     dft,
     gaussian_q,
-    log_bessel_i,
     log_bessel_i_bounds,
     log_bessel_i_normalized,
     log_chi2_pdf,
-    log_gamma,
     log_noncentral_chi2_pdf,
-    sin_power_integral,
 )
+from cpscatter.detector import threshold_paper
 
 mpmath.mp.dps = 40
 
@@ -141,38 +139,6 @@ def test_dft_rejects_bad_input():
         dft([])
 
 
-# --- gamma -------------------------------------------------------------------
-
-def test_gamma_known_values():
-    assert math.exp(log_gamma(1.0)) == pytest.approx(1.0, rel=1e-14)
-    assert math.exp(log_gamma(0.5)) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
-    assert math.exp(log_gamma(5.0)) == pytest.approx(24.0, rel=1e-14)
-
-
-def test_gamma_vs_mpmath_grid():
-    for x in np.concatenate([np.linspace(0.5, 20, 40), np.linspace(25, 170, 30)]):
-        want = float(mpmath.gamma(x))
-        assert math.exp(log_gamma(float(x))) == pytest.approx(want, rel=1e-12)
-
-
-def test_gamma_vs_integral_definition():
-    # Gamma(x) as the integral of t^(x-1) e^-t
-    for x in (0.75, 2.5, 6.0):
-        want, _ = quad(lambda t: t ** (x - 1) * math.exp(-t), 0, np.inf)
-        assert math.exp(log_gamma(x)) == pytest.approx(want, rel=1e-9)
-
-
-def test_gamma_domain_errors():
-    for bad in (0.0, -1.0, -0.5):
-        with pytest.raises(ValueError):
-            log_gamma(bad)
-
-
-def test_log_gamma_vs_mpmath():
-    for x in (0.5, 3.0, 50.0, 500.0):
-        assert log_gamma(x) == pytest.approx(float(mpmath.loggamma(x)), rel=1e-13)
-
-
 # --- Bessel ------------------------------------------------------------------
 
 def _bessel_quadrature_oracle(r, u):
@@ -185,36 +151,47 @@ def _bessel_quadrature_oracle(r, u):
     return (u / 2) ** r / (math.sqrt(math.pi) * math.gamma(r + 0.5)) * integral
 
 
+def _check_h(got, nu, u, log_i, tol):
+    """got = h(nu, u) against an oracle's log I_nu(u), as h = log I_nu - nu log(u/2) + lnGamma(nu+1).
+
+    h keeps the absolute rounding of log I_nu, so the oracle's relative
+    tolerance on I_nu (or on log I_nu) becomes tol * max(1, |log I_nu|).
+    """
+    nu_mp, log_i = mpmath.mpf(nu), mpmath.mpf(log_i)
+    want = float(log_i - nu_mp * mpmath.log(mpmath.mpf(float(u)) / 2) + mpmath.loggamma(nu_mp + 1))
+    assert abs(got - want) <= tol * max(1.0, abs(float(log_i))), (nu, u, got, want)
+
+
 def test_bessel_trivials():
-    assert math.exp(log_bessel_i(0, 0.0)) == 1.0
-    assert math.exp(log_bessel_i(1, 0.0)) == 0.0
-    assert math.exp(log_bessel_i(0.5, 0.0)) == 0.0
+    # h(0) = 0 at every order: I_0(0) = 1, and the leading power is all of I_r near 0
+    for r in (0, 1, 0.5, -0.5):
+        assert log_bessel_i_normalized(r, 0.0) == 0.0
 
 
 def test_bessel_half_order_closed_form():
-    want = math.sqrt(2 / math.pi) * math.sinh(1.0)
-    assert math.exp(log_bessel_i(0.5, 1.0)) == pytest.approx(want, rel=1e-12)
+    # I_1/2(u) = sqrt(2 / (pi u)) sinh u, so h(1/2, u) = log(sinh u / u)
+    assert log_bessel_i_normalized(0.5, 1.0) == pytest.approx(math.log(math.sinh(1.0)), rel=1e-12)
 
 
 @pytest.mark.parametrize("r", [0.0, 0.5, 2.0, 11.0, 31.0])
 @pytest.mark.parametrize("u", [0.1, 1.0, 10.0, 100.0])
 def test_bessel_series_vs_quadrature(r, u):
-    assert math.exp(log_bessel_i(r, u)) == pytest.approx(_bessel_quadrature_oracle(r, u),
-                                                         rel=1e-8, abs=0)
+    log_i = mpmath.log(_bessel_quadrature_oracle(r, u))
+    _check_h(log_bessel_i_normalized(r, u), r, u, log_i, 1e-8)
 
 
 def test_bessel_vs_mpmath():
     for r in (0.0, 0.5, 5.0, 31.0):
         for u in (0.01, 1.0, 7.0, 50.0, 100.0):
-            want = float(mpmath.besseli(r, u))
-            assert math.exp(log_bessel_i(r, u)) == pytest.approx(want, rel=1e-9, abs=0)
+            log_i = mpmath.log(mpmath.besseli(r, u))
+            _check_h(log_bessel_i_normalized(r, u), r, u, log_i, 1e-9)
 
 
 def test_log_bessel_large_argument():
-    # beyond float64 range in linear domain; compare logs against mpmath
+    # I_r(u) beyond float64 range in linear domain; compare against mpmath's log
     for r, u in ((0.0, 800.0), (5.0, 2500.0), (11.0, 12000.0), (2.0, 30000.0)):
-        want = float(mpmath.log(mpmath.besseli(r, u)))
-        assert log_bessel_i(r, u) == pytest.approx(want, rel=1e-10)
+        log_i = mpmath.log(mpmath.besseli(r, u))
+        _check_h(log_bessel_i_normalized(r, u), r, u, log_i, 1e-10)
 
 
 def test_log_bessel_where_ive_gives_nan_vs_mpmath():
@@ -224,27 +201,29 @@ def test_log_bessel_where_ive_gives_nan_vs_mpmath():
     assert np.isnan(ive(orders, 1.1e9)).all()
     for r in orders:
         for u in (1.073e9, 1.1e9, 1e12):
-            want = float(mpmath.log(mpmath.besseli(r, u)))
-            assert log_bessel_i(r, u) == pytest.approx(want, rel=1e-15, abs=0), (r, u)
-    got = log_bessel_i(np.array(orders), np.array([1.0, 2e9, 5.0, 1e12, 1.0]))
-    assert np.isfinite(got).all()
-    assert got[1] == log_bessel_i(0.5, 2e9) and got[3] == log_bessel_i(11.0, 1e12)
+            log_i = mpmath.log(mpmath.besseli(r, u))
+            _check_h(log_bessel_i_normalized(r, u), r, u, log_i, 1e-15)
+        # both paths in one array give the scalar results
+        u = np.array([1.0, 2e9, 5.0, 1e12])
+        got = log_bessel_i_normalized(r, u)
+        assert np.isfinite(got).all()
+        assert got.tolist() == [log_bessel_i_normalized(r, float(uv)) for uv in u]
 
 
 def test_log_bessel_elementwise():
-    r = np.array([0.0, 0.5, 11.0, 245.0, -0.5])
     u = np.array([3.0, 0.0, 40.0, 1.0, 2.0])
-    got = log_bessel_i(r, u)
-    assert got.shape == (5,)
-    for rv, uv, g in zip(r, u, got):
-        assert g == log_bessel_i(float(rv), float(uv))
-    assert got[1] == -math.inf
-    assert log_bessel_i(-0.5, 0.0) == math.inf
+    for r in (0.0, 0.5, 11.0, 245.0, -0.5):
+        got = log_bessel_i_normalized(r, u)
+        assert got.shape == (5,)
+        for uv, g in zip(u, got):
+            assert g == log_bessel_i_normalized(r, float(uv))
+        assert got[1] == 0.0
     # ive(245, 1) underflows to 0; the hyp0f1 form takes over
-    want = float(mpmath.log(mpmath.besseli(245, 1)))
-    assert got[3] == pytest.approx(want, rel=1e-12)
-    assert got[4] == pytest.approx(math.log(math.sqrt(2 / (math.pi * 2.0)) * math.cosh(2.0)),
-                                   rel=1e-13)
+    _check_h(log_bessel_i_normalized(245.0, 1.0), 245.0, 1.0,
+             mpmath.log(mpmath.besseli(245, 1)), 1e-12)
+    # I_-1/2(u) = sqrt(2 / (pi u)) cosh u
+    _check_h(log_bessel_i_normalized(-0.5, 2.0), -0.5, 2.0,
+             math.log(math.sqrt(2 / (math.pi * 2.0)) * math.cosh(2.0)), 1e-13)
 
 
 def test_log_bessel_where_ive_underflows_vs_mpmath():
@@ -256,17 +235,17 @@ def test_log_bessel_where_ive_underflows_vs_mpmath():
         under = np.flatnonzero(ive(r, u) < 1e-280)
         assert under.size and under[-1] + 3 < u.size
         keep = u[: under[-1] + 4]
-        got = log_bessel_i(r, keep)
+        got = log_bessel_i_normalized(r, keep)
         with mpmath.workdps(50):
             for uv, g in zip(keep, got):
-                want = float(mpmath.log(mpmath.besseli(r, mpmath.mpf(float(uv)))))
-                assert abs(g - want) <= 1e-13 * max(1.0, abs(want)), (r, uv, g, want)
+                log_i = mpmath.log(mpmath.besseli(r, mpmath.mpf(float(uv))))
+                _check_h(g, r, uv, log_i, 1e-13)
                 checked += 1
     assert checked > 400
     # far beyond the detector's orders the hyp0f1 factor overflows: an error,
     # not a +inf log density
     with pytest.raises(ValueError, match="overflows"):
-        log_bessel_i(2000.0, 2600.0)
+        log_bessel_i_normalized(2000.0, 2600.0)
 
 
 # the Bessel orders nu = d/2 - 1 of the detector's densities at W 1, 2, 3,
@@ -331,9 +310,9 @@ def test_bessel_arg_exact_where_finite_and_finite_where_product_overflows():
 
 def test_bessel_domain_errors():
     with pytest.raises(ValueError):
-        log_bessel_i(0, -1.0)
+        log_bessel_i_normalized(0, -1.0)
     with pytest.raises(ValueError):
-        log_bessel_i(-1.0, 1.0)
+        log_bessel_i_normalized(-1.0, 1.0)
 
 
 # --- Gaussian Q --------------------------------------------------------------
@@ -362,33 +341,36 @@ def test_q_symmetry_and_monotonicity():
 
 # --- sin power integral ------------------------------------------------------
 
+# the paper's closed-form threshold divides by int_0^pi e^{cos t} sin^{W-2} t dt;
+# threshold_paper holds it as h((W-2)/2, 1), so these check it through there
+
 def test_sin_power_integral_w2():
-    want = math.pi * float(mpmath.besseli(0, 1))
-    assert sin_power_integral(2) == pytest.approx(want, rel=1e-9)
+    # the integral is pi I_0(1), and L = gamma - log I_0(1)
+    log_i0 = float(mpmath.log(mpmath.besseli(0, 1)))
+    for g in (0.5, 4.0, 10 ** 1.6):
+        assert threshold_paper(2, g) == pytest.approx((g - log_i0) ** 2 / (2 * g), rel=1e-12)
 
 
 def test_sin_power_integral_w3():
-    assert sin_power_integral(3) == pytest.approx(math.e - math.exp(-1), rel=1e-9)
+    # the integral is e - 1/e = 2 sinh 1, and L = 3 gamma/2 - log sinh 1
+    log_sinh1 = math.log(math.sinh(1.0))
+    for g in (0.5, 4.0, 10 ** 1.6):
+        assert threshold_paper(3, g) == pytest.approx((1.5 * g - log_sinh1) ** 2 / (3 * g),
+                                                      rel=1e-12)
 
 
 def test_sin_power_integral_vs_mpmath_quadrature():
-    # the Bessel closed form against direct high-precision quadrature, over
-    # every W a default-geometry sweep can ask for
-    with mpmath.workdps(20):
+    # threshold_paper against the paper's formula with the integral by direct
+    # high-precision quadrature, over every W a default-geometry sweep can ask for
+    with mpmath.workdps(30):
         for w in range(2, 247):
-            want = mpmath.quad(lambda t: mpmath.exp(mpmath.cos(t)) * mpmath.sin(t) ** (w - 2),
-                               [0, mpmath.pi / 2, mpmath.pi], method="gauss-legendre")
-            assert sin_power_integral(w) == pytest.approx(float(want), rel=1e-12)
-
-
-def test_sin_power_integral_monotone():
-    vals = [sin_power_integral(w) for w in range(2, 65)]
-    assert all(a > b for a, b in zip(vals, vals[1:]))
-
-
-def test_sin_power_integral_domain():
-    with pytest.raises(ValueError):
-        sin_power_integral(1)
+            integral = mpmath.quad(lambda t: mpmath.exp(mpmath.cos(t)) * mpmath.sin(t) ** (w - 2),
+                                   [0, mpmath.pi / 2, mpmath.pi], method="gauss-legendre")
+            for g in (0.5, 4.0, 10 ** 1.6):
+                log_arg = mpmath.log(mpmath.sqrt(mpmath.pi) * mpmath.gamma(w / 2 - 0.5)
+                                     / (mpmath.exp(-w * g / 2) * mpmath.gamma(w / 2) * integral))
+                want = float(log_arg ** 2 / (w * g))
+                assert threshold_paper(w, g) == pytest.approx(want, rel=1e-13), (w, g)
 
 
 # --- chi-square densities ----------------------------------------------------

@@ -177,7 +177,7 @@ def test_threshold_paper_reference_value():
 
 
 # closed-form thresholds at gamma = 0.5, 4, 10^0.9, 10^1.3, 10^1.6, recorded
-# while sin_power_integral was an adaptive quadrature
+# while the closed form's integral was an adaptive quadrature
 THRESHOLD_PAPER_RECORDED = {
     2: [0.069741226042675, 1.7710425895615538, 3.7392301265991335,
         9.741791909760044, 19.670143171706027],

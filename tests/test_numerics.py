@@ -151,15 +151,26 @@ def _bessel_quadrature_oracle(r, u):
     return (u / 2) ** r / (math.sqrt(math.pi) * math.gamma(r + 0.5)) * integral
 
 
-def _check_h(got, nu, u, log_i, tol):
-    """got = h(nu, u) against an oracle's log I_nu(u), as h = log I_nu - nu log(u/2) + lnGamma(nu+1).
+def _h_from(nu, u, log_i):
+    """An oracle's log I_nu(u) as h = log I_nu - nu log(u/2) + lnGamma(nu+1), in mpmath."""
+    nu = mpmath.mpf(nu)
+    return float(mpmath.mpf(log_i) - nu * mpmath.log(mpmath.mpf(float(u)) / 2)
+                 + mpmath.loggamma(nu + 1))
 
-    h keeps the absolute rounding of log I_nu, so the oracle's relative
-    tolerance on I_nu (or on log I_nu) becomes tol * max(1, |log I_nu|).
+
+def _check_h_vs_i(got, nu, u, log_i, rel):
+    """The I_nu(u) that got = h(nu, u) implies is within rel of the oracle's."""
+    assert abs(math.expm1(got - _h_from(nu, u, log_i))) <= rel, (nu, u, got)
+
+
+def _check_h_vs_log_i(got, nu, u, log_i, rel):
+    """got = h(nu, u) within rel * max(1, |log I_nu(u)|) of the oracle's h.
+
+    h keeps the absolute rounding of log I_nu, so a relative tolerance on
+    log I_nu applies to h in absolute terms.
     """
-    nu_mp, log_i = mpmath.mpf(nu), mpmath.mpf(log_i)
-    want = float(log_i - nu_mp * mpmath.log(mpmath.mpf(float(u)) / 2) + mpmath.loggamma(nu_mp + 1))
-    assert abs(got - want) <= tol * max(1.0, abs(float(log_i))), (nu, u, got, want)
+    want = _h_from(nu, u, log_i)
+    assert abs(got - want) <= rel * max(1.0, abs(float(log_i))), (nu, u, got, want)
 
 
 def test_bessel_trivials():
@@ -177,21 +188,21 @@ def test_bessel_half_order_closed_form():
 @pytest.mark.parametrize("u", [0.1, 1.0, 10.0, 100.0])
 def test_bessel_series_vs_quadrature(r, u):
     log_i = mpmath.log(_bessel_quadrature_oracle(r, u))
-    _check_h(log_bessel_i_normalized(r, u), r, u, log_i, 1e-8)
+    _check_h_vs_i(log_bessel_i_normalized(r, u), r, u, log_i, 1e-8)
 
 
 def test_bessel_vs_mpmath():
     for r in (0.0, 0.5, 5.0, 31.0):
         for u in (0.01, 1.0, 7.0, 50.0, 100.0):
             log_i = mpmath.log(mpmath.besseli(r, u))
-            _check_h(log_bessel_i_normalized(r, u), r, u, log_i, 1e-9)
+            _check_h_vs_i(log_bessel_i_normalized(r, u), r, u, log_i, 1e-9)
 
 
 def test_log_bessel_large_argument():
     # I_r(u) beyond float64 range in linear domain; compare against mpmath's log
     for r, u in ((0.0, 800.0), (5.0, 2500.0), (11.0, 12000.0), (2.0, 30000.0)):
         log_i = mpmath.log(mpmath.besseli(r, u))
-        _check_h(log_bessel_i_normalized(r, u), r, u, log_i, 1e-10)
+        _check_h_vs_log_i(log_bessel_i_normalized(r, u), r, u, log_i, 1e-10)
 
 
 def test_log_bessel_where_ive_gives_nan_vs_mpmath():
@@ -202,7 +213,7 @@ def test_log_bessel_where_ive_gives_nan_vs_mpmath():
     for r in orders:
         for u in (1.073e9, 1.1e9, 1e12):
             log_i = mpmath.log(mpmath.besseli(r, u))
-            _check_h(log_bessel_i_normalized(r, u), r, u, log_i, 1e-15)
+            _check_h_vs_log_i(log_bessel_i_normalized(r, u), r, u, log_i, 1e-15)
         # both paths in one array give the scalar results
         u = np.array([1.0, 2e9, 5.0, 1e12])
         got = log_bessel_i_normalized(r, u)
@@ -219,11 +230,11 @@ def test_log_bessel_elementwise():
             assert g == log_bessel_i_normalized(r, float(uv))
         assert got[1] == 0.0
     # ive(245, 1) underflows to 0; the hyp0f1 form takes over
-    _check_h(log_bessel_i_normalized(245.0, 1.0), 245.0, 1.0,
-             mpmath.log(mpmath.besseli(245, 1)), 1e-12)
+    _check_h_vs_log_i(log_bessel_i_normalized(245.0, 1.0), 245.0, 1.0,
+                      mpmath.log(mpmath.besseli(245, 1)), 1e-12)
     # I_-1/2(u) = sqrt(2 / (pi u)) cosh u
-    _check_h(log_bessel_i_normalized(-0.5, 2.0), -0.5, 2.0,
-             math.log(math.sqrt(2 / (math.pi * 2.0)) * math.cosh(2.0)), 1e-13)
+    _check_h_vs_log_i(log_bessel_i_normalized(-0.5, 2.0), -0.5, 2.0,
+                      math.log(math.sqrt(2 / (math.pi * 2.0)) * math.cosh(2.0)), 1e-13)
 
 
 def test_log_bessel_where_ive_underflows_vs_mpmath():
@@ -239,7 +250,7 @@ def test_log_bessel_where_ive_underflows_vs_mpmath():
         with mpmath.workdps(50):
             for uv, g in zip(keep, got):
                 log_i = mpmath.log(mpmath.besseli(r, mpmath.mpf(float(uv))))
-                _check_h(g, r, uv, log_i, 1e-13)
+                _check_h_vs_log_i(g, r, uv, log_i, 1e-13)
                 checked += 1
     assert checked > 400
     # far beyond the detector's orders the hyp0f1 factor overflows: an error,

@@ -81,25 +81,29 @@ def detection_gamma(config: SystemConfig, ps, sum_g2, sum_f2):
     )
 
 
-def detection_snr(config: SystemConfig, sum_g2, sum_f2):
+def detection_snr(config: SystemConfig, sum_g2=None, sum_f2=None):
     """(source power, detection SNR) of a point for the drawn tap energies.
 
-    sum_g2 and sum_f2 are scalars or per-trial arrays. direct-gamma rescales the source power so that
-    gamma = 10^(gamma_db/10). from-Ps keeps Ps, with the SNR of the drawn
-    taps (genie; an array in the kernel) or of the mean tap energies M+1
-    and K+1 (ensemble; one scalar).
+    sum_g2 and sum_f2 are scalars or per-trial arrays; None (the default)
+    means the mean tap energies M+1 and K+1, the point's own operating point.
+    direct-gamma rescales the source power so that gamma = 10^(gamma_db/10).
+    from-Ps keeps Ps, with the SNR of the drawn taps (genie; an array in the
+    kernel) or of the mean tap energies (ensemble; one scalar).
     """
     # with no noise the statistic is 0/0 and the BER would be noise, not a
     # measurement; SystemConfig itself allows Nw=0 for noiseless frames
     if config.Nw == 0:
         raise ValueError("the detection SNR needs noise power Nw > 0")
+    # the mean taps: by default (set before the direct-gamma branch, as its
+    # source rescale reads them too), and always for the from-Ps ensemble SNR
+    if sum_g2 is None or (config.snr_mode == "from-Ps"
+                          and config.gamma_knowledge == "ensemble"):
+        sum_g2, sum_f2 = config.M + 1, config.K + 1
     if config.snr_mode == "direct-gamma":
         if config.eta == 0:
             raise ValueError("direct-gamma mode needs eta != 0")
         gamma = 10.0 ** (config.gamma_db / 10.0)
         return gamma / detection_gamma(config, 1.0, sum_g2, sum_f2), gamma
-    if config.gamma_knowledge == "ensemble":
-        sum_g2, sum_f2 = config.M + 1, config.K + 1
     return config.Ps, detection_gamma(config, config.Ps, sum_g2, sum_f2)
 
 
@@ -140,7 +144,7 @@ def threshold_paper(W: int, gamma):
     The paper's sqrt(W gamma T_h) = L has no root where L < 0, below
     gamma = 2 h(nu, 1)/W; the square then grows as 1/gamma:
     threshold_paper(3, 1e-20) = (log sinh 1)^2/(3e-20) = 8.7e17 against a
-    crossing near 3 (ROADMAP item 8).
+    crossing near 3 (ROADMAP item 11).
     """
     if W < 2:
         raise ValueError(f"closed form requires W >= 2, got {W}")

@@ -15,7 +15,7 @@ Two execution paths exist:
     N+C frame (full-length source symbol, full-frame noise, all three
     channels) and pushes it through the receiver and detector.
   * the batch kernel used by run_experiment: per trial it draws only what
-    the statistic reads and forms the bins test_statistic sums directly, with
+    the statistic reads and forms its W bins directly, with
     receiver.bin_geometry's phases omega^(p i), omega = exp(-2 pi j / (R+1)):
         Z_p = eta sqrt(Ps) F_p U_p,   F_p = sum_k f_k omega^(p k),
         N_p = sqrt(2 Nw) (sqrt(R+1) a_p + sum_{i<K} b_i omega^(p i)),
@@ -28,16 +28,19 @@ Two execution paths exist:
     CN(0, (R+1) Ps), and bin_geometry's edge map draws the d_i given S, so
     the bins are exact in law. The direct source->reader path is omitted
     because the Phase 2/4 subtraction removes it exactly (checked to 1e-10).
+    receiver.bin_statistic sums the bins, as it does for test_statistic.
 
 A sweep point is one SystemConfig: the base config at the point's W and,
 in direct-gamma mode, its gamma_db (ExperimentSpec.points). Both paths
 read W and the SNR from it, and detector.detection_snr is the one rule that
-turns drawn tap energies into (source power, detection SNR), so
-run_trial(point, ...) replays a kernel point. run_trial decides each frame
-with detector.decide; a kernel chunk is given only its point and trial
-range and decides all its trials with one detector.decide_array call. The
-two paths consume streams differently, so they are not bit-identical trial
-for trial; the suite checks they agree statistically.
+turns tap energies into (source power, detection SNR): the drawn ones per
+trial, and by default the mean ones, for the point's reported SNR and
+threshold. So run_trial(point, ...) replays a kernel point. run_trial
+decides each frame with detector.decide; a kernel chunk is given only its
+point and trial range and decides all its trials with one
+detector.decide_array call. The two paths consume streams differently, so
+they are not bit-identical trial for trial; the suite checks they agree
+statistically.
 """
 
 from __future__ import annotations
@@ -64,12 +67,13 @@ from .detector import (
 )
 from .numerics import RngStream
 from .phy import SystemConfig, draw_channels, simulate_frame
-from .receiver import bin_geometry, noise_power, process, test_statistic
+from .receiver import bin_geometry, bin_statistic, noise_power, process, test_statistic
 
 _TRIAL_BITS = 40  # trial index width inside a stream id
 _CHUNK = 1024  # trials per keyed stream and per task
 _ROWS = 512  # trials reduced at once: bounds the arrays a worker thread holds
 _EMIT_MODES = ("ber_vs_snr", "ber_vs_w", "pdf_curves")
+_PDF_POINTS = 800  # rows of a pdf_curves table
 # a point's summed bin energy, mean W (1 + gamma) P_w under H1, must stay
 # 2^20 below the float64 maximum, so squaring and summing the bins cannot
 # overflow: no trial's statistic comes near that multiple of the mean (the
@@ -129,7 +133,7 @@ class ExperimentSpec:
         for point in self.points():
             if point.W < 2 and point.threshold_mode == "closed-form":
                 raise ValueError(f"W={point.W}: the closed-form threshold needs W >= 2")
-            _, gamma = detection_snr(point, point.M + 1, point.K + 1)
+            _, gamma = detection_snr(point)
             if point.W * (1.0 + gamma) * noise_power(point) > _BIN_ENERGY_MAX:
                 raise ValueError(
                     f"W={point.W}: detection SNR {10.0 * math.log10(gamma):.1f} dB is out "
@@ -259,9 +263,7 @@ def _row_statistics(point: SystemConfig, gen: np.random.Generator, count: int,
     # the product of g and s a factor 2
     amp = bits * point.eta * np.sqrt(ps / 2.0) / 2.0
     bins = amp[:, None] * f_bins * u_bins + math.sqrt(point.Nw) * noise
-    stats = np.sum(bins.real ** 2 + bins.imag ** 2, axis=1) / noise_power(point)
-
-    return bits, stats, gamma
+    return bits, bin_statistic(bins, point), gamma
 
 
 def _run_chunk(point: SystemConfig, point_index: int, start: int, count: int) -> int:
@@ -299,7 +301,7 @@ def _point_setup(point: SystemConfig):
     The SNR is the operating point's at the mean tap energies: the pinned
     SNR in direct-gamma mode, the ensemble SNR in from-Ps mode.
     """
-    _, gamma = detection_snr(point, point.M + 1, point.K + 1)
+    _, gamma = detection_snr(point)
     if point.snr_mode == "direct-gamma":
         snr_db = point.gamma_db
     else:
@@ -421,7 +423,7 @@ def parse_csv(path) -> list[BerResult]:
     return out
 
 
-def run_pdf_curves(spec: ExperimentSpec, n_points: int = 800) -> np.ndarray:
+def run_pdf_curves(spec: ExperimentSpec) -> np.ndarray:
     """Density table for the first sweep point (pdf_curves emit mode).
 
     The point is spec.points()[0] at the SNR of its BER row: the first
@@ -429,10 +431,10 @@ def run_pdf_curves(spec: ExperimentSpec, n_points: int = 800) -> np.ndarray:
     in from-Ps mode.
     """
     point = spec.points()[0]
-    _, gamma = detection_snr(point, point.M + 1, point.K + 1)
+    _, gamma = detection_snr(point)
     w = point.W
     hi = w * (1.0 + gamma) + 8.0 * math.sqrt(2.0 * w * (1.0 + 2.0 * gamma))
-    grid = np.linspace(hi / n_points, hi, n_points)
+    grid = np.linspace(hi / _PDF_POINTS, hi, _PDF_POINTS)
     return analysis.pdf_curves(point, gamma, grid)
 
 

@@ -1,12 +1,11 @@
-"""Special functions, transforms, and reproducible random streams.
+"""Special functions and reproducible random streams.
 
-Everything downstream (channel generation, the DFT receiver, the chi-square
-detection densities, Monte Carlo trials) is built on the primitives in this
-module. Complex baseband samples are plain ``numpy.complex128`` values; all
+Channel generation, the chi-square detection densities and the Monte Carlo
+trials are built on the primitives in this module (the receiver's DFT is
+numpy's unnormalized FFT). Complex baseband samples are plain ``numpy.complex128`` values; all
 public functions return finite results on their documented domains.
 
 Numerical conventions:
-  * the DFT is the unnormalized matrix form, F[p, q] = exp(-2j*pi*p*q/n);
   * the chi-square log densities and h(u) work elementwise on arrays, so
     a detector can evaluate one density per trial in one call;
   * h(u) = log 0F1(; nu+1; u^2/4), the normalized log I_nu, is the one
@@ -53,34 +52,17 @@ class RngStream:
         )
 
 
-def complex_gaussian(gen: np.random.Generator, variance: float, size: int | None = None):
-    """Draw circularly symmetric complex Gaussian samples, CN(0, variance).
+def complex_gaussian(gen: np.random.Generator, variance: float, size: int) -> np.ndarray:
+    """Draw `size` circularly symmetric complex Gaussian samples, CN(0, variance).
 
     Real and imaginary parts are independent N(0, variance/2). With
     variance == 0 the result is exactly zero and the stream is not consumed.
-    Returns a complex scalar if size is None, else a 1-D complex array.
     """
     if variance < 0:
         raise ValueError(f"variance must be >= 0, got {variance}")
-    n = 1 if size is None else int(size)
     if variance == 0.0:
-        out = np.zeros(n, dtype=np.complex128)
-    else:
-        v = gen.standard_normal(2 * n)
-        out = v.view(np.complex128) * math.sqrt(variance / 2.0)
-    return out[0] if size is None else out
-
-
-def dft(v) -> np.ndarray:
-    """Unnormalized DFT of a 1-D vector, any length.
-
-    Matches the matrix definition sum_q v[q] exp(-2j*pi*p*q/n) with no
-    1/sqrt(n) factor; length is preserved.
-    """
-    arr = np.asarray(v, dtype=np.complex128)
-    if arr.ndim != 1 or arr.size < 1:
-        raise ValueError("dft expects a non-empty 1-D vector")
-    return np.fft.fft(arr)
+        return np.zeros(size, dtype=np.complex128)
+    return gen.standard_normal(2 * size).view(np.complex128) * math.sqrt(variance / 2.0)
 
 
 def gaussian_q(x: float) -> float:

@@ -11,10 +11,12 @@ with w_e ~ CN(0, 2*Nw) and T = C-Q-1. Because the gated tag signal only
 occupies R+1 = T-K+1 samples, folding the last K entries of z onto its head
 turns the linear convolution with f into a circular one of length R+1, which
 an (R+1)-point DFT diagonalizes: z_tilde = eta * f_tilde * b * x_tilde +
-w_tilde, bin by bin. process returns that z_tilde. The test statistic, a
-float, sums |z_tilde|^2 over the bins statistic_bins names (the first W)
-normalized by the per-bin noise power P_w = 2*(T+1)*Nw. bin_geometry holds
-those bins' phases and the edge map with which harness's kernel draws them.
+w_tilde, bin by bin. process returns that z_tilde (numpy's unnormalized FFT).
+The test statistic sums |z_tilde|^2 over the bins statistic_bins names (the
+first W) normalized by the per-bin noise power P_w = 2*(T+1)*Nw.
+bin_statistic is that sum, the one for test_statistic and for harness's batch
+kernel alike; bin_geometry holds those bins' phases and the edge map with
+which the kernel draws them.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numerics import dft
 from .phy import SystemConfig
 
 
@@ -65,12 +66,17 @@ def fold(z: np.ndarray, config: SystemConfig) -> np.ndarray:
 def process(y: np.ndarray, config: SystemConfig) -> np.ndarray:
     """Full receiver front end: windows -> cancel -> fold -> DFT; returns z_tilde."""
     y1, y2 = extract_windows(y, config)
-    return dft(fold(cancel(y1, y2), config))
+    return np.fft.fft(fold(cancel(y1, y2), config))
 
 
 def statistic_bins(W: int) -> np.ndarray:
     """Indices of the DFT bins the statistic sums: the first W, 0..W-1."""
     return np.arange(W)
+
+
+def bin_statistic(bins: np.ndarray, config: SystemConfig):
+    """The statistic of the bins on the last axis: sum |bin|^2 / noise_power."""
+    return np.sum(bins.real ** 2 + bins.imag ** 2, axis=-1) / noise_power(config)
 
 
 @lru_cache(maxsize=64)
@@ -100,9 +106,8 @@ def bin_geometry(W: int, m: int, k: int, nb: int):
 
 def test_statistic(z_tilde: np.ndarray, config: SystemConfig) -> float:
     """Energy statistic over the statistic's bins, normalized by noise_power."""
-    pw = noise_power(config)
-    if not pw > 0:
+    if not noise_power(config) > 0:
         raise ValueError(f"the statistic needs noise power Nw > 0, got Nw={config.Nw}")
     if len(z_tilde) != config.R + 1:
         raise ValueError(f"expected {config.R + 1} bins, got {len(z_tilde)}")
-    return float(np.sum(np.abs(z_tilde[statistic_bins(config.W)]) ** 2)) / pw
+    return float(bin_statistic(z_tilde[statistic_bins(config.W)], config))

@@ -15,7 +15,7 @@ from scipy import stats
 from cpscatter.analysis import ber_exact
 from cpscatter.detector import threshold_exact, threshold_paper
 from cpscatter.harness import ExperimentSpec, collect_statistics, emit_csv, run_experiment
-from cpscatter.numerics import (RngStream, complex_gaussian, dft, gaussian_q, log_bessel_i_normalized,
+from cpscatter.numerics import (RngStream, complex_gaussian, gaussian_q, log_bessel_i_normalized,
                                 log_chi2_pdf)
 from cpscatter.phy import SystemConfig, draw_channels, legacy_demodulate, observe_components, simulate_frame, tag_gate
 from cpscatter.receiver import cancel, extract_windows, fold, noise_power, process
@@ -69,7 +69,7 @@ def test_criterion_2_diagonalization_oracle(report):
     for _ in range(200):
         f_taps = complex_gaussian(gen, 1.0, cfg.K + 1)
         x = complex_gaussian(gen, 1.0, n)
-        fast = dft(fold(cfg.eta * np.convolve(f_taps, x), cfg))
+        fast = np.fft.fft(fold(cfg.eta * np.convolve(f_taps, x), cfg))
         col = np.zeros(n, dtype=complex)
         col[: cfg.K + 1] = f_taps
         circ = np.column_stack([np.roll(col, j) for j in range(n)])
@@ -265,6 +265,8 @@ def test_criterion_11_determinism_across_workers(report, tmp_path):
             report.add("  criterion 11 detail (default convention sweep): "
                        + ", ".join(f"(W={r.W},{r.snr_db:g}dB)={r.ber_sim:.4f}" for r in rows))
     ok = files[0] == files[1]
+    # the byte counts only on failure: a one-ulp change to a closed-form value
+    # changes the length, not the comparison the report records
     assert record(report, 11, ok,
-                  f"default experiment CSVs byte-identical at 1 and 8 workers "
-                  f"({len(files[0])} bytes)")
+                  "default experiment CSVs byte-identical at 1 and 8 workers"
+                  + ("" if ok else f" (differ: {len(files[0])} vs {len(files[1])} bytes)"))

@@ -434,8 +434,6 @@ def test_kernel_phases_are_the_receiver_bins_dft():
     # the kernel forms its bins from the shared phase table; column i must be
     # the DFT of a unit impulse at offset i (mod R+1: at M > R+1 the offsets
     # wrap), read at the bins test_statistic sums, so the paths cannot drift
-    from cpscatter.numerics import dft
-
     for geometry in _ORACLE_GEOMETRIES:
         cfg = SystemConfig(**geometry)
         nb = cfg.R + 1
@@ -445,7 +443,7 @@ def test_kernel_phases_are_the_receiver_bins_dft():
             for i in range(phase.shape[1]):
                 impulse = np.zeros(nb)
                 impulse[i % nb] = 1.0
-                want = dft(impulse)[statistic_bins(w)]
+                want = np.fft.fft(impulse)[statistic_bins(w)]
                 assert np.max(np.abs(phase[:, i] - want)) < 1e-12, (geometry, w, i)
 
 
@@ -923,6 +921,25 @@ def test_csv_write_error_mentions_path():
         write_pdf_csv(np.zeros((2, 3)), "/no/such/dir/pdf.csv")
 
 
+def _write(path, text):
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda tmp: ExperimentSpec(trials_per_point=2 ** 40), r"trials_per_point must be < 2\^40"),
+    (lambda tmp: ExperimentSpec(workers=-1), "workers must be >= 0"),
+    (lambda tmp: parse_csv(_write(tmp / "r.csv", "snr_db,W\n6.0,3\n")),
+     r"unexpected CSV header in .*r\.csv"),
+    (lambda tmp: load_config_file(_write(tmp / "b.cfg", "seed = 1\nseed 2\n")),
+     r"b\.cfg:2: expected key=value, got 'seed 2'"),
+    (lambda tmp: build_spec(None, {"frobnicate": 3}), "unknown configuration key 'frobnicate'"),
+], ids=["trials-2^40", "workers-negative", "csv-header", "config-no-equals", "override-key"])
+def test_harness_refusals(tmp_path, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(tmp_path)
+
+
 @pytest.mark.parametrize("edit", [lambda row: row.rsplit(",", 1)[0],
                                   lambda row: row + ",7"], ids=["short", "long"])
 def test_parse_csv_rejects_wrong_column_count(tmp_path, edit):
@@ -1031,14 +1048,14 @@ def test_effective_config_dump_round_trips(tmp_path):
 
 def test_run_pdf_curves_table(tmp_path):
     spec = ExperimentSpec(base=SystemConfig(seed=1), snr_db_list=(13.0,), W_list=(3,))
-    table = run_pdf_curves(spec, n_points=400)
-    assert table.shape == (400, 3)
+    table = run_pdf_curves(spec)
+    assert table.shape == (800, 3)
     assert np.all(table[:, 1:] >= 0)
     path = tmp_path / "pdf.csv"
     write_pdf_csv(table, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "x,f0,f1"
-    assert len(lines) == 401
+    assert len(lines) == 801
     # plain float reprs, not numpy's np.float64(...), so the table reads back exactly
     assert np.array_equal(np.loadtxt(path, delimiter=",", skiprows=1), table)
 
@@ -1048,7 +1065,7 @@ def test_run_pdf_curves_from_ps_uses_ensemble_snr():
 
     base = SystemConfig(snr_mode="from-Ps", Ps=10.0, dof_convention="complex")
     spec = ExperimentSpec(base=base, snr_db_list=(6.0,), W_list=(12,))
-    table = run_pdf_curves(spec, n_points=200)
+    table = run_pdf_curves(spec)
     _, gamma = detection_snr(base, base.M + 1, base.K + 1)
     assert gamma == pytest.approx(44.1, rel=1e-3)  # 16.4 dB, not the listed 6 dB
     (point,) = spec.points()
@@ -1120,12 +1137,13 @@ def test_cli_print_config_is_unchanged(tmp_path, capsys):
 
 def test_cli_import_loads_no_scipy_integrate_or_stats():
     # a fresh interpreter, as `sim` starts: each of these costs start-up time
+    # (scipy.optimize, for one, about as much as the whole CLI import)
     src = str(Path(cpscatter.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = ("import sys, cpscatter.cli; "
-            "print(sorted(m for m in ('multiprocessing', 'scipy.integrate', 'scipy.stats')"
-            " if m in sys.modules))")
+            "print(sorted(m for m in ('multiprocessing', 'scipy.integrate', 'scipy.optimize',"
+            " 'scipy.stats') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"

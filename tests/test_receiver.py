@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cpscatter.numerics import RngStream, complex_gaussian, dft
+from cpscatter.numerics import RngStream, complex_gaussian
 from cpscatter.phy import (
     SystemConfig,
     draw_channels,
@@ -48,6 +48,13 @@ def test_window_q_zero_starts_at_origin():
 def test_windows_disjoint():
     c = cfg()
     assert c.N + c.Q > c.C - 1  # phase 4 starts after phase 2 ends
+
+
+@pytest.mark.parametrize("read", [extract_windows, legacy_demodulate])
+def test_frame_readers_refuse_wrong_length(read):
+    c = cfg()
+    with pytest.raises(ValueError, match=f"expected {c.frame_len} samples, got {c.frame_len - 1}"):
+        read(np.zeros(c.frame_len - 1, dtype=complex), c)
 
 
 def test_cancel_elementwise():
@@ -172,7 +179,7 @@ def test_circulant_diagonalization_identity():
 
 
 def test_transform_zero():
-    assert not dft(np.zeros(246, dtype=complex)).any()
+    assert not np.fft.fft(np.zeros(246, dtype=complex)).any()
 
 
 def test_single_path_constant_gate_diagonalizes():
@@ -231,7 +238,7 @@ def test_noise_only_statistic_mean():
     for _ in range(n):
         w1 = complex_gaussian(gen, c.Nw, c.T + 1)
         w2 = complex_gaussian(gen, c.Nw, c.T + 1)
-        zt = dft(fold(cancel(w1, w2), c))
+        zt = np.fft.fft(fold(cancel(w1, w2), c))
         acc += energy_statistic(zt, c)
         acc_bins += float(np.mean(np.abs(zt) ** 2))
     assert acc / n == pytest.approx(c.W, rel=0.03)

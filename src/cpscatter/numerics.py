@@ -1,9 +1,9 @@
 """Special functions and reproducible random streams.
 
 Channel generation, the chi-square detection densities and the Monte Carlo
-trials are built on the primitives in this module (the receiver's DFT is
-numpy's unnormalized FFT). Complex baseband samples are plain ``numpy.complex128`` values; all
-public functions return finite results on their documented domains.
+trials are built on the primitives in this module. Complex baseband samples
+are plain ``numpy.complex128`` values; all public functions return finite
+results on their documented domains.
 
 Numerical conventions:
   * the chi-square log densities and h(u) work elementwise on arrays, so

@@ -1,4 +1,4 @@
-"""Special functions, the DFT, and random-stream tests against independent oracles."""
+"""Special functions, DFT, and random-stream tests against independent oracles."""
 
 import math
 

@@ -96,8 +96,7 @@ def detection_snr(config: SystemConfig, sum_g2=None, sum_f2=None):
         raise ValueError("the detection SNR needs noise power Nw > 0")
     # the mean taps: by default (set before the direct-gamma branch, as its
     # source rescale reads them too), and always for the from-Ps ensemble SNR
-    if sum_g2 is None or (config.snr_mode == "from-Ps"
-                          and config.gamma_knowledge == "ensemble"):
+    if sum_g2 is None or config.gamma_knowledge == "ensemble":
         sum_g2, sum_f2 = config.M + 1, config.K + 1
     if config.snr_mode == "direct-gamma":
         if config.eta == 0:
@@ -247,8 +246,8 @@ def threshold_for(config: SystemConfig, gamma: float) -> float:
     gamma=1e-8, and by 5.3e-13 at W=3 complex, gamma=1e-12 (80-digit
     reference); below gamma ~ 1e-16 the bracket rounds to W, the result.
     decide_array's sign of D is as uncertain there (the sign _log_ratio
-    computes, whether the bounds or D settle it); sweeps stay far above
-    (kernel-drawn from-Ps gamma >~ 0.37).
+    computes, whether the bounds or D settle it); sweeps stay far above (CI's
+    fromps-closed sweep, seed 1, 1500 trials per W, draws gamma >= 0.32).
     """
     gamma = float(_gammas(gamma))
     if gamma == 0:

@@ -14,21 +14,10 @@ Two execution paths exist:
   * run_trial: the reference single-trial path. It assembles the complete
     N+C frame (full-length source symbol, full-frame noise, all three
     channels) and pushes it through the receiver and detector.
-  * the batch kernel used by run_experiment: per trial it draws only what
-    the statistic reads and forms its W bins directly, with
-    receiver.bin_geometry's phases omega^(p i), omega = exp(-2 pi j / (R+1)):
-        Z_p = eta sqrt(Ps) F_p U_p,   F_p = sum_k f_k omega^(p k),
-        N_p = sqrt(2 Nw) (sqrt(R+1) a_p + sum_{i<K} b_i omega^(p i)),
-    a (W) and b (K) CN(0, 1), as the DFT of R+1 i.i.d. noise samples is
-    i.i.d. and the fold adds the last K with fixed phases. U, the DFT of
-    the tag signal on the gated window s[Q:Q+R+1], needs no tag FIR:
-        U_p = G_p S_p + sum_{j<M} c_j omega^(p j),   G_p = sum_m g_m omega^(p m),
-        c_j = sum_{m-i=j, 1<=i<=m<=M} g_m d_i,   d_i = s[Q-i] - s[Q+R+1-i],
-    with S the window's DFT. Nor is the window drawn: the S_p are i.i.d.
-    CN(0, (R+1) Ps), and bin_geometry's edge map draws the d_i given S, so
-    the bins are exact in law. The direct source->reader path is omitted
-    because the Phase 2/4 subtraction removes it exactly (checked to 1e-10).
-    receiver.bin_statistic sums the bins, as it does for test_statistic.
+  * the batch kernel used by run_experiment: per trial it draws no frame,
+    only the taps, the window's bins and edge samples and the noise (row
+    layout: _chunk_statistics). receiver forms the W bins from them in a tap
+    and a symbol stage, with the formulas, and sums them as for test_statistic.
 
 A sweep point is one SystemConfig: the base config at the point's W and,
 in direct-gamma mode, its gamma_db (ExperimentSpec.points). Both paths
@@ -67,7 +56,7 @@ from .detector import (
 )
 from .numerics import RngStream
 from .phy import SystemConfig, draw_channels, simulate_frame
-from .receiver import bin_geometry, bin_statistic, noise_power, process, test_statistic
+from .receiver import bin_gains, bin_statistic, noise_power, process, symbol_bins, test_statistic
 
 _TRIAL_BITS = 40  # trial index width inside a stream id
 _CHUNK = 1024  # trials per keyed stream and per task
@@ -230,31 +219,21 @@ def _chunk_statistics(point: SystemConfig, point_index: int, start: int, count: 
 def _row_statistics(point: SystemConfig, gen: np.random.Generator, count: int,
                     force_bit: int | None):
     """(bits, statistics, gamma) of the next `count` rows of gen's block."""
-    W, m, k = point.W, point.M, point.K
-    m1, k1, nb = m + 1, k + 1, point.R + 1  # nb: the gated window length
-    ends = np.cumsum([m1, k1, W, m, min(m, nb), k, W])  # the blocks above
+    m, m1, k1 = point.M, point.M + 1, point.K + 1
+    # the blocks above, with S, pre and z as one window block
+    ends = np.cumsum([m1, k1, point.W + m + min(m, point.R + 1), point.K, point.W])
     v = np.empty((count, 2 * ends[-1] + 1))
     gen.standard_normal(out=v)
 
     # each complex entry is re + j*im of two standard normals: CN(0, 2), the
     # law of one source sample; the 1/sqrt(2) factors are applied below
     cv = v[:, :-1].view(np.complex128)
-    g, f, s_bins, pre, _, b, a = np.split(cv, ends[:-1], axis=1)
+    g, f, window, b, a = np.split(cv, ends[:-1], axis=1)
     sum_g2 = 0.5 * np.sum(v[:, : 2 * m1] ** 2, axis=1)
     sum_f2 = 0.5 * np.sum(v[:, 2 * m1 : 2 * (m1 + k1)] ** 2, axis=1)
     ps, gamma = detection_snr(point, sum_g2, sum_f2)
-
-    phase, emap = bin_geometry(W, m, k, nb)
-    # tag FIR bins U_p = G_p S_p + edge terms, d_i = s[Q-i] - s[Q+nb-i];
-    # einsum, not @: OpenBLAS threads products this size, then spins per worker
-    d = pre - np.einsum("tj,je->te", cv[:, ends[1] : ends[4]], emap)
-    c = np.zeros_like(d)
-    for i in range(1, m1):
-        c[:, : m1 - i] += g[:, i:] * d[:, i - 1 : i]
-    u_bins = (np.einsum("tm,pm->tp", g, phase[:, :m1]) * (math.sqrt(nb) * s_bins)
-              + np.einsum("tj,pj->tp", c, phase[:, :m]))
-    f_bins = np.einsum("tk,pk->tp", f, phase[:, :k1])
-    noise = math.sqrt(nb) * a + np.einsum("tk,pk->tp", b, phase[:, :k])
+    g_bins, f_bins = bin_gains(g, f, point)
+    u_bins, noise = symbol_bins(g, g_bins, window, b, a, point)
 
     bits = (v[:, -1] > 0) if force_bit is None else np.full(count, force_bit == 1)
     bits = bits.astype(np.int64)

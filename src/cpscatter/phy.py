@@ -56,8 +56,8 @@ class SystemConfig:
     dof_convention: "paper" models the statistic as chi-square with W dof;
         "complex" uses the statistically exact 2W-dof scaling
     threshold_mode: "closed-form" or "exact-root" detection threshold
-    gamma_knowledge: "genie" computes the per-trial SNR from the drawn taps,
-        "ensemble" substitutes the channel-averaged tap energies
+    gamma_knowledge: from-Ps only; "genie" computes the per-trial SNR from the
+        drawn taps, "ensemble" substitutes the channel-averaged tap energies
     """
 
     N: int = 2048
@@ -122,6 +122,8 @@ class SystemConfig:
             raise ValueError(f"threshold_mode must be one of {_THRESHOLD_MODES}")
         if self.gamma_knowledge not in _GAMMA_KNOWLEDGE:
             raise ValueError(f"gamma_knowledge must be one of {_GAMMA_KNOWLEDGE}")
+        if self.gamma_knowledge == "ensemble" and self.snr_mode == "direct-gamma":
+            raise ValueError("gamma_knowledge=ensemble needs snr_mode=from-Ps, not direct-gamma")
 
     @property
     def Q(self) -> int:

@@ -15,8 +15,19 @@ w_tilde, bin by bin. process returns that z_tilde (numpy's unnormalized FFT).
 The test statistic sums |z_tilde|^2 over the bins statistic_bins names (the
 first W) normalized by the per-bin noise power P_w = 2*(T+1)*Nw.
 bin_statistic is that sum, the one for test_statistic and for harness's batch
-kernel alike; bin_geometry holds those bins' phases and the edge map with
-which the kernel draws them.
+kernel alike.
+
+The batch kernel draws no frame. From bin_geometry's phases omega^(p i),
+omega = exp(-2 pi j / (R+1)), its tap stage bin_gains forms the tap DFTs
+G_p = sum_m g_m omega^(p m) and F_p = sum_k f_k omega^(p k), and its symbol
+stage symbol_bins the tag-signal and noise bins
+    U_p = G_p S_p + sum_{j<M} c_j omega^(p j),   c_j = sum_{m-i=j, 1<=i<=m<=M} g_m d_i,
+    N_p = sqrt(R+1) a_p + sum_{i<K} b_i omega^(p i),   d_i = s[Q-i] - s[Q+R+1-i].
+Bin p is eta sqrt(Ps) F_p U_p + sqrt(2 Nw) N_p, a (W) and b (K) CN(0, 1):
+the DFT of R+1 i.i.d. noise samples is i.i.d., and the fold adds the last K
+with fixed phases. U (of a unit-power source) needs no tag FIR, nor the
+gated window s[Q:Q+R+1]: its DFT S is i.i.d. CN(0, R+1), and bin_geometry's
+edge map draws the d_i given S, so the bins are exact in law.
 """
 
 from __future__ import annotations
@@ -102,6 +113,29 @@ def bin_geometry(W: int, m: int, k: int, nb: int):
     emap[W + m :, :mt] = ((vec * np.sqrt(np.clip(lam, 0.0, None))) @ vec.conj().T).T
     phase.flags.writeable = emap.flags.writeable = False
     return phase, emap
+
+
+def bin_gains(g: np.ndarray, f: np.ndarray, config: SystemConfig):
+    """Tap stage: (G, F), the DFTs at the bins of the taps g (.., M+1) and f (.., K+1)."""
+    phase, _ = bin_geometry(config.W, config.M, config.K, config.R + 1)
+    # einsum, not @ (also symbol_bins): OpenBLAS threads products this size, then spins
+    return (np.einsum("tm,pm->tp", g, phase[:, : config.M + 1]),
+            np.einsum("tk,pk->tp", f, phase[:, : config.K + 1]))
+
+
+def symbol_bins(g, g_bins, window, b, a, config: SystemConfig):
+    """Symbol stage: (U, N) of taps g, G = g_bins, window [s_bins | pre | z], b and a."""
+    W, m, nb = config.W, config.M, config.R + 1
+    phase, emap = bin_geometry(W, m, config.K, nb)
+    d = window[:, W : W + m] - np.einsum("tj,je->te", window, emap)
+    c = np.zeros_like(d)
+    for i in range(1, m + 1):
+        c[:, : m + 1 - i] += g[:, i:] * d[:, i - 1 : i]
+    # S is named: numpy multiplies a large temporary in place, as S * G, and its
+    # SIMD complex multiply rounds S * G otherwise than G * S
+    s = np.sqrt(nb) * window[:, :W]
+    u_bins = g_bins * s + np.einsum("tj,pj->tp", c, phase[:, :m])
+    return u_bins, np.sqrt(nb) * a + np.einsum("tk,pk->tp", b, phase[:, : config.K])
 
 
 def test_statistic(z_tilde: np.ndarray, config: SystemConfig) -> float:

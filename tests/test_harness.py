@@ -39,7 +39,7 @@ from cpscatter.harness import (
 )
 from cpscatter.detector import decide_array, detection_snr, threshold_exact, threshold_for
 from cpscatter.phy import SystemConfig
-from cpscatter.receiver import bin_geometry, statistic_bins
+from cpscatter.receiver import bin_gains, bin_geometry, statistic_bins
 
 
 def make_result(**kw):
@@ -433,7 +433,10 @@ def test_edge_map_is_cached_read_only_and_fresh():
 def test_kernel_phases_are_the_receiver_bins_dft():
     # the kernel forms its bins from the shared phase table; column i must be
     # the DFT of a unit impulse at offset i (mod R+1: at M > R+1 the offsets
-    # wrap), read at the bins test_statistic sums, so the paths cannot drift
+    # wrap), read at the bins test_statistic sums, so the paths cannot drift.
+    # The tap stage the kernel calls, bin_gains, must give the DFTs of the
+    # taps folded mod R+1 at those bins
+    rng = np.random.default_rng(27)
     for geometry in _ORACLE_GEOMETRIES:
         cfg = SystemConfig(**geometry)
         nb = cfg.R + 1
@@ -445,6 +448,16 @@ def test_kernel_phases_are_the_receiver_bins_dft():
                 impulse[i % nb] = 1.0
                 want = np.fft.fft(impulse)[statistic_bins(w)]
                 assert np.max(np.abs(phase[:, i] - want)) < 1e-12, (geometry, w, i)
+
+            point = replace(cfg, W=w)
+            taps = [rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
+                    for n in (cfg.M + 1, cfg.K + 1)]
+            for tap, gains in zip(taps, bin_gains(*taps, point)):
+                folded = np.zeros((4, nb), dtype=complex)
+                np.add.at(folded, (slice(None), np.arange(tap.shape[1]) % nb), tap)
+                want = np.fft.fft(folded, axis=1)[:, statistic_bins(w)]
+                assert gains.shape == want.shape, (geometry, w)
+                assert np.max(np.abs(gains - want)) < 1e-12 * nb, (geometry, w)
 
 
 _LAW_GAMMA_DB = 13.0
@@ -857,6 +870,7 @@ def test_spec_validation():
     "gamma_db = 3090\n",  # each point sets gamma_db, so a base value is refused
     "snr_db_list = 3090\n",  # 10^(gamma_db/10) overflowed with a bare OverflowError
     "snr_db_list = 6 3090\n",
+    "gamma_knowledge = ensemble\n",  # direct-gamma wrote the genie CSV without a word
 ])
 def test_degenerate_sweeps_fail_before_any_chunk(monkeypatch, tmp_path, cfg_text):
     from cpscatter import harness

@@ -48,6 +48,7 @@ def test_flat_fading_geometry():
     dict(dof_convention="nope"),
     dict(threshold_mode="nope"),
     dict(gamma_knowledge="nope"),
+    dict(gamma_knowledge="ensemble"),  # direct-gamma ran it as genie without a word
     dict(L=-1),
     dict(Nw=float("nan")),
     dict(Nw=float("inf")),

@@ -28,18 +28,20 @@ normalized log-Bessel term numerics.log_bessel_i_normalized that both
 thresholds use. threshold_exact finds the true crossing by a safeguarded
 Newton iteration on the log-density difference D = log f0 - log f1, in a
 bracket and with a slope that numerics.log_bessel_i_bounds gives in closed
-form. threshold_for picks the mode for one gamma, the one threshold a sweep
-point, kernel chunk or frame decides against, and caches it in a small
-bounded LRU keyed on (config, gamma).
+form. Where the densities do not cross (gamma = 0, or a closed-form
+equation with no root) both give the H0 mean W. threshold_for picks the
+mode for one gamma, the one threshold a sweep point, kernel chunk or frame
+decides against, and caches it in a small bounded LRU keyed on (config, gamma).
 
 D falls strictly in x, so a statistic reaches the exact-root threshold
-exactly where D at the statistic is <= 0. decide_array is the kernel's one
-decision call: at one gamma it compares with threshold_for, and for a batch
-of trials each at its own gamma (from-Ps genie) it takes the sign of D
-with no threshold solve. D = lam/2 - h(u) (the densities' central terms
-cancel), with h the normalized log I_nu that numerics.log_bessel_i_bounds
-brackets in closed form, so the bounds settle the sign for nearly every
-trial, and h itself (scipy's ive) runs only on the few trials they leave open.
+exactly where D at the statistic is <= 0. decide is the one decision call,
+for run_trial's frame and the batch kernel's chunk alike: at one gamma it
+compares with threshold_for, and for a batch of trials each at its own gamma
+(from-Ps genie) it takes the sign of D with no threshold solve. D = lam/2 -
+h(u) (the densities' central terms cancel), with h the normalized log I_nu
+that numerics.log_bessel_i_bounds brackets in closed form, so the bounds
+settle the sign for nearly every trial, and h itself (scipy's ive) runs only
+on the few trials they leave open.
 """
 
 from __future__ import annotations
@@ -138,23 +140,26 @@ def threshold_paper(W: int, gamma):
     Poisson integral of I_nu (DLMF 10.32.2), nu = (W-2)/2, the integral is
     sqrt(pi) Gamma(W/2 - 1/2) / Gamma(W/2) e^{h(nu, 1)}, h from
     numerics.log_bessel_i_normalized, so L = W gamma/2 - h(nu, 1) and
-    nothing overflows. gamma may be a scalar or an array (elementwise).
+    nothing overflows. gamma >= 0 may be a scalar or an array (elementwise).
 
-    The paper's sqrt(W gamma T_h) = L has no root where L < 0, below
-    gamma = 2 h(nu, 1)/W; the square then grows as 1/gamma:
-    threshold_paper(3, 1e-20) = (log sinh 1)^2/(3e-20) = 8.7e17 against a
-    crossing near 3 (ROADMAP item 11).
+    The paper's sqrt(W gamma T_h) = L has no root where L <= 0, at and below
+    gamma* = 2 h(nu, 1)/W (-9.7 dB at W=3, -21.6 dB at W=12); there the
+    threshold is the H0 mean W, as threshold_exact's at gamma = 0, where the
+    square would grow as 1/gamma (8.7e17 at W=3, gamma=1e-20).
     """
     if W < 2:
         raise ValueError(f"closed form requires W >= 2, got {W}")
     if np.ndim(gamma):
         gamma = np.asarray(gamma, dtype=np.float64)
-    if np.any(gamma <= 0):
-        raise ValueError(f"closed form requires gamma > 0, got {np.min(gamma)}")
+    if not np.all(gamma >= 0):
+        raise ValueError(f"closed form requires gamma >= 0, got {np.min(gamma)}")
     log_arg = W * gamma / 2.0 - log_bessel_i_normalized(0.5 * W - 1.0, 1.0)
     # a product, not ** 2: numpy squares arrays by multiplying, while a float
-    # ** 2 goes through libm's pow, so a scalar gamma could differ by an ulp
-    return log_arg * log_arg / (W * gamma)
+    # ** 2 goes through libm's pow, so a scalar gamma could differ by an ulp;
+    # nothing is divided where there is no root, so gamma = 0 warns nothing
+    out = np.full(np.shape(gamma), float(W))
+    np.divide(log_arg * log_arg, W * gamma, out=out, where=log_arg > 0)
+    return float(out) if out.ndim == 0 else out
 
 
 def _log_ratio(x, config: SystemConfig, gamma):
@@ -180,7 +185,7 @@ def _gammas(gamma) -> np.ndarray:
 
 
 def threshold_exact(config: SystemConfig, gamma: float) -> float:
-    """ML threshold: the true H0/H1 density crossing for one gamma > 0.
+    """ML threshold: the true H0/H1 density crossing for one gamma >= 0.
 
     D(x) = _log_ratio(x) = lam/2 - h(u) falls strictly in x. With a = nu + 1/2,
     b = nu + 3/2 and e = lam (a+b)/(2b), its root lies in [W, W (1 + e/(2b))]:
@@ -198,11 +203,9 @@ def threshold_exact(config: SystemConfig, gamma: float) -> float:
     7% near nu = -1/2, where convergence is then linear. So the iteration
     stops once its step is within _XTOL = 1e-11 (at 1e-10 the paper-convention
     root at W=1, gamma=1 was 6.3e-12 relative off) or a few ulps of x, or D
-    is exactly 0.
+    is exactly 0; at gamma = 0 the bracket is [W, W], the H0 mean W.
     """
     gamma = float(_gammas(gamma))
-    if not gamma > 0:
-        raise ValueError(f"threshold requires gamma > 0, got {gamma}")
     W = config.W
     s, d = dof_scaling(config)
     nu = 0.5 * d - 1.0
@@ -235,51 +238,51 @@ def threshold_exact(config: SystemConfig, gamma: float) -> float:
 
 @lru_cache(maxsize=_THRESHOLD_CACHE_SIZE)
 def threshold_for(config: SystemConfig, gamma: float) -> float:
-    """Threshold at config.W for one SNR per the configured mode; gamma == 0 gives W.
+    """Threshold at config.W for one SNR per the configured mode.
 
-    Served from a small LRU keyed on (config, gamma). With gamma == 0 the
-    two hypotheses coincide and any positive threshold yields chance-level
-    decisions; the H0 mean keeps the detector runnable. Accuracy floor: at
-    tiny gamma D = lam/2 - h(u) cancels to the rounding of log I_nu, so the
-    exact root is only known to lie in threshold_exact's bracket, within
+    Served from a small LRU keyed on (config, gamma). Both modes give the H0
+    mean W where the densities have no crossing: at gamma == 0, where the
+    two hypotheses coincide and any threshold yields chance-level decisions,
+    and (closed-form) at and below threshold_paper's gamma*. Accuracy floor:
+    at tiny gamma D = lam/2 - h(u) cancels to the rounding of log I_nu, so
+    the exact root is only known to lie in threshold_exact's bracket, within
     O(W gamma) of W: it is off by 1.2e-6 (either convention) at W=246,
     gamma=1e-8, and by 5.3e-13 at W=3 complex, gamma=1e-12 (80-digit
     reference); below gamma ~ 1e-16 the bracket rounds to W, the result.
-    decide_array's sign of D is as uncertain there (the sign _log_ratio
-    computes, whether the bounds or D settle it); sweeps stay far above (CI's
+    decide's sign of D is as uncertain there (the sign _log_ratio computes,
+    whether the bounds or D settle it); sweeps stay far above (CI's
     fromps-closed sweep, seed 1, 1500 trials per W, draws gamma >= 0.32).
     """
     gamma = float(_gammas(gamma))
-    if gamma == 0:
-        return float(config.W)
     if config.threshold_mode == "closed-form":
         return float(threshold_paper(config.W, gamma))
     return threshold_exact(config, gamma)
 
 
-def decide_array(config: SystemConfig, stats, gamma) -> np.ndarray:
-    """Decisions (True for bit 1) of a batch of statistics at one SNR or one each.
+def decide(config: SystemConfig, stats, gamma):
+    """Decisions (True for bit 1) of statistics at one SNR or one each; ties give 1.
 
-    A scalar gamma decides stats >= threshold_for(config, gamma). An array
-    gamma, of the shape of stats, decides each statistic against its own
-    gamma's threshold without solving it: gamma == 0 decides stat >= W,
-    closed-form compares with threshold_paper, and exact-root decides 1
-    where D(stat) <= 0, as D falls strictly through its root (its slope
-    -u I_{nu+1}(u) / (2 x I_nu(u)) is negative for x > 0). The exact-root
-    signs come from closed-form bounds on D where those settle them, and
-    from D itself elsewhere (_exact_decisions); the decisions are D's signs
-    either way. Either way gamma is validated as in threshold_for.
+    The one decision rule: run_trial decides its frame's statistic, and the
+    batch kernel a chunk's array. A scalar gamma decides stats >=
+    threshold_for(config, gamma). An array gamma, of the shape of stats,
+    decides each statistic against its own gamma's threshold without
+    solving it: closed-form compares with threshold_paper, and exact-root
+    decides 1 where D(stat) <= 0, as D falls strictly through its root (its
+    slope -u I_{nu+1}(u) / (2 x I_nu(u)) is negative for x > 0), and stat >= W
+    where gamma == 0 (D is 0 there). The exact-root signs come from
+    closed-form bounds on D where those settle them, and from D itself
+    elsewhere (_exact_decisions); the decisions are D's signs either way.
+    Either way gamma is validated as in threshold_for.
     """
     if np.ndim(gamma) == 0:
         return stats >= threshold_for(config, gamma)
     gamma = _gammas(gamma)
+    if config.threshold_mode == "closed-form":
+        return stats >= threshold_paper(config.W, gamma)
     out = stats >= config.W
     pos = gamma > 0
     if np.any(pos):
-        if config.threshold_mode == "closed-form":
-            out[pos] = stats[pos] >= threshold_paper(config.W, gamma[pos])
-        else:
-            out[pos] = _exact_decisions(config, stats[pos], gamma[pos])
+        out[pos] = _exact_decisions(config, stats[pos], gamma[pos])
     return out
 
 
@@ -308,9 +311,3 @@ def _exact_decisions(config: SystemConfig, stats, gamma) -> np.ndarray:
         out[open_] = _log_ratio(stats[open_], config, gamma[open_]) <= 0
     return out
 
-
-def decide(statistic: float, threshold: float) -> int:
-    """Threshold comparison; exact ties resolve to 1."""
-    if not threshold > 0:
-        raise ValueError(f"threshold must be > 0, got {threshold}")
-    return 1 if statistic >= threshold else 0

@@ -24,12 +24,11 @@ in direct-gamma mode, its gamma_db (ExperimentSpec.points). Both paths
 read W and the SNR from it, and detector.detection_snr is the one rule that
 turns tap energies into (source power, detection SNR): the drawn ones per
 trial, and by default the mean ones, for the point's reported SNR and
-threshold. So run_trial(point, ...) replays a kernel point. run_trial
-decides each frame with detector.decide; a kernel chunk is given only its
-point and trial range and decides all its trials with one
-detector.decide_array call. The two paths consume streams differently, so
-they are not bit-identical trial for trial; the suite checks they agree
-statistically.
+threshold. So run_trial(point, ...) replays a kernel point. Both paths
+decide with detector.decide: run_trial one frame at its SNR, and a kernel
+chunk, given only its point and trial range, all its trials in one call.
+The two paths consume streams differently, so they are not bit-identical
+trial for trial; the suite checks they agree statistically.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ from . import analysis
 # threshold_exact is not called here, but perfbench traces it in this namespace
 from .detector import (
     decide,
-    decide_array,
     detection_snr,
     threshold_exact,
     threshold_for,
@@ -171,11 +169,11 @@ def trial_stream(seed: int, point_index: int, trial_index: int) -> RngStream:
 
 
 def run_trial(config: SystemConfig, stream: RngStream):
-    """One full-frame trial on its own stream: returns (sent_bit, decided_bit).
+    """One full-frame trial on its own stream: returns (sent_bit, decided_bit) as ints.
 
     Stream consumption order: channel taps (h, g, f), the tag bit, the
-    source symbol, the frame noise. The frame's source power and the
-    threshold's SNR follow detection_snr, as in the batch kernel.
+    source symbol, the frame noise. The frame's source power and SNR follow
+    detection_snr, and decide decides it, as in the batch kernel.
     """
     gen = stream.generator()
     channels = draw_channels(config, gen)
@@ -183,7 +181,7 @@ def run_trial(config: SystemConfig, stream: RngStream):
     bit = int(gen.integers(0, 2))
     frame = simulate_frame(config, channels, bit, ps, gen)
     stat = test_statistic(process(frame.y, config), config)
-    return bit, decide(stat, threshold_for(config, gamma))
+    return bit, int(decide(config, stat, gamma))
 
 
 def _chunk_statistics(point: SystemConfig, point_index: int, start: int, count: int,
@@ -253,7 +251,7 @@ def _run_chunk(point: SystemConfig, point_index: int, start: int, count: int) ->
     genie) by the sign of the log-density ratio at each statistic.
     """
     bits, stats, gamma = _chunk_statistics(point, point_index, start, count)
-    return int(np.sum(decide_array(point, stats, gamma) != bits))
+    return int(np.sum(decide(point, stats, gamma) != bits))
 
 
 def _chunk_plan(trials: int) -> list[tuple[int, int]]:

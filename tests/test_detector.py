@@ -14,7 +14,6 @@ from cpscatter import detector, harness
 from cpscatter.analysis import ber_approx, ber_exact, pdf_curves
 from cpscatter.detector import (
     decide,
-    decide_array,
     detection_snr,
     pdf_h0,
     pdf_h1,
@@ -23,7 +22,7 @@ from cpscatter.detector import (
     threshold_paper,
 )
 from cpscatter.harness import collect_statistics
-from cpscatter.numerics import RngStream
+from cpscatter.numerics import RngStream, log_bessel_i_normalized
 from cpscatter.phy import SystemConfig
 from cpscatter.receiver import noise_power
 
@@ -97,7 +96,7 @@ def test_detection_snr_modes(mode, taps):
 
 def test_negative_gamma_rejected():
     # every function of (point, gamma) refuses a negative or non-finite
-    # detection SNR, decide_array at one gamma and at one per trial alike
+    # detection SNR, decide at one gamma and at one per trial alike
     point = SystemConfig(W=3, threshold_mode="exact-root")
     closed = SystemConfig(W=3, threshold_mode="closed-form")
     for gamma in (-1.0, math.nan, math.inf):
@@ -105,10 +104,10 @@ def test_negative_gamma_rejected():
                      lambda: threshold_exact(point, gamma),
                      lambda: threshold_for(point, gamma),
                      lambda: threshold_for(closed, gamma),
-                     lambda: decide_array(point, np.array([2.0, 2.0]), gamma),
-                     lambda: decide_array(closed, np.array([2.0, 2.0]), gamma),
-                     lambda: decide_array(point, np.array([2.0, 2.0]), np.array([1.0, gamma])),
-                     lambda: decide_array(closed, np.array([2.0, 2.0]), np.array([1.0, gamma])),
+                     lambda: decide(point, np.array([2.0, 2.0]), gamma),
+                     lambda: decide(closed, np.array([2.0, 2.0]), gamma),
+                     lambda: decide(point, np.array([2.0, 2.0]), np.array([1.0, gamma])),
+                     lambda: decide(closed, np.array([2.0, 2.0]), np.array([1.0, gamma])),
                      lambda: ber_exact(point, gamma, 1.0),
                      lambda: ber_approx(point, gamma, 1.0),
                      lambda: pdf_curves(point, gamma, np.array([1.0, 2.0]))):
@@ -202,14 +201,28 @@ def test_threshold_paper_matches_recorded_values(w):
 def test_threshold_paper_domain():
     with pytest.raises(ValueError):
         threshold_paper(1, 1.0)
-    with pytest.raises(ValueError):
-        threshold_paper(4, 0.0)
+    for bad in (-1.0, -1e-300, math.nan, np.array([1.0, -1.0])):
+        with pytest.raises(ValueError):
+            threshold_paper(4, bad)
+    assert threshold_paper(4, 0.0) == 4.0
 
 
-def test_threshold_paper_grows_toward_zero_gamma():
-    # divergence like const^2/(W*gamma) once the constant log term dominates
-    vals = [threshold_paper(4, g) for g in (1e-5, 1e-4, 1e-3, 1e-2)]
-    assert vals[0] > vals[1] > vals[2] > vals[3]
+@pytest.mark.parametrize("w", [2, 3, 12, 246])
+def test_threshold_paper_is_w_where_the_equation_has_no_root(w):
+    # L = W gamma/2 - h((W-2)/2, 1) <= 0 at and below gamma* = 2 h/W: the
+    # paper's equation has no root there and the threshold is the H0 mean W;
+    # above gamma* it is L^2/(W gamma) bit for bit; no warning either way
+    h = log_bessel_i_normalized(0.5 * w - 1.0, 1.0)
+    gamma_star = 2.0 * h / w
+    below = [0.0, 5e-324, 1e-20, 1e-12, gamma_star * (1 - 1e-9)]
+    above = [gamma_star * (1 + 1e-9), 0.5, 4.0, 10 ** 1.6]
+    want = [(w * g / 2.0 - h) * (w * g / 2.0 - h) / (w * g) for g in above]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert [threshold_paper(w, g) for g in below] == [float(w)] * len(below)
+        assert [threshold_paper(w, g) for g in above] == want
+        got = threshold_paper(w, np.array(below + above))
+    assert got.tolist() == [float(w)] * len(below) + want
 
 
 def test_threshold_paper_depends_only_on_w_gamma():
@@ -235,8 +248,13 @@ def test_threshold_exact_sanity_bracket():
 
 
 def test_threshold_exact_gamma_domain():
-    with pytest.raises(ValueError):
-        threshold_exact(SystemConfig(W=4), 0.0)
+    # gamma = 0 collapses the bracket to [W, W]: the H0 mean, as threshold_paper
+    for conv in ("paper", "complex"):
+        point = SystemConfig(W=4, dof_convention=conv)
+        for bad in (-1.0, -1e-300, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                threshold_exact(point, bad)
+        assert threshold_exact(point, 0.0) == 4.0
 
 
 def test_threshold_exact_vs_paper_reported():
@@ -395,7 +413,7 @@ def test_threshold_solve_density_passes(monkeypatch, w, conv, gammas):
 @pytest.mark.parametrize("conv", ["paper", "complex"])
 @pytest.mark.parametrize("w", [1, 3, 12, 246])
 def test_kernel_decisions_match_per_trial_thresholds(monkeypatch, w, conv, mode):
-    # a from-Ps genie chunk decides each trial by decide_array, never by a
+    # a from-Ps genie chunk decides each trial by decide, never by a
     # threshold solve; every decision is the statistic against its own
     # per-trial threshold
     point = SystemConfig(W=w, snr_mode="from-Ps", dof_convention=conv,
@@ -403,14 +421,14 @@ def test_kernel_decisions_match_per_trial_thresholds(monkeypatch, w, conv, mode)
     seen = []
 
     def spy(cfg, stats, g):
-        seen.append((stats, g, decide_array(cfg, stats, g)))
+        seen.append((stats, g, decide(cfg, stats, g)))
         return seen[-1][2]
 
     def no_solve(*args):
         raise AssertionError("the per-trial path solved a threshold")
 
     with monkeypatch.context() as m:
-        m.setattr(harness, "decide_array", spy)
+        m.setattr(harness, "decide", spy)
         m.setattr(detector, "threshold_for", no_solve)
         m.setattr(detector, "threshold_exact", no_solve)
         if w == 1 and mode == "closed-form":  # the closed form needs W >= 2
@@ -432,24 +450,24 @@ def test_kernel_decisions_match_per_trial_thresholds(monkeypatch, w, conv, mode)
 
 
 @pytest.mark.parametrize("mode", ["exact-root", "closed-form"])
-def test_decide_array_at_zero_gamma_and_on_bad_gamma(mode):
+def test_decide_at_zero_gamma_and_on_bad_gamma(mode):
     point = SystemConfig(W=5, dof_convention="complex", threshold_mode=mode)
     stats = np.array([0.5, 4.999, 5.0, 7.0, 3.0, 30.0])
     gammas = np.array([0.0, 0.0, 0.0, 0.0, 2.0, 2.0])
-    got = decide_array(point, stats, gammas)
+    got = decide(point, stats, gammas)
     assert got.tolist()[:4] == [False, False, True, True]  # stat >= W where gamma == 0
     assert np.array_equal(got, stats >= [threshold_for(point, float(g)) for g in gammas])
     for bad in (math.nan, math.inf, -math.inf, -1.0, -1e-300):
         with pytest.raises(ValueError, match="gamma"):
-            decide_array(point, stats, np.where(gammas > 0, bad, gammas))
+            decide(point, stats, np.where(gammas > 0, bad, gammas))
     # one gamma for the whole batch: the point's threshold
-    assert np.array_equal(decide_array(point, stats, 0.0), stats >= 5.0)
-    got = decide_array(point, stats, 2.0)
+    assert np.array_equal(decide(point, stats, 0.0), stats >= 5.0)
+    got = decide(point, stats, 2.0)
     assert np.array_equal(got, stats >= threshold_for(point, 2.0))
     assert 0 < np.sum(got) < stats.size
     for bad in (math.nan, math.inf, -math.inf, -1.0, -1e-300):
         with pytest.raises(ValueError, match="gamma"):
-            decide_array(point, stats, bad)
+            decide(point, stats, bad)
 
 
 # per-trial SNRs from a from-Ps chunk's range (about 0.37 up) and beyond
@@ -476,7 +494,7 @@ def test_decide_array_per_trial_is_the_sign_of_the_log_ratio(monkeypatch, conv, 
 
     real = detector._log_ratio
     monkeypatch.setattr(detector, "_log_ratio", counted)
-    got = decide_array(point, stats, gammas)
+    got = decide(point, stats, gammas)
     monkeypatch.undo()
     assert np.array_equal(got, real(stats, point, gammas) <= 0)
     # the solved root sits between the two neighbours (from gamma 0.37: at
@@ -509,7 +527,7 @@ def test_log_ratio_evaluated_on_few_trials_of_the_benchmark_sweep(monkeypatch):
 
 
 def test_threshold_for_array_closed_form_matches_scalar():
-    # decide_array compares per-trial statistics with threshold_paper on a
+    # decide compares per-trial statistics with threshold_paper on a
     # gamma array: elementwise, it is the scalar closed form threshold_for uses
     cfg = SystemConfig(threshold_mode="closed-form", W=12)
     gammas = np.array([1e-3, 0.36, 4.4, 17.5, 1e3])
@@ -554,29 +572,19 @@ def test_threshold_exact_paper_convention_w1():
 # --- decision rule -----------------------------------------------------------------
 
 def test_decide_basic():
-    th = 2.5
-    assert decide(0.0, th) == 0
-    assert decide(2 * th, th) == 1
-    assert decide(th, th) == 1  # tie -> 1
-
-
-def test_decide_scale_invariance():
-    for c in (0.5, 1.0, 3.0, 100.0):
-        for g in (0.3, 1.0, 2.7):
-            assert decide(c * g, c * 1.0) == decide(g, 1.0)
+    point = SystemConfig(W=3, dof_convention="complex", threshold_mode="exact-root")
+    th = threshold_for(point, 2.5)
+    assert decide(point, 0.0, 2.5) == 0
+    assert decide(point, 2 * th, 2.5) == 1
+    assert decide(point, th, 2.5) == 1  # tie -> 1
 
 
 def test_decide_flips_once():
-    th = 4.0
-    decisions = [decide(g, th) for g in np.linspace(0, 10, 101)]
-    flips = sum(a != b for a, b in zip(decisions, decisions[1:]))
-    assert flips == 1
-    assert decisions[0] == 0 and decisions[-1] == 1
-
-
-def test_decide_threshold_domain():
-    with pytest.raises(ValueError):
-        decide(1.0, 0.0)
+    for mode in ("exact-root", "closed-form"):
+        decisions = decide(SystemConfig(W=3, threshold_mode=mode), np.linspace(0, 10, 101), 4.0)
+        flips = np.count_nonzero(decisions[1:] != decisions[:-1])
+        assert flips == 1
+        assert decisions[0] == 0 and decisions[-1] == 1
 
 
 # --- distribution fit --------------------------------------------------------------

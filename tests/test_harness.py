@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import cpscatter
-from cpscatter import cli, harness
+from cpscatter import cli, detector, harness
 from cpscatter.harness import (
     _CHUNK,
     CSV_HEADER,
@@ -37,8 +37,8 @@ from cpscatter.harness import (
     trial_stream,
     write_pdf_csv,
 )
-from cpscatter.detector import decide_array, detection_snr, threshold_exact, threshold_for
-from cpscatter.phy import SystemConfig
+from cpscatter.detector import detection_snr, threshold_exact, threshold_for
+from cpscatter.phy import SystemConfig, draw_channels
 from cpscatter.receiver import bin_gains, bin_geometry, statistic_bins
 
 
@@ -268,11 +268,38 @@ def test_run_trial_reuses_the_point_threshold():
     info = detector.threshold_for.cache_info()
     assert (info.misses, info.hits) == (1, 19)
 
+
 SNR_MODES = [
     dict(snr_mode="direct-gamma"),
     dict(snr_mode="from-Ps", gamma_knowledge="genie"),
     dict(snr_mode="from-Ps", gamma_knowledge="ensemble"),
 ]
+
+
+@pytest.mark.parametrize("mode", SNR_MODES[:2])
+def test_run_trial_decides_each_frame_through_decide(monkeypatch, mode):
+    # run_trial makes one detector.decide call per frame, at the frame's own
+    # SNR (the pinned one, or the drawn taps' for from-Ps genie), and returns
+    # ints, from which callers build bytes
+    cfg = SystemConfig(W=3, dof_convention="complex", threshold_mode="exact-root",
+                       seed=5, **mode)
+    calls = []
+
+    def spy(config, stat, gamma):
+        calls.append((config, gamma))
+        return detector.decide(config, stat, gamma)
+
+    monkeypatch.setattr(harness, "decide", spy)
+    gammas = []
+    for i in range(8):
+        calls.clear()
+        sent, decided = run_trial(cfg, trial_stream(5, 0, i))
+        channels = draw_channels(cfg, trial_stream(5, 0, i).generator())
+        _, gamma = detection_snr(cfg, channels.sum_g2, channels.sum_f2)
+        assert calls == [(cfg, gamma)]
+        assert type(sent) is int and type(decided) is int and decided in (0, 1)
+        gammas.append(gamma)
+    assert len(set(gammas)) == (1 if mode["snr_mode"] == "direct-gamma" else 8)
 
 
 @pytest.mark.parametrize("mode", SNR_MODES)
@@ -542,25 +569,28 @@ def test_kernel_agrees_with_run_trial_statistically():
 
 
 def test_from_ps_chunk_matches_scalar_threshold_loop(monkeypatch):
-    # a from-Ps chunk decides each trial at its own gamma in one array pass;
-    # per-trial scalar solves must decide every trial the same way
-    from cpscatter import harness
-
-    cfg = SystemConfig(snr_mode="from-Ps", dof_convention="complex",
-                       threshold_mode="exact-root", W=12, seed=14)
+    # a from-Ps chunk decides each trial at its own gamma in one array pass
+    # (closed-form with no mask, exact-root by the sign of D); per-trial
+    # scalar thresholds must decide every trial the same way
     seen = []
 
     def spy(config, stats, gamma):
-        seen.append(np.array(gamma))
-        return decide_array(config, stats, gamma)
+        seen.append((np.array(gamma), detector.decide(config, stats, gamma)))
+        return seen[-1][1]
 
-    monkeypatch.setattr(harness, "decide_array", spy)
-    errors = _run_chunk(cfg, 0, 0, 1024)
-    (gammas,) = seen
-    bits, stats = collect_statistics(cfg, 1024)
-    ref = np.array([threshold_exact(cfg, float(g)) for g in gammas])
-    assert errors == int(np.sum((stats >= ref) != bits))
-    assert 0 < errors < 1024
+    monkeypatch.setattr(harness, "decide", spy)
+    for mode, conv in (("closed-form", "paper"), ("exact-root", "paper"),
+                       ("exact-root", "complex")):
+        cfg = SystemConfig(snr_mode="from-Ps", dof_convention=conv,
+                           threshold_mode=mode, W=12, seed=14)
+        seen.clear()
+        errors = _run_chunk(cfg, 0, 0, 1024)
+        ((gammas, decided),) = seen
+        bits, stats = collect_statistics(cfg, 1024)
+        ref = stats >= np.array([threshold_for(cfg, float(g)) for g in gammas])
+        assert np.array_equal(decided, ref), (mode, conv)
+        assert errors == int(np.sum(ref != bits))
+        assert 0 < errors < 1024
 
 
 @pytest.mark.parametrize("mode", [SNR_MODES[0], SNR_MODES[2]])

@@ -21,7 +21,7 @@ import math
 import numpy as np
 from scipy.special import chdtrc, chndtr, gammainc, gammaln, logsumexp
 
-from .detector import dof_scaling, pdf_h0, pdf_h1
+from .detector import chi2_law, pdf_h0, pdf_h1
 from .numerics import gaussian_q
 from .phy import SystemConfig
 
@@ -39,7 +39,7 @@ def _check(gamma: float, threshold: float) -> None:
 def ber_approx(point: SystemConfig, gamma: float, threshold: float) -> float:
     """Moment-matched Gaussian approximation of the BER."""
     _check(gamma, threshold)
-    s, _ = dof_scaling(point)
+    s, _, _ = chi2_law(point)
     w = point.W
     t1 = gaussian_q((threshold - w) / np.sqrt(2.0 * w / s))
     t2 = gaussian_q((w * (1.0 + gamma) - threshold) / np.sqrt(2.0 * w * (1.0 + 2.0 * gamma) / s))
@@ -50,7 +50,7 @@ def ber_exact(point: SystemConfig, gamma: float, threshold: float):
     """(p0, p1, P_e) from the chi-square tails of the modeled densities.
 
     p0 = chdtrc(d, s T) and p1 = chndtr(s T, d, s W gamma), with (s, d) the
-    convention's scaling from detector.dof_scaling. Both agree with a
+    convention's law from detector.chi2_law. Both agree with a
     60-digit Poisson-mixture sum to about 2e-14 relative at the sweep
     points. chndtr returns 0 for a p1 below about 1e-142 (W=246, complex,
     from 9.25 dB), and nan from about 165 dB. There p1 is 0.0 if its
@@ -61,8 +61,8 @@ def ber_exact(point: SystemConfig, gamma: float, threshold: float):
     (W=246, complex, 13 dB: the true p1 is 4.1e-425).
     """
     _check(gamma, threshold)
-    s, d = dof_scaling(point)
-    x, nc = s * threshold, s * (point.W * gamma)
+    s, d, nc = chi2_law(point, gamma)
+    x = s * threshold
     p0 = float(chdtrc(d, x))
     p1 = float(chndtr(x, d, nc))
     if not p1 > 0 and nc > 0:

@@ -15,33 +15,32 @@ statistic directly as chi-square with W dof (and noncentral chi-square with
 lambda = W*gamma under H1). "complex" uses the statistically exact scaling
 for complex samples: 2*Gamma_t is chi-square with 2W dof (noncentrality
 2*W*gamma), i.e. density(x) = 2 * f(2x) with doubled parameters.
-dof_scaling holds that (scale, dof) pair once, for the densities here and
-the chi-square tails of analysis.ber_exact.
+chi2_law holds that law, (scale, dof, noncentrality), once: for the
+densities, both thresholds and the decisions here, and the chi-square tails
+of analysis.ber_exact.
 
 Every density and threshold reads W, the dof convention and the threshold
 mode from the sweep point's SystemConfig, and takes gamma as an argument.
-The ML threshold is where the two densities cross. threshold_paper
-evaluates the closed form obtained by pulling the Bessel kernel's
-exponentials apart (which is what makes it solvable, at the cost of an
-approximation); its integral reduces to h((W-2)/2, 1), with h the
-normalized log-Bessel term numerics.log_bessel_i_normalized that both
-thresholds use. threshold_exact finds the true crossing by a safeguarded
-Newton iteration on the log-density difference D = log f0 - log f1, in a
+The ML threshold is where the two densities cross: the root of the one
+log-likelihood ratio _log_ratio, D = log f0 - log f1 = lam/2 - h(u) (the
+central terms cancel; h is numerics.log_bessel_i_normalized).
+threshold_exact solves D = 0 by a safeguarded Newton iteration, in a
 bracket and with a slope that numerics.log_bessel_i_bounds gives in closed
-form. Where the densities do not cross (gamma = 0, or a closed-form
-equation with no root) both give the H0 mean W. threshold_for picks the
-mode for one gamma, the one threshold a sweep point, kernel chunk or frame
-decides against, and caches it in a small bounded LRU keyed on (config, gamma).
+form. threshold_paper is the closed form obtained by pulling the Bessel
+kernel's exponentials apart (which is what makes it solvable, at the cost
+of an approximation): D under the paper law at u = 1. Where the densities
+do not cross (gamma = 0, or a closed-form equation with no root) both give
+the H0 mean W. threshold_for picks the mode for one gamma, the one
+threshold a sweep point, kernel chunk or frame decides against, and caches
+it in a small bounded LRU keyed on (config, gamma).
 
 D falls strictly in x, so a statistic reaches the exact-root threshold
 exactly where D at the statistic is <= 0. decide is the one decision call,
 for run_trial's frame and the batch kernel's chunk alike: at one gamma it
 compares with threshold_for, and for a batch of trials each at its own gamma
-(from-Ps genie) it takes the sign of D with no threshold solve. D = lam/2 -
-h(u) (the densities' central terms cancel), with h the normalized log I_nu
-that numerics.log_bessel_i_bounds brackets in closed form, so the bounds
-settle the sign for nearly every trial, and h itself (scipy's ive) runs only
-on the few trials they leave open.
+(from-Ps genie) it takes the sign of D with no threshold solve; the bounds
+on h settle it for nearly every trial, and h itself (scipy's ive) runs only
+on the few they leave open.
 """
 
 from __future__ import annotations
@@ -108,27 +107,26 @@ def detection_snr(config: SystemConfig, sum_g2=None, sum_f2=None):
     return config.Ps, detection_gamma(config, config.Ps, sum_g2, sum_f2)
 
 
-def dof_scaling(config: SystemConfig) -> tuple[float, int]:
-    """(s, d): s times the statistic is chi-square with d dof.
+def chi2_law(config: SystemConfig, gamma=0.0):
+    """(s, d, lam): s times the statistic is chi-square with d dof.
 
-    The H1 noncentrality of s times the statistic is s * W * gamma.
+    Under H1 its noncentrality is lam = s W gamma (elementwise); gamma = 0 gives H0.
     """
-    if config.dof_convention == "paper":
-        return 1.0, config.W
-    return 2.0, 2 * config.W
+    s, d = (1.0, config.W) if config.dof_convention == "paper" else (2.0, 2 * config.W)
+    return s, d, s * (config.W * gamma)
 
 
 def pdf_h0(x, config: SystemConfig):
     """Density of the statistic under H0 (bit 0), elementwise; zero for x <= 0."""
-    s, d = dof_scaling(config)
+    s, d, _ = chi2_law(config)
     out = np.exp(math.log(s) + log_chi2_pdf(s * x, d))
     return float(out) if np.ndim(out) == 0 else out
 
 
 def pdf_h1(x, config: SystemConfig, gamma):
     """Density of the statistic under H1 (bit 1), elementwise; zero for x <= 0."""
-    s, d = dof_scaling(config)
-    out = np.exp(math.log(s) + log_noncentral_chi2_pdf(s * x, d, s * (config.W * gamma)))
+    s, d, lam = chi2_law(config, gamma)
+    out = np.exp(math.log(s) + log_noncentral_chi2_pdf(s * x, d, lam))
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -138,41 +136,38 @@ def threshold_paper(W: int, gamma):
     The paper's T_h = L^2 / (W gamma), L = ln(sqrt(pi) Gamma(W/2 - 1/2) /
     (e^{-W gamma/2} Gamma(W/2) int_0^pi e^{cos t} sin^{W-2} t dt)). By the
     Poisson integral of I_nu (DLMF 10.32.2), nu = (W-2)/2, the integral is
-    sqrt(pi) Gamma(W/2 - 1/2) / Gamma(W/2) e^{h(nu, 1)}, h from
-    numerics.log_bessel_i_normalized, so L = W gamma/2 - h(nu, 1) and
-    nothing overflows. gamma >= 0 may be a scalar or an array (elementwise).
+    sqrt(pi) Gamma(W/2 - 1/2) / Gamma(W/2) e^{h(nu, 1)}, so L = W gamma/2 -
+    h(nu, 1): _log_ratio under the paper law (s = 1, lam = W gamma) at
+    u = 1, and nothing overflows. gamma, validated as in threshold_for, may
+    be a scalar or an array (elementwise).
 
     The paper's sqrt(W gamma T_h) = L has no root where L <= 0, at and below
     gamma* = 2 h(nu, 1)/W (-9.7 dB at W=3, -21.6 dB at W=12); there the
     threshold is the H0 mean W, as threshold_exact's at gamma = 0, where the
-    square would grow as 1/gamma (8.7e17 at W=3, gamma=1e-20).
+    square would grow as 1/gamma (8.7e17 at W=3, gamma=1e-20). Where L^2
+    overflows (from 1520 dB at W=246) T_h is L (L / (W gamma)), about W gamma/4.
     """
     if W < 2:
         raise ValueError(f"closed form requires W >= 2, got {W}")
-    if np.ndim(gamma):
-        gamma = np.asarray(gamma, dtype=np.float64)
-    if not np.all(gamma >= 0):
-        raise ValueError(f"closed form requires gamma >= 0, got {np.min(gamma)}")
-    log_arg = W * gamma / 2.0 - log_bessel_i_normalized(0.5 * W - 1.0, 1.0)
-    # a product, not ** 2: numpy squares arrays by multiplying, while a float
-    # ** 2 goes through libm's pow, so a scalar gamma could differ by an ulp;
-    # nothing is divided where there is no root, so gamma = 0 warns nothing
-    out = np.full(np.shape(gamma), float(W))
-    np.divide(log_arg * log_arg, W * gamma, out=out, where=log_arg > 0)
+    gamma = _gammas(gamma)
+    lam = W * gamma
+    L = _log_ratio(0.5 * W - 1.0, lam, 1.0)
+    root = L > 0  # so lam > 2 h(nu, 1) > 0
+    L, lam, out = L[root], lam[root], np.full(gamma.shape, float(W))
+    with np.errstate(over="ignore"):
+        square = L * L
+    out[root] = np.where(np.isinf(square), L * (L / lam), square / lam)
     return float(out) if out.ndim == 0 else out
 
 
-def _log_ratio(x, config: SystemConfig, gamma):
-    """D(x) = log f0(x) - log f1(x; gamma), elementwise: > 0 where H0 is likelier.
+def _log_ratio(nu, lam, u):
+    """D = lam/2 - h(u) = log f0 - log f1, elementwise: > 0 where H0 is likelier.
 
-    The one function whose root is the exact-root threshold and whose sign
-    decides a trial against it. With (s, d) = dof_scaling, nu = d/2 - 1,
-    lam = s W gamma and u = sqrt(lam s x), the densities' central terms
-    cancel, so D = lam/2 - h(u) with h = numerics.log_bessel_i_normalized.
+    The one log-likelihood ratio, at nu = d/2 - 1 and u = bessel_arg(lam, s x)
+    for chi2_law's (s, d, lam) at the statistic x. threshold_exact solves it,
+    _exact_decisions signs it and threshold_paper evaluates it at u = 1.
     """
-    s, d = dof_scaling(config)
-    lam = s * (config.W * gamma)
-    return 0.5 * lam - log_bessel_i_normalized(0.5 * d - 1.0, bessel_arg(lam, s * x))
+    return 0.5 * lam - log_bessel_i_normalized(nu, u)
 
 
 def _gammas(gamma) -> np.ndarray:
@@ -187,7 +182,7 @@ def _gammas(gamma) -> np.ndarray:
 def threshold_exact(config: SystemConfig, gamma: float) -> float:
     """ML threshold: the true H0/H1 density crossing for one gamma >= 0.
 
-    D(x) = _log_ratio(x) = lam/2 - h(u) falls strictly in x. With a = nu + 1/2,
+    D = _log_ratio = lam/2 - h(u) falls strictly in x. With a = nu + 1/2,
     b = nu + 3/2 and e = lam (a+b)/(2b), its root lies in [W, W (1 + e/(2b))]:
       * h(u) = log 0F1(; nu+1; u^2/4) <= u^2/(2d), as 0F1(; c; z) <= e^{z/c},
         so below the H0 mean W, D(x) >= (lam/2)(1 - x/W) > 0;
@@ -205,24 +200,22 @@ def threshold_exact(config: SystemConfig, gamma: float) -> float:
     root at W=1, gamma=1 was 6.3e-12 relative off) or a few ulps of x, or D
     is exactly 0; at gamma = 0 the bracket is [W, W], the H0 mean W.
     """
-    gamma = float(_gammas(gamma))
     W = config.W
-    s, d = dof_scaling(config)
+    s, d, lam = chi2_law(config, float(_gammas(gamma)))
     nu = 0.5 * d - 1.0
     a, b = nu + 0.5, nu + 1.5
-    lam = s * (W * gamma)
     e = lam * ((a + b) / (2.0 * b))  # a ratio <= 1: finite wherever lam is
     lo, hi = float(W), W * (1.0 + e / (2.0 * b))
     if not hi > lo:  # rounded to [W, W]: a Newton step would divide by ~0
         return lo
     x = 0.5 * (lo + hi)
     for _ in range(200):
-        dv = _log_ratio(x, config, gamma)
+        u = bessel_arg(lam, s * x)
+        dv = _log_ratio(nu, lam, u)
         if dv > 0:
             lo = x
         elif dv < 0:
             hi = x
-        u = bessel_arg(lam, s * x)
         step = 0.0 if dv == 0 else dv / (-0.5 * u / x * (u / (a + np.hypot(u, b))))
         new = x - step
         tol = max(_XTOL, 4.0 * np.spacing(x))
@@ -287,7 +280,7 @@ def decide(config: SystemConfig, stats, gamma):
 
 
 def _exact_decisions(config: SystemConfig, stats, gamma) -> np.ndarray:
-    """_log_ratio(stats, config, gamma) <= 0, elementwise, mostly without it.
+    """D <= 0 at the statistics, elementwise, mostly without evaluating D.
 
     numerics.log_bessel_i_bounds brackets h in D = lam/2 - h(u) (_log_ratio's
     notation, with x = s stats) at every order nu >= -1/2. A trial is
@@ -296,10 +289,9 @@ def _exact_decisions(config: SystemConfig, stats, gamma) -> np.ndarray:
     size of D's terms (x, lam and u), is far above the rounding of D and of
     the bounds, so each decision is the sign of D as _log_ratio computes it.
     """
-    s, d = dof_scaling(config)
+    s, d, lam = chi2_law(config, gamma)
     nu = 0.5 * d - 1.0
     x = s * stats
-    lam = s * (config.W * gamma)
     u = bessel_arg(lam, x)
     h_lo, h_hi = log_bessel_i_bounds(nu, u)
     half = 0.5 * lam
@@ -308,6 +300,6 @@ def _exact_decisions(config: SystemConfig, stats, gamma) -> np.ndarray:
     out = half - h_lo + margin <= 0
     open_ = ~(out | (half - h_hi - margin > 0))
     if open_.any():
-        out[open_] = _log_ratio(stats[open_], config, gamma[open_]) <= 0
+        out[open_] = _log_ratio(nu, lam[open_], u[open_]) <= 0
     return out
 

@@ -422,19 +422,21 @@ def write_pdf_csv(table: np.ndarray, path) -> None:
 
 # --- flat key=value configuration files -----------------------------------
 
+def _parser(default):
+    """A config value's parser: its default's type; for a tuple, a list of its items' type."""
+    if isinstance(default, tuple):
+        item = type(default[0])
+        return lambda s: tuple(item(v) for v in s.replace(",", " ").split())
+    return type(default)
+
+
 # the SystemConfig fields each sweep point sets, and the lists they come from
 _SWEPT_FIELDS = {"W": "W_list", "gamma_db": "snr_db_list"}
-# every other SystemConfig field, parsed with the type of its default
-_CONFIG_FIELDS = {f.name: type(f.default) for f in fields(SystemConfig)
+# every other SystemConfig field, and every ExperimentSpec field but the base
+# config, each parsed by its default
+_CONFIG_FIELDS = {f.name: _parser(f.default) for f in fields(SystemConfig)
                   if f.name not in _SWEPT_FIELDS}
-_SPEC_FIELDS = {
-    "snr_db_list": lambda s: tuple(float(v) for v in s.replace(",", " ").split()),
-    "W_list": lambda s: tuple(int(v) for v in s.replace(",", " ").split()),
-    "trials_per_point": int,
-    "output_path": str,
-    "emit": str,
-    "workers": int,
-}
+_SPEC_FIELDS = {f.name: _parser(f.default) for f in fields(ExperimentSpec) if f.name != "base"}
 
 
 def load_config_file(path) -> dict:

@@ -22,7 +22,7 @@ from cpscatter.detector import (
     threshold_paper,
 )
 from cpscatter.harness import collect_statistics
-from cpscatter.numerics import RngStream, log_bessel_i_normalized
+from cpscatter.numerics import RngStream, bessel_arg, log_bessel_i_normalized
 from cpscatter.phy import SystemConfig
 from cpscatter.receiver import noise_power
 
@@ -31,6 +31,12 @@ mpmath.mp.dps = 40
 
 # six taps of magnitude 1 on g and on f: tap energies equal to the tap counts
 UNIT_TAPS = (6.0, 6.0)
+
+
+def _log_ratio_at(x, point, gamma):
+    # D at the statistics x, from chi2_law's (s, d, lam) as the detector forms it
+    s, d, lam = detector.chi2_law(point, gamma)
+    return detector._log_ratio(0.5 * d - 1.0, lam, bessel_arg(lam, s * np.asarray(x)))
 
 
 # --- detection SNR ------------------------------------------------------------
@@ -95,13 +101,15 @@ def test_detection_snr_modes(mode, taps):
 # --- operating point and densities ---------------------------------------------
 
 def test_negative_gamma_rejected():
-    # every function of (point, gamma) refuses a negative or non-finite
-    # detection SNR, decide at one gamma and at one per trial alike
+    # every function of a detection SNR (of a point, or threshold_paper's of
+    # W) refuses a negative or non-finite one, decide at one gamma and at one
+    # per trial alike
     point = SystemConfig(W=3, threshold_mode="exact-root")
     closed = SystemConfig(W=3, threshold_mode="closed-form")
     for gamma in (-1.0, math.nan, math.inf):
         for call in (lambda: pdf_h1(1.0, point, gamma),
                      lambda: threshold_exact(point, gamma),
+                     lambda: threshold_paper(3, gamma),
                      lambda: threshold_for(point, gamma),
                      lambda: threshold_for(closed, gamma),
                      lambda: decide(point, np.array([2.0, 2.0]), gamma),
@@ -157,7 +165,7 @@ def test_log_ratio_is_the_log_density_difference(conv, w):
     for gamma in (1e-3, 1.0, 1e3):
         x = threshold_exact(p, gamma) * np.array([0.5, 0.9, 1.0, 1.1, 2.0])
         f0, f1 = pdf_h0(x, p), pdf_h1(x, p, gamma)
-        got = detector._log_ratio(x, p, gamma)
+        got = _log_ratio_at(x, p, gamma)
         for xv, a, b, dv in zip(x, f0, f1, got):
             if min(a, b) >= 1e-300:
                 a, b = math.log(a), math.log(b)
@@ -201,7 +209,7 @@ def test_threshold_paper_matches_recorded_values(w):
 def test_threshold_paper_domain():
     with pytest.raises(ValueError):
         threshold_paper(1, 1.0)
-    for bad in (-1.0, -1e-300, math.nan, np.array([1.0, -1.0])):
+    for bad in (-1.0, -1e-300, math.nan, math.inf, np.array([1.0, -1.0])):
         with pytest.raises(ValueError):
             threshold_paper(4, bad)
     assert threshold_paper(4, 0.0) == 4.0
@@ -291,8 +299,8 @@ def test_exact_root_threshold_finite_at_high_snr(w, capfd):
         gamma = 10 ** (db / 10)
         th = threshold_for(p, gamma)
         assert math.isfinite(th) and th > 0, (w, db)
-        assert detector._log_ratio(th * (1 - 1e-12), p, gamma) > 0, (w, db)
-        assert detector._log_ratio(th * (1 + 1e-12), p, gamma) < 0, (w, db)
+        assert _log_ratio_at(th * (1 - 1e-12), p, gamma) > 0, (w, db)
+        assert _log_ratio_at(th * (1 + 1e-12), p, gamma) < 0, (w, db)
     assert capfd.readouterr().err == ""
 
 
@@ -354,7 +362,7 @@ def test_threshold_exact_in_closed_form_bracket_from_tiny_to_huge_snr(conv, w, c
     # is [W, W], and no solve may warn (pytest records warnings, so capfd
     # alone would not see them)
     p = SystemConfig(W=w, dof_convention=conv, threshold_mode="exact-root")
-    s, d = detector.dof_scaling(p)
+    s, d, _ = detector.chi2_law(p)
     a, b = 0.5 * d - 0.5, 0.5 * d + 0.5
     for db in (-3233, -3200, -300, -200, -80, -20, 0, 20, 40, 60, 80, 100, 150, 300):
         gamma = 10.0 ** (db / 10)
@@ -370,13 +378,13 @@ def test_threshold_exact_in_closed_form_bracket_from_tiny_to_huge_snr(conv, w, c
         ref = _mp_root(w, gamma, conv, dps=80)
         assert abs(th - ref) <= max(1e-10 * max(1.0, th), w * gamma), (db, th, ref)
         if db >= 0:
-            assert detector._log_ratio(th * (1 - 1e-12), p, gamma) > 0, db
-            assert detector._log_ratio(th * (1 + 1e-12), p, gamma) < 0, db
+            assert _log_ratio_at(th * (1 - 1e-12), p, gamma) > 0, db
+            assert _log_ratio_at(th * (1 + 1e-12), p, gamma) < 0, db
     # lam (a+b) overflows at W=246 here; e, lam times a ratio <= 1, does not
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         th = threshold_exact(p, 1e303)
-    assert math.isfinite(th) and detector._log_ratio(th * (1 + 1e-12), p, 1e303) < 0
+    assert math.isfinite(th) and _log_ratio_at(th * (1 + 1e-12), p, 1e303) < 0
     assert capfd.readouterr().err == ""
 
 
@@ -394,18 +402,22 @@ def _kernel_gammas(point):
     (246, "complex", (1e-3, 1e3)), (246, "paper", (1e-3, 1e3)),
 ], ids=lambda v: "kernel" if v is None else "extremes" if isinstance(v, tuple) else str(v))
 def test_threshold_solve_density_passes(monkeypatch, w, conv, gammas):
-    # one _log_ratio call per evaluation of D, for each gamma
+    # one _log_ratio call per evaluation of D, for each gamma, and one
+    # bessel_arg call per evaluation: the slope reuses D's u
     point = SystemConfig(W=w, snr_mode="from-Ps", dof_convention=conv,
                          threshold_mode="exact-root", gamma_knowledge="genie", seed=401)
     gammas = _kernel_gammas(point) if gammas is None else gammas
-    calls = []
-    real = detector._log_ratio
-    monkeypatch.setattr(detector, "_log_ratio", lambda *args: calls.append(1) or real(*args))
+    calls, args = [], []
+    real, real_arg = detector._log_ratio, detector.bessel_arg
+    monkeypatch.setattr(detector, "_log_ratio", lambda *a: calls.append(1) or real(*a))
+    monkeypatch.setattr(detector, "bessel_arg", lambda *a: args.append(1) or real_arg(*a))
     passes = []
     for g in gammas:
         calls.clear()
+        args.clear()
         threshold_exact(point, float(g))
         passes.append(len(calls))
+        assert len(args) == len(calls)
     assert max(passes) <= 12
 
 
@@ -488,15 +500,15 @@ def test_decide_array_per_trial_is_the_sign_of_the_log_ratio(monkeypatch, conv, 
     stats, gammas = np.concatenate(stats), np.concatenate(gammas)
     opened = []
 
-    def counted(x, cfg, gamma):
-        opened.append(np.size(x))
-        return real(x, cfg, gamma)
+    def counted(nu, lam, u):
+        opened.append(np.size(u))
+        return real(nu, lam, u)
 
     real = detector._log_ratio
     monkeypatch.setattr(detector, "_log_ratio", counted)
     got = decide(point, stats, gammas)
     monkeypatch.undo()
-    assert np.array_equal(got, real(stats, point, gammas) <= 0)
+    assert np.array_equal(got, _log_ratio_at(stats, point, gammas) <= 0)
     # the solved root sits between the two neighbours (from gamma 0.37: at
     # 1e-3 the root itself is off by more, see threshold_for)
     sides = got.reshape(len(EXACT_GRID_GAMMAS), factors.size)[1:, 5:7]
@@ -511,10 +523,10 @@ def test_log_ratio_evaluated_on_few_trials_of_the_benchmark_sweep(monkeypatch):
     counts = []
     real = detector._log_ratio
 
-    def counted(x, cfg, gamma):
-        if np.ndim(x):  # the threshold solve's scalar calls are not trials
-            counts.append(np.size(x))
-        return real(x, cfg, gamma)
+    def counted(nu, lam, u):
+        if np.ndim(u):  # the threshold solve's scalar calls are not trials
+            counts.append(np.size(u))
+        return real(nu, lam, u)
 
     monkeypatch.setattr(detector, "_log_ratio", counted)
     base = SystemConfig(snr_mode="from-Ps", dof_convention="complex",
@@ -526,7 +538,7 @@ def test_log_ratio_evaluated_on_few_trials_of_the_benchmark_sweep(monkeypatch):
     assert 0 < sum(counts) < 0.1 * trials
 
 
-def test_threshold_for_array_closed_form_matches_scalar():
+def test_threshold_paper_elementwise_matches_threshold_for():
     # decide compares per-trial statistics with threshold_paper on a
     # gamma array: elementwise, it is the scalar closed form threshold_for uses
     cfg = SystemConfig(threshold_mode="closed-form", W=12)

@@ -164,20 +164,21 @@ def test_from_ps_genie_errors_golden(conv):
     assert {r.W: r.bit_errors for r in run_experiment(spec)} == FROM_PS_GOLDEN[conv]
 
 
-# far past the SNRs where lam * x (the density's Bessel argument squared)
-# and 4 nc x (the Chernoff tail) overflow; each point runs with the BER of
-# its row at a moderate SNR, or fails before any chunk, naming the SNR
+# far past the SNRs where lam * x (the density's Bessel argument squared),
+# 4 nc x (the Chernoff tail) and the closed form's L^2 overflow; each point
+# runs with the BER of its row at a moderate SNR, or fails before any chunk,
+# naming the SNR
 HIGH_SNR_REFERENCE = {"from-Ps": 1e20, "direct-gamma": 200.0}
 HIGH_SNR_POINTS = [("from-Ps", ps) for ps in (1e100, 1e160, 1e200, 1e290)] + [
     ("direct-gamma", db) for db in (2000.0, 3000.0)]
 
 
-def _high_snr_spec(conv, mode, level, w):
+def _high_snr_spec(conv, mode, level, w, threshold):
     if mode == "from-Ps":
         base = SystemConfig(snr_mode=mode, Ps=level, dof_convention=conv,
-                            threshold_mode="exact-root", seed=29)
+                            threshold_mode=threshold, seed=29)
         return ExperimentSpec(base=base, W_list=w, trials_per_point=1024, workers=1)
-    base = SystemConfig(dof_convention=conv, threshold_mode="exact-root", seed=29)
+    base = SystemConfig(dof_convention=conv, threshold_mode=threshold, seed=29)
     return ExperimentSpec(base=base, snr_db_list=(level,), W_list=w,
                           trials_per_point=1024, workers=1)
 
@@ -185,21 +186,25 @@ def _high_snr_spec(conv, mode, level, w):
 @pytest.mark.parametrize("mode,level", HIGH_SNR_POINTS)
 @pytest.mark.parametrize("conv", ["paper", "complex"])
 def test_extreme_snr_runs_true_or_fails_first(conv, mode, level):
+    # both threshold modes in one loop (not parameters, so the test ids stay)
     w = (3, 12, 246)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        ref = run_experiment(_high_snr_spec(conv, mode, HIGH_SNR_REFERENCE[mode], w))
-        try:
-            spec = _high_snr_spec(conv, mode, level, w)
-        except ValueError as exc:
-            assert mode == "direct-gamma" and f"SNR {level:.1f} dB" in str(exc)
-            return
-        got = run_experiment(spec)
-    assert mode == "from-Ps" or level < 3000
-    for r, r0 in zip(got, ref):
-        assert r.W == r0.W
-        assert abs(r.ber_sim - r0.ber_sim) <= 3 * max(r0.ci95_halfwidth, 1.0 / r0.trials)
-        assert 0.0 <= r.ber_theory_exact <= 1.0
+    for threshold in ("exact-root", "closed-form"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ref = run_experiment(
+                _high_snr_spec(conv, mode, HIGH_SNR_REFERENCE[mode], w, threshold))
+            try:
+                spec = _high_snr_spec(conv, mode, level, w, threshold)
+            except ValueError as exc:
+                assert mode == "direct-gamma" and f"SNR {level:.1f} dB" in str(exc)
+                continue
+            got = run_experiment(spec)
+        assert mode == "from-Ps" or level < 3000
+        for r, r0 in zip(got, ref):
+            assert r.W == r0.W
+            assert math.isfinite(r.threshold_used), (threshold, r.W)
+            assert abs(r.ber_sim - r0.ber_sim) <= 3 * max(r0.ci95_halfwidth, 1.0 / r0.trials)
+            assert 0.0 <= r.ber_theory_exact <= 1.0
 
 
 def test_statistic_overflow_fails_before_any_chunk(tmp_path, monkeypatch, capsys):

@@ -342,19 +342,19 @@ def test_q_symmetry_and_monotonicity():
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
-# --- sin power integral ------------------------------------------------------
+# --- the closed form's integral ----------------------------------------------
 
 # the paper's closed-form threshold divides by int_0^pi e^{cos t} sin^{W-2} t dt;
 # threshold_paper holds it as h((W-2)/2, 1), so these check it through there
 
-def test_sin_power_integral_w2():
+def test_closed_form_integral_w2():
     # the integral is pi I_0(1), and L = gamma - log I_0(1)
     log_i0 = float(mpmath.log(mpmath.besseli(0, 1)))
     for g in (0.5, 4.0, 10 ** 1.6):
         assert threshold_paper(2, g) == pytest.approx((g - log_i0) ** 2 / (2 * g), rel=1e-12)
 
 
-def test_sin_power_integral_w3():
+def test_closed_form_integral_w3():
     # the integral is e - 1/e = 2 sinh 1, and L = 3 gamma/2 - log sinh 1
     log_sinh1 = math.log(math.sinh(1.0))
     for g in (0.5, 4.0, 10 ** 1.6):
@@ -362,7 +362,7 @@ def test_sin_power_integral_w3():
                                                       rel=1e-12)
 
 
-def test_sin_power_integral_vs_mpmath_quadrature():
+def test_closed_form_integral_vs_mpmath_quadrature():
     # threshold_paper against the paper's formula with the integral by direct
     # high-precision quadrature, over every W a default-geometry sweep can ask for
     with mpmath.workdps(30):

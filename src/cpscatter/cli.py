@@ -16,7 +16,7 @@ from .harness import (
     run_pdf_curves,
     write_pdf_csv,
 )
-from .phy import _DOF_CONVENTIONS, _THRESHOLD_MODES
+from .phy import _MODES
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -36,9 +36,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, help="master seed")
     run.add_argument("--out", dest="output_path", help="output CSV path")
     run.add_argument("--emit", choices=_EMIT_MODES, help="what to emit")
-    run.add_argument("--threshold", choices=_THRESHOLD_MODES,
+    run.add_argument("--threshold", choices=_MODES["threshold_mode"],
                      dest="threshold_mode", help="detection threshold mode")
-    run.add_argument("--dof", choices=_DOF_CONVENTIONS,
+    run.add_argument("--dof", choices=_MODES["dof_convention"],
                      dest="dof_convention", help="degree-of-freedom convention")
     run.add_argument("--workers", type=int,
                      help="worker threads (0 = one per CPU this process may use)")

@@ -267,7 +267,8 @@ def decide(config: SystemConfig, stats, gamma):
     elsewhere (_exact_decisions); the decisions are D's signs either way.
     Either way gamma is validated as in threshold_for.
     """
-    if np.ndim(gamma) == 0:
+    # a float (np.float64 included) is tested without np.ndim's array
+    if isinstance(gamma, float) or np.ndim(gamma) == 0:
         return stats >= threshold_for(config, gamma)
     gamma = _gammas(gamma)
     if config.threshold_mode == "closed-form":

@@ -34,7 +34,6 @@ trial for trial; the suite checks they agree statistically.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -53,7 +52,7 @@ from .detector import (
     threshold_for,
 )
 from .numerics import RngStream
-from .phy import SystemConfig, draw_channels, simulate_frame
+from .phy import SystemConfig, check_integers, draw_channels, simulate_frame
 from .receiver import bin_gains, bin_statistic, noise_power, process, symbol_bins, test_statistic
 
 _TRIAL_BITS = 40  # trial index width inside a stream id
@@ -102,11 +101,7 @@ class ExperimentSpec:
             raise ValueError("sweep lists must be non-empty")
         if not all(math.isfinite(snr) for snr in self.snr_db_list):
             raise ValueError(f"snr_db_list must be finite, got {self.snr_db_list}")
-        # a bool or float count would run, then report or fail mid-sweep
-        for name in ("trials_per_point", "workers"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        check_integers(self, "trials_per_point", "workers")
         if self.trials_per_point < 1:
             raise ValueError("trials_per_point must be >= 1")
         if self.trials_per_point >= (1 << _TRIAL_BITS):
@@ -432,11 +427,12 @@ def _parser(default):
 
 # the SystemConfig fields each sweep point sets, and the lists they come from
 _SWEPT_FIELDS = {"W": "W_list", "gamma_db": "snr_db_list"}
-# every other SystemConfig field, and every ExperimentSpec field but the base
-# config, each parsed by its default
+# every other SystemConfig field, then every ExperimentSpec field but the base
+# config, each parsed by its default: _FIELDS, the one key table, in order
 _CONFIG_FIELDS = {f.name: _parser(f.default) for f in fields(SystemConfig)
                   if f.name not in _SWEPT_FIELDS}
 _SPEC_FIELDS = {f.name: _parser(f.default) for f in fields(ExperimentSpec) if f.name != "base"}
+_FIELDS = {**_CONFIG_FIELDS, **_SPEC_FIELDS}
 
 
 def load_config_file(path) -> dict:
@@ -450,7 +446,8 @@ def load_config_file(path) -> dict:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in _CONFIG_FIELDS and key not in _SPEC_FIELDS and key not in _SWEPT_FIELDS:
+        # a swept key passes, for build_spec to name the list that sets it
+        if key not in _FIELDS and key not in _SWEPT_FIELDS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         if key in values:
             raise ValueError(f"{path}:{lineno}: key {key!r} already given on line "
@@ -462,39 +459,35 @@ def load_config_file(path) -> dict:
 def build_spec(file_values: dict | None = None, overrides: dict | None = None) -> ExperimentSpec:
     """Assemble an ExperimentSpec from file values plus typed overrides.
 
-    W and gamma_db are refused, as each sweep point sets them; the base
-    takes the first listed W, so only swept W values meet the R+1 check.
+    Each file value is parsed by its key's parser, and an override wins over
+    the file. W and gamma_db are refused, as each sweep point sets them; the
+    base takes the first listed W, so only swept W values meet the R+1 check.
     """
+    file_values = file_values or {}
     overrides = {key: val for key, val in (overrides or {}).items() if val is not None}
-    for key in (*(file_values or {}), *overrides):
+    for key in (*file_values, *overrides):
         if key in _SWEPT_FIELDS:
             raise ValueError(f"{key} is set per sweep point: give {_SWEPT_FIELDS[key]}")
-    cfg_kwargs, spec_kwargs = {}, {}
-    for key, raw in (file_values or {}).items():
-        kwargs, parse = ((cfg_kwargs, _CONFIG_FIELDS[key]) if key in _CONFIG_FIELDS
-                         else (spec_kwargs, _SPEC_FIELDS[key]))
+        if key not in _FIELDS:
+            raise ValueError(f"unknown configuration key {key!r}")
+    values = {}
+    for key, raw in file_values.items():
         try:
-            kwargs[key] = parse(raw)
+            values[key] = _FIELDS[key](raw)
         except ValueError as exc:
             raise ValueError(f"{key} = {raw!r}: {exc}") from exc
-    for key, val in overrides.items():
-        if key in _CONFIG_FIELDS:
-            cfg_kwargs[key] = val
-        elif key in _SPEC_FIELDS:
-            spec_kwargs[key] = val
-        else:
-            raise ValueError(f"unknown configuration key {key!r}")
+    values.update(overrides)
+    cfg_kwargs = {key: val for key, val in values.items() if key in _CONFIG_FIELDS}
+    spec_kwargs = {key: val for key, val in values.items() if key in _SPEC_FIELDS}
     cfg_kwargs["W"] = (spec_kwargs.get("W_list") or ExperimentSpec.W_list)[0]
     return ExperimentSpec(base=SystemConfig(**cfg_kwargs), **spec_kwargs)
 
 
 def format_effective_config(spec: ExperimentSpec) -> str:
-    """Dump the effective configuration as key=value lines."""
+    """Dump the effective configuration as key=value lines, one per key of _FIELDS."""
     lines = []
-    for key in _CONFIG_FIELDS:
-        lines.append(f"{key}={getattr(spec.base, key)}")
-    for key in _SPEC_FIELDS:
-        val = getattr(spec, key)
+    for key in _FIELDS:
+        val = getattr(spec.base if key in _CONFIG_FIELDS else spec, key)
         if isinstance(val, tuple):
             val = ",".join(str(v) for v in val)
         lines.append(f"{key}={val}")

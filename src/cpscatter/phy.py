@@ -31,10 +31,25 @@ import numpy as np
 
 from .numerics import complex_gaussian
 
-_SNR_MODES = ("direct-gamma", "from-Ps")
-_DOF_CONVENTIONS = ("paper", "complex")
-_THRESHOLD_MODES = ("closed-form", "exact-root")
-_GAMMA_KNOWLEDGE = ("genie", "ensemble")
+# each mode field of SystemConfig and its allowed values, the default first
+_MODES = {
+    "snr_mode": ("direct-gamma", "from-Ps"),
+    "dof_convention": ("paper", "complex"),
+    "threshold_mode": ("closed-form", "exact-root"),
+    "gamma_knowledge": ("genie", "ensemble"),
+}
+
+
+def check_integers(obj, *names: str) -> None:
+    """Refuse obj's named fields that are not integers, bools included.
+
+    A float or bool would pass the range checks and fail deep in the run, or
+    alias another seed's stream (1.5 keys as 1).
+    """
+    for name in names:
+        value = getattr(obj, name)
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -77,12 +92,7 @@ class SystemConfig:
     gamma_knowledge: str = "genie"
 
     def __post_init__(self):
-        # a float or bool would pass the range checks below and fail deep in
-        # the kernel, or alias another seed's stream (1.5 keys as 1)
-        for name in ("N", "C", "L", "M", "K", "W", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        check_integers(self, "N", "C", "L", "M", "K", "W", "seed")
         if min(self.L, self.M, self.K) < 0:
             raise ValueError("channel orders L, M, K must be >= 0")
         q = max(self.L, self.M, self.K)
@@ -114,14 +124,9 @@ class SystemConfig:
         # would alias it onto another seed's stream
         if not 0 <= self.seed < 1 << 64:
             raise ValueError(f"seed must be in [0, 2^64), got {self.seed}")
-        if self.snr_mode not in _SNR_MODES:
-            raise ValueError(f"snr_mode must be one of {_SNR_MODES}")
-        if self.dof_convention not in _DOF_CONVENTIONS:
-            raise ValueError(f"dof_convention must be one of {_DOF_CONVENTIONS}")
-        if self.threshold_mode not in _THRESHOLD_MODES:
-            raise ValueError(f"threshold_mode must be one of {_THRESHOLD_MODES}")
-        if self.gamma_knowledge not in _GAMMA_KNOWLEDGE:
-            raise ValueError(f"gamma_knowledge must be one of {_GAMMA_KNOWLEDGE}")
+        for name, values in _MODES.items():
+            if getattr(self, name) not in values:
+                raise ValueError(f"{name} must be one of {values}")
         if self.gamma_knowledge == "ensemble" and self.snr_mode == "direct-gamma":
             raise ValueError("gamma_knowledge=ensemble needs snr_mode=from-Ps, not direct-gamma")
 

@@ -1,5 +1,6 @@
 """Monte Carlo driver: determinism, trends, CSV contract, config handling, CLI."""
 
+import itertools
 import math
 import re
 import os
@@ -38,7 +39,7 @@ from cpscatter.harness import (
     write_pdf_csv,
 )
 from cpscatter.detector import detection_snr, threshold_exact, threshold_for
-from cpscatter.phy import SystemConfig, draw_channels
+from cpscatter.phy import _MODES, SystemConfig, draw_channels
 from cpscatter.receiver import bin_gains, bin_geometry, statistic_bins
 
 
@@ -205,6 +206,57 @@ def test_extreme_snr_runs_true_or_fails_first(conv, mode, level):
             assert math.isfinite(r.threshold_used), (threshold, r.W)
             assert abs(r.ber_sim - r0.ber_sim) <= 3 * max(r0.ci95_halfwidth, 1.0 / r0.trials)
             assert 0.0 <= r.ber_theory_exact <= 1.0
+
+
+# the levels each SNR mode's cells run at: gamma_db for direct-gamma, and
+# Ps (then eta = 0 at the default Ps) for from-Ps
+MODE_LEVELS = {
+    "direct-gamma": [dict(gamma_db=db) for db in (-3200.0, -40.0, 6.0, 2000.0)],
+    "from-Ps": [dict(Ps=ps) for ps in (1e-300, 1e-4, 1.0, 1e200)] + [dict(eta=0.0)],
+}
+
+
+def _mode_cell(base, level, w):
+    if base.snr_mode == "direct-gamma":
+        return ExperimentSpec(base=base, snr_db_list=(level["gamma_db"],), W_list=(w,),
+                              trials_per_point=64, workers=1)
+    return ExperimentSpec(base=replace(base, **level), W_list=(w,), trials_per_point=64,
+                          workers=1)
+
+
+@pytest.mark.parametrize("modes", list(itertools.product(*_MODES.values())),
+                         ids="-".join)
+def test_every_mode_combination_runs_or_is_refused_first(monkeypatch, modes):
+    # each mode combination, at each level and W, runs to a finite positive
+    # threshold and BERs in [0, 1], or raises ValueError before any chunk; a
+    # mode value added to phy._MODES joins this test unedited
+    chunks = []
+
+    def spy(*args):
+        chunks.append(args)
+        return _run_chunk(*args)
+
+    monkeypatch.setattr(harness, "_run_chunk", spy)
+    config = dict(zip(_MODES, modes), seed=31)
+    ran = 0
+    for level in MODE_LEVELS[config["snr_mode"]]:
+        for w in (1, 2, 246):
+            chunks.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    (r,) = run_experiment(_mode_cell(SystemConfig(**config), level, w))
+                except ValueError:
+                    assert chunks == [], (level, w)
+                    continue
+            assert chunks, (level, w)
+            assert 0.0 < r.threshold_used < math.inf, (level, w)
+            for ber in (r.ber_sim, r.ber_theory_exact, r.ber_theory_approx):
+                assert 0.0 <= ber <= 1.0, (level, w)
+            ran += 1
+    # only direct-gamma with ensemble knowledge is refused at every cell
+    assert ran or (config["snr_mode"], config["gamma_knowledge"]) == ("direct-gamma",
+                                                                     "ensemble")
 
 
 def test_statistic_overflow_fails_before_any_chunk(tmp_path, monkeypatch, capsys):
@@ -889,6 +941,14 @@ def test_spec_validation():
     assert spec.trials_per_point == 64 and spec.workers == 1
 
 
+# the mode pairings refused before any work, and what each refusal names
+REFUSED_PAIRINGS = {
+    "gamma_knowledge = ensemble\n": "gamma_knowledge",  # with direct-gamma
+    "threshold_mode = closed-form\nW_list = 3 1\n": "W=1",
+    "eta = 0\n": "eta",  # with direct-gamma
+}
+
+
 @pytest.mark.parametrize("cfg_text", [
     "Nw = 0\n",  # 0/0 statistics would give a chance-level ber_sim
     "threshold_mode = closed-form\nW_list = 3 1\n",  # W=1 only fails at its point
@@ -907,7 +967,7 @@ def test_spec_validation():
     "snr_db_list = 6 3090\n",
     "gamma_knowledge = ensemble\n",  # direct-gamma wrote the genie CSV without a word
 ])
-def test_degenerate_sweeps_fail_before_any_chunk(monkeypatch, tmp_path, cfg_text):
+def test_degenerate_sweeps_fail_before_any_chunk(monkeypatch, tmp_path, capsys, cfg_text):
     from cpscatter import harness
 
     calls = []
@@ -919,6 +979,10 @@ def test_degenerate_sweeps_fail_before_any_chunk(monkeypatch, tmp_path, cfg_text
     out = tmp_path / "r.csv"
     assert cli.main(["run", "--config", str(cfg), "--out", str(out), "--workers", "1"]) == 1
     assert calls == [] and not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if cfg_text in REFUSED_PAIRINGS:
+        assert REFUSED_PAIRINGS[cfg_text] in err
 
 
 def test_paper_convention_exact_root_at_w1():
@@ -983,7 +1047,10 @@ def _write(path, text):
     (lambda tmp: load_config_file(_write(tmp / "b.cfg", "seed = 1\nseed 2\n")),
      r"b\.cfg:2: expected key=value, got 'seed 2'"),
     (lambda tmp: build_spec(None, {"frobnicate": 3}), "unknown configuration key 'frobnicate'"),
-], ids=["trials-2^40", "workers-negative", "csv-header", "config-no-equals", "override-key"])
+    # an unknown file key raised a bare KeyError
+    (lambda tmp: build_spec({"frobnicate": "3"}), "unknown configuration key 'frobnicate'"),
+], ids=["trials-2^40", "workers-negative", "csv-header", "config-no-equals", "override-key",
+        "file-key"])
 def test_harness_refusals(tmp_path, call, message):
     with pytest.raises(ValueError, match=message):
         call(tmp_path)
